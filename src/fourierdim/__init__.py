@@ -48,13 +48,11 @@ from .transform import (
     wiener_average,
     atom_weights,
     phase_unit,
-    write_samples_csv,
 )
 from .dimension import (
     WindowStat,
     DecayReport,
     decay_exponent,
-    write_decay_csv,
     EnergyResult,
     riesz_constant,
     energy_spatial,
@@ -98,8 +96,7 @@ __all__ = [
     "ft", "ft_grid", "ft_batch", "ft_quadrature",
     "TransformSample", "QuadratureResult", "QuadratureError",
     "oscillatory_integral", "wiener_average", "atom_weights", "phase_unit",
-    "write_samples_csv",
-    "WindowStat", "DecayReport", "decay_exponent", "write_decay_csv",
+    "WindowStat", "DecayReport", "decay_exponent",
     "EnergyResult", "riesz_constant", "energy_spatial", "energy_fourier",
     "smooth_cut", "LowerBoundWitness", "lower_bound_search",
     "translation_pair_transform", "stability_experiment",

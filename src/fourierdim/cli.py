@@ -21,6 +21,7 @@ and any randomness flows through numpy's seeded generator.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import sys
@@ -41,6 +42,7 @@ from .constructions import (
     tail_report,
 )
 from .dimension import (
+    _json_float,
     decay_exponent,
     energy_fourier,
     energy_spatial,
@@ -99,28 +101,44 @@ def _clean(obj):
     if isinstance(obj, (np.floating,)):
         obj = float(obj)
     if isinstance(obj, float):
-        if math.isinf(obj):
-            return "inf" if obj > 0 else "-inf"
-        if math.isnan(obj):
-            return "nan"
-        return obj
+        return _json_float(obj)
     if isinstance(obj, (np.bool_,)):
         return bool(obj)
     return obj
 
 
-def _require(cfg: dict, key: str):
-    if key not in cfg:
-        raise MeasureError(f"config is missing the '{key}' field")
-    return cfg[key]
+_REQUIRED = object()
+
+
+def _param(section: dict, key: str, kind=None, default=_REQUIRED):
+    """section[key] converted by kind (int, float, or None for as-is), or
+    default when absent; a missing required or malformed value is a
+    MeasureError."""
+    if key not in section:
+        if default is _REQUIRED:
+            raise MeasureError(f"config is missing the '{key}' field")
+        return default
+    if kind is None:
+        return section[key]
+    try:
+        return kind(section[key])
+    except (TypeError, ValueError, OverflowError):
+        raise MeasureError(f"config field '{key}' must be {kind.__name__}, "
+                           f"got {section[key]!r}") from None
+
+
+def _seed(value: int) -> int:
+    if value < 0:
+        raise MeasureError(f"seeds must be nonnegative, got {value}")
+    return value
 
 
 def _measure(cfg):
-    return measure_from_dict(_require(cfg, "measure"))
+    return measure_from_dict(_param(cfg, "measure"))
 
 
 def _schedule(cfg):
-    return schedule_from_dict(_require(cfg, "schedule"))
+    return schedule_from_dict(_param(cfg, "schedule"))
 
 
 # ---------------------------------------------------------------------------
@@ -139,11 +157,11 @@ def _run_transform(cfg, params, rng):
              "log2_abs_value": math.log2(abs(s.value)) if s.value else "-inf",
              "method": s.method}
             for s in samples]
-    quad_count = int(params.get("quadrature_count", 0))
+    quad_count = _param(params, "quadrature_count", int, 0)
     quad_dev = 0.0
     if quad_count > 0:
-        tol = float(params.get("quadrature_tol", 1e-9))
-        panels = int(params.get("quadrature_max_panels", 1 << 17))
+        tol = _param(params, "quadrature_tol", float, 1e-9)
+        panels = _param(params, "quadrature_max_panels", int, 1 << 17)
         for s in samples[:quad_count]:
             q = ft_quadrature(m, s.xi, tol, panels)
             quad_dev = max(quad_dev, abs(q.value - s.value))
@@ -168,10 +186,12 @@ def _run_decay(cfg, params, rng):
     m = _measure(cfg)
     report = decay_exponent(m, _schedule(cfg))
     passed = True
-    if "max_capped_dim" in params:
-        passed = passed and report.capped_dim <= float(params["max_capped_dim"])
-    if "min_capped_dim" in params:
-        passed = passed and report.capped_dim >= float(params["min_capped_dim"])
+    top = _param(params, "max_capped_dim", float, None)
+    if top is not None:
+        passed = passed and report.capped_dim <= top
+    bottom = _param(params, "min_capped_dim", float, None)
+    if bottom is not None:
+        passed = passed and report.capped_dim >= bottom
     rows = [{"exp_lo": w.exp_lo, "exp_hi": w.exp_hi, "max_abs": w.max_abs,
              "local_exponent": w.local_exponent} for w in report.windows]
     summary = {
@@ -187,9 +207,9 @@ def _run_decay(cfg, params, rng):
 
 def _run_energy(cfg, params, rng):
     m = _measure(cfg)
-    s = float(_require(params, "s"))
-    resolution = int(params.get("resolution", 4096))
-    cutoff = float(params.get("cutoff", 4096.0))
+    s = _param(params, "s", float)
+    resolution = _param(params, "resolution", int, 4096)
+    cutoff = _param(params, "cutoff", float, 4096.0)
     spa = energy_spatial(m, s, resolution)
     fou = energy_fourier(m, s, cutoff)
     if math.isinf(spa.value) or math.isinf(fou.value):
@@ -197,9 +217,9 @@ def _run_energy(cfg, params, rng):
         dev = 0.0 if agree else math.inf
     else:
         dev = abs(spa.value - fou.value)
-        budget = float(params.get(
-            "tol", 3.0 * (spa.err_estimate + fou.err_estimate)
-            + 0.02 * max(1.0, abs(spa.value))))
+        budget = _param(
+            params, "tol", float, 3.0 * (spa.err_estimate + fou.err_estimate)
+            + 0.02 * max(1.0, abs(spa.value)))
         agree = dev <= budget
     summary = {
         "experiment": "energy",
@@ -215,10 +235,10 @@ def _run_energy(cfg, params, rng):
 
 def _run_wiener(cfg, params, rng):
     m = _measure(cfg)
-    horizon = float(params.get("T", 1.0e4))
+    horizon = _param(params, "T", float, 1.0e4)
     value = wiener_average(m, horizon)
     limit = math.fsum(w * w for w in atom_weights(m).values())
-    tol = float(params.get("tol", 0.02))
+    tol = _param(params, "tol", float, 0.02)
     passed = abs(value - limit) <= tol
     summary = {
         "experiment": "wiener",
@@ -234,8 +254,8 @@ def _run_wiener(cfg, params, rng):
 
 def _run_lowerbound(cfg, params, rng):
     m = _measure(cfg)
-    eps = float(_require(params, "eps"))
-    j_max = int(params.get("j_max", 10 ** 6))
+    eps = _param(params, "eps", float)
+    j_max = _param(params, "j_max", int, 10 ** 6)
     wit = lower_bound_search(m, eps, j_max)
     summary = {
         "experiment": "lowerbound",
@@ -250,10 +270,10 @@ def _run_lowerbound(cfg, params, rng):
 
 def _run_stability(cfg, params, rng):
     m1 = _measure(cfg)
-    m2 = measure_from_dict(_require(params, "measure2"))
+    m2 = measure_from_dict(_param(params, "measure2"))
     sched = _schedule(cfg)
     r1, r2, rsum = stability_experiment(m1, m2, sched)
-    slack = float(params.get("slack", 0.05))
+    slack = _param(params, "slack", float, 0.05)
     floor = min(r1.capped_dim, r2.capped_dim) - slack
     passed = rsum.capped_dim >= floor
     rows = []
@@ -276,17 +296,15 @@ def _run_stability(cfg, params, rng):
 
 def _run_matrix_image(cfg, params, rng):
     m = _measure(cfg)
-    scale = _require(params, "scale")
-    if isinstance(scale, list):
-        scale = tuple(tuple(row) for row in scale)
+    scale = _param(params, "scale")
     sched = _schedule(cfg)
     base, summed = matrix_image_experiment(m, scale, sched)
-    slack = float(params.get("slack", 0.05))
+    slack = _param(params, "slack", float, 0.05)
     passed = abs(base.capped_dim - summed.capped_dim) <= slack
     summary = {
         "experiment": "matrix-image",
         "claim": "adding an off-circle dilated image preserves the dimension",
-        "scale": scale if isinstance(scale, (int, float)) else [list(r) for r in scale],
+        "scale": scale,
         "capped_dim_base": base.capped_dim,
         "capped_dim_sum": summed.capped_dim,
         "passed": passed,
@@ -299,9 +317,9 @@ def _run_matrix_image(cfg, params, rng):
 
 
 def _run_setex(cfg, params, rng):
-    n = int(params.get("n", 1))
-    top = int(params.get("K", 5))
-    j_max = int(params.get("j_max", 100000))
+    n = _param(params, "n", int, 1)
+    top = _param(params, "K", int, 5)
+    j_max = _param(params, "j_max", int, 100000)
     spec = DigitScheduleSpec.index_blocks(n, top)
     mu = digit_constraint_measure(spec)
     rows = []
@@ -330,10 +348,10 @@ def _run_setex(cfg, params, rng):
 
 
 def _run_setexc(cfg, params, rng):
-    n = int(params.get("n", 1))
-    top = int(params.get("K", 6))
-    s = float(params.get("s", 0.85))
-    b = float(params.get("b", 0.0))
+    n = _param(params, "n", int, 1)
+    top = _param(params, "K", int, 6)
+    s = _param(params, "s", float, 0.85)
+    b = _param(params, "b", float, 0.0)
     spec = DigitScheduleSpec.proportional_blocks(n, top, s, b)
     mu = digit_constraint_measure(spec)
     report = tail_report(spec)
@@ -360,8 +378,8 @@ def _run_setexc(cfg, params, rng):
 
 
 def _run_measex(cfg, params, rng):
-    id_depth = int(params.get("identity_depth", 6))
-    decay_depth = int(params.get("decay_depth", 48))
+    id_depth = _param(params, "identity_depth", int, 6)
+    decay_depth = _param(params, "decay_depth", int, 48)
     g = lacunary_trig_measure(1, id_depth)
     h = lacunary_trig_measure(-1, id_depth)
 
@@ -375,7 +393,7 @@ def _run_measex(cfg, params, rng):
     spikes_ok = spike_dev <= spike_tol
 
     both = Mixture((g, h), (1.0, 1.0))
-    rng_local = np.random.default_rng(int(params.get("seed", 7)))
+    rng_local = np.random.default_rng(_seed(_param(params, "seed", int, 7)))
     freqs = np.sort(rng_local.uniform(0.5, 4096.0, size=100))
     leb = UniformOnIntervals(((0.0, 1.0),))
     sum_dev = 0.0
@@ -413,7 +431,7 @@ def _run_measex(cfg, params, rng):
 
 def _run_cantor(cfg, params, rng):
     mu = cantor_measure()
-    k_max = int(params.get("k_max", 12))
+    k_max = _param(params, "k_max", int, 12)
     base = abs(ft(mu, 1))
     rows = []
     id_dev = 0.0
@@ -441,11 +459,11 @@ def _run_cantor(cfg, params, rng):
 
 
 def _run_galois(cfg, params, rng):
-    n_models = int(params.get("models", 200))
-    trials = int(params.get("trials", 20))
-    nx = int(params.get("nx", 8))
-    ny = int(params.get("ny", 8))
-    n_decomp = int(params.get("decompositions", 200))
+    n_models = _param(params, "models", int, 200)
+    trials = _param(params, "trials", int, 20)
+    nx = _param(params, "nx", int, 8)
+    ny = _param(params, "ny", int, 8)
+    n_decomp = _param(params, "decompositions", int, 200)
 
     total_viol = 0
     first = None
@@ -521,9 +539,8 @@ def _write_outputs(prefix: str, summary: dict, rows) -> None:
         json.dump(_clean(summary), fh, sort_keys=True, indent=2)
         fh.write("\n")
     if rows:
-        import csv as _csv
         with open(prefix + ".csv", "w", newline="") as fh:
-            writer = _csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
             writer.writeheader()
             for row in rows:
                 writer.writerow(row)
@@ -562,14 +579,12 @@ def main(argv=None) -> int:
         print("error: config must be a JSON object", file=sys.stderr)
         return 2
     name = cfg.get("experiment")
-    if name not in _RUNNERS:
+    if not isinstance(name, str) or name not in _RUNNERS:
         known = ", ".join(sorted(_RUNNERS))
         print(f"error: unknown experiment {name!r} (known: {known})",
               file=sys.stderr)
         return 2
 
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
-    rng = np.random.default_rng(seed)
     params = cfg.get("params", {})
     if not isinstance(params, dict):
         print("error: params must be a JSON object", file=sys.stderr)
@@ -577,11 +592,12 @@ def main(argv=None) -> int:
     prefix = args.out or cfg.get("output") or name
 
     try:
-        summary, rows, passed = _RUNNERS[name](cfg, params, rng)
+        seed = _seed(args.seed if args.seed is not None else _param(cfg, "seed", int, 0))
+        summary, rows, passed = _RUNNERS[name](cfg, params, np.random.default_rng(seed))
     except QuadratureError as exc:
         print(f"error: quadrature failed to converge: {exc}", file=sys.stderr)
         return 3
-    except (MeasureError, ScheduleError, KeyError, TypeError) as exc:
+    except (MeasureError, ScheduleError) as exc:
         print(f"error: bad config: {exc}", file=sys.stderr)
         return 2
 

@@ -17,22 +17,11 @@ The quadrature route in :mod:`fourierdim.transform` deliberately does not use
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .measures import (
-    AffineImage,
-    Atomic,
-    DigitProduct,
-    Measure,
-    MeasureError,
-    Mixture,
-    SelfSimilarDigit,
-    SmoothCutDensity,
-    TrigDensity,
-    UniformOnIntervals,
-)
+from .errors import MeasureError
 
 __all__ = [
     "DensityPiece",
@@ -44,8 +33,6 @@ __all__ = [
     "window_value",
     "cut_mass",
 ]
-
-_ENUM_LIMIT = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -90,6 +77,10 @@ class DensityPiece:
             self.amplitude / abs(scale),
             self.frequency / scale,
         )
+
+    def scaled(self, weight: float) -> "DensityPiece":
+        """The piece times a real weight."""
+        return replace(self, amplitude=weight * self.amplitude)
 
     def multiply(self, other: "DensityPiece"):
         """Pointwise product piece, or None when the supports do not overlap."""
@@ -137,109 +128,14 @@ def window_value(center: float, radius: float, order: int, x) -> np.ndarray:
 # decomposition
 
 
-def decompose_density(m: Measure) -> tuple:
+def decompose_density(m) -> tuple:
     """Pieces of the density of m, when m has a tractable explicit density.
 
     Raises MeasureError for purely atomic measures, self-similar measures,
     convolutions, wrapped (mod-1) images, and digit products with too many
     admissible cylinders to enumerate.
     """
-    if isinstance(m, UniformOnIntervals):
-        total = m.total_length
-        return tuple(
-            DensityPiece(a, b, 0.5 * (a + b), (1.0 / total,), 1.0 + 0.0j, 0.0)
-            for a, b in m.intervals
-        )
-    if isinstance(m, TrigDensity):
-        pieces = [DensityPiece(0.0, 1.0, 0.0, (1.0,), 1.0 + 0.0j, 0.0)]
-        for c, f in m.terms:
-            if abs(f) >= 2 ** 53:
-                raise MeasureError(
-                    "trig frequency too large for a float-valued density")
-            pieces.append(DensityPiece(0.0, 1.0, 0.0, (1.0,), c / 2j, float(f)))
-            pieces.append(DensityPiece(0.0, 1.0, 0.0, (1.0,), -c / 2j, -float(f)))
-        return tuple(pieces)
-    if isinstance(m, DigitProduct):
-        return _digit_product_pieces(m)
-    if isinstance(m, Mixture):
-        out = []
-        for comp, w in zip(m.components, m.weights):
-            for p in decompose_density(comp):
-                out.append(DensityPiece(p.a, p.b, p.center, p.poly,
-                                        w * p.amplitude, p.frequency))
-        return tuple(out)
-    if isinstance(m, AffineImage):
-        if m.mod1:
-            raise MeasureError("wrapped images have no piecewise density here")
-        if not isinstance(m.scale, (int, float)):
-            raise MeasureError("density pieces are one-dimensional")
-        return tuple(p.map_affine(float(m.scale), float(m.offset))
-                     for p in decompose_density(m.inner))
-    if isinstance(m, SmoothCutDensity):
-        wpiece = DensityPiece(m.center - m.radius, m.center + m.radius, m.center,
-                              window_poly(m.radius, m.order), 1.0 + 0.0j, 0.0)
-        out = []
-        for p in decompose_density(m.inner):
-            q = p.multiply(wpiece)
-            if q is not None:
-                out.append(q)
-        if not out:
-            raise MeasureError("window does not meet the support of the inner measure")
-        return tuple(out)
-    if isinstance(m, (Atomic, SelfSimilarDigit)):
-        raise MeasureError(f"{type(m).__name__} has no explicit density")
-    raise MeasureError(f"no density decomposition for {type(m).__name__}")
-
-
-def _digit_product_pieces(m: DigitProduct) -> tuple:
-    count = m.cylinder_count()
-    if count > _ENUM_LIMIT:
-        raise MeasureError(
-            f"digit product has {count} cylinders; too many to enumerate")
-    values = _admissible_values(m)
-    width = 2.0 ** -m.depth
-    height = (1 << m.depth) / count
-    # Merge runs of adjacent cylinders into single flat pieces.
-    pieces = []
-    run_start = None
-    prev = None
-    for v in values:
-        if run_start is None:
-            run_start = prev = v
-            continue
-        if v == prev + 1:
-            prev = v
-            continue
-        pieces.append(_flat_piece(run_start, prev, width, height))
-        run_start = prev = v
-    pieces.append(_flat_piece(run_start, prev, width, height))
-    return tuple(pieces)
-
-
-def _flat_piece(v0: int, v1: int, width: float, height: float) -> DensityPiece:
-    a = v0 * width
-    b = (v1 + 1) * width
-    return DensityPiece(a, b, 0.5 * (a + b), (height,), 1.0 + 0.0j, 0.0)
-
-
-def _admissible_values(m: DigitProduct) -> list:
-    """Sorted integers v < 2**depth whose digit strings avoid every block."""
-    segments = []  # (shift, choices) with v built as sum(choice << shift)
-    covered = sorted((b.offset, b.offset + b.length, b) for b in m.blocks)
-    pos = 0
-    for lo, hi, b in covered:
-        if lo > pos:
-            segments.append((m.depth - lo, range(1 << (lo - pos))))
-        forbidden = int(b.forbidden_pattern, 2)
-        segments.append((m.depth - hi,
-                         [v for v in range(1 << b.length) if v != forbidden]))
-        pos = hi
-    if pos < m.depth:
-        segments.append((0, range(1 << (m.depth - pos))))
-    values = [0]
-    for shift, choices in segments:
-        values = [v + (c << shift) for v in values for c in choices]
-    return sorted(values)
+    return m._density()
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +227,7 @@ def piece_transform(piece: DensityPiece, xi) -> np.ndarray:
     return piece.amplitude * np.exp(-2j * math.pi * x * piece.center) * inner
 
 
-def cut_mass(m: SmoothCutDensity) -> float:
+def cut_mass(m) -> float:
     """Total mass of a window cutoff, integrated in closed form."""
     total = 0.0 + 0.0j
     for p in decompose_density(m):

@@ -18,32 +18,33 @@ algorithmically independent and their agreement is part of the test suite.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .density import decompose_density, evaluate_density, window_value
+# window_value is unused here but stays a module global: perfbench/spans.py
+# wraps this name in this module.
+from .density import decompose_density, evaluate_density, window_value  # noqa: F401
 from .measures import (
     AffineImage,
-    Atomic,
+    FrequencySchedule,
     Measure,
     MeasureError,
     Mixture,
     ScheduleError,
-    SmoothCutDensity,
-    FrequencySchedule,
+    _finite,
+    _floor_log2,
     mass,
     support_interval,
 )
-from .transform import atom_weights, ft, ft_batch, ft_grid, phase_unit
+from .phase import _ratio
+from .transform import _trapz, atom_weights, ft, ft_batch, ft_grid, phase_unit
 
 __all__ = [
     "WindowStat",
     "DecayReport",
     "decay_exponent",
-    "write_decay_csv",
     "EnergyResult",
     "riesz_constant",
     "energy_spatial",
@@ -90,15 +91,12 @@ class DecayReport:
 
 
 def _json_float(x: float):
+    """x, or "inf" / "-inf" / "nan" where JSON has no number."""
     if math.isinf(x):
         return "inf" if x > 0 else "-inf"
+    if math.isnan(x):
+        return "nan"
     return x
-
-
-def _floor_log2_abs(xi) -> int:
-    if isinstance(xi, int):
-        return abs(xi).bit_length() - 1
-    return math.frexp(abs(xi))[1] - 1
 
 
 def decay_exponent(m: Measure, sched: FrequencySchedule) -> DecayReport:
@@ -116,7 +114,7 @@ def decay_exponent(m: Measure, sched: FrequencySchedule) -> DecayReport:
     samples = ft_batch(m, sched)
     buckets = {}
     for s in samples:
-        buckets.setdefault(_floor_log2_abs(s.xi), []).append(abs(s.value))
+        buckets.setdefault(_floor_log2(s.xi), []).append(abs(s.value))
     windows = []
     for e in sorted(buckets):
         mx = max(buckets[e])
@@ -130,15 +128,6 @@ def decay_exponent(m: Measure, sched: FrequencySchedule) -> DecayReport:
     d = float(m.ambient_dim)
     capped = min(d, max(liminf, 0.0)) + 0.0  # normalize -0.0
     return DecayReport(tuple(windows), liminf, capped)
-
-
-def write_decay_csv(report: DecayReport, path) -> None:
-    """One row per window: exp_lo, exp_hi, max_abs, local_exponent."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["exp_lo", "exp_hi", "max_abs", "local_exponent"])
-        for w in report.windows:
-            writer.writerow([w.exp_lo, w.exp_hi, w.max_abs, w.local_exponent])
 
 
 # ---------------------------------------------------------------------------
@@ -170,9 +159,7 @@ def riesz_constant(d: int, s: float) -> float:
     return math.pi ** (s - d / 2) * math.gamma((d - s) / 2) / math.gamma(s / 2)
 
 
-def _require_line_energy(m: Measure, s: float) -> None:
-    if m.ambient_dim != 1:
-        raise MeasureError("energies are implemented on the line only")
+def _require_energy_order(s: float) -> None:
     if not 0 < s < 1:
         raise MeasureError(f"need 0 < s < ambient_dim = 1, got s={s}")
 
@@ -187,7 +174,7 @@ def energy_spatial(m: Measure, s: float, resolution: int = 4096) -> EnergyResult
     the result is exact up to rounding).  Cross-cell sums run through an FFT
     autocorrelation.  Any atom makes the energy infinite and is flagged.
     """
-    _require_line_energy(m, s)
+    _require_energy_order(s)
     if resolution < 16:
         raise MeasureError("resolution too small")
     c = riesz_constant(1, s)
@@ -229,7 +216,7 @@ def energy_fourier(m: Measure, s: float, cutoff: float = 4096.0) -> EnergyResult
     tail M cutoff^(s-2)/(2-s), which is added to the value and, in full, to
     the error estimate.
     """
-    _require_line_energy(m, s)
+    _require_energy_order(s)
     if cutoff < 4.0:
         raise MeasureError("cutoff too small")
     c = riesz_constant(1, s)
@@ -250,8 +237,7 @@ def energy_fourier(m: Measure, s: float, cutoff: float = 4096.0) -> EnergyResult
         n = max(8, int(math.ceil((b - a) / step)))
         xs = np.linspace(a, b, n + 1)
         ys = np.abs(ft_grid(m, xs)) ** 2 * xs ** (s - 1.0)
-        return float(np.trapezoid(ys, xs)) if hasattr(np, "trapezoid") \
-            else float(np.trapz(ys, xs))
+        return float(_trapz(ys, xs))
 
     fine_top = min(cutoff, 4096.0)
     mid = band(1.0, fine_top, 0.02)
@@ -299,37 +285,7 @@ def smooth_cut(m: Measure, window) -> Measure:
     need = math.ceil(1.5 * m.ambient_dim)
     if order < need:
         raise MeasureError(f"window order {order} below required {need}")
-    if m.ambient_dim != 1:
-        raise MeasureError("window cutoffs are implemented on the line only")
-    lo, hi = support_interval(m)
-    if center - radius >= hi or center + radius <= lo:
-        raise MeasureError("window is disjoint from the support (zero measure)")
-
-    if isinstance(m, Atomic):
-        kept = []
-        for pos, w in m.atoms:
-            f = float(window_value(center, radius, order, pos))
-            if f > 0.0:
-                kept.append((pos, w * f))
-        if not kept:
-            raise MeasureError("window vanishes at every atom (zero measure)")
-        return Atomic(tuple(kept))
-
-    if isinstance(m, Mixture):
-        comps = []
-        weights = []
-        for comp, w in zip(m.components, m.weights):
-            try:
-                comps.append(smooth_cut(comp, window))
-                weights.append(w)
-            except MeasureError:
-                continue  # component support misses the window: cut to zero
-        if not comps:
-            raise MeasureError("window is disjoint from every component")
-        return Mixture(tuple(comps), tuple(weights))
-
-    decompose_density(m)  # raises for variants without an explicit density
-    return SmoothCutDensity(m, center, radius, order)
+    return m._cut(center, radius, order)
 
 
 # ---------------------------------------------------------------------------
@@ -386,12 +342,9 @@ def lower_bound_search(m: Measure, eps: float, j_max: int) -> LowerBoundWitness:
 
 def _cos_pi(t, xi) -> float:
     """cos(pi t xi) with the angle reduced mod 2 in exact rational arithmetic."""
-    if isinstance(t, int) and isinstance(xi, int):
-        num, den = t * xi, 1
-    else:
-        p1, q1 = float(t).as_integer_ratio() if isinstance(t, float) else (int(t), 1)
-        p2, q2 = float(xi).as_integer_ratio() if isinstance(xi, float) else (int(xi), 1)
-        num, den = p1 * p2, q1 * q2
+    p1, q1 = _ratio(t)
+    p2, q2 = _ratio(xi)
+    num, den = p1 * p2, q1 * q2
     r = (num % (2 * den)) / den
     return math.cos(math.pi * r)
 
@@ -403,8 +356,6 @@ def translation_pair_transform(m: Measure, t: float, xi) -> float:
     (the translate contributes the phase exp(-2 pi i t xi)) and raises
     ArithmeticError if the two sides disagree beyond rounding.
     """
-    if m.ambient_dim != 1:
-        raise MeasureError("translation pairs are implemented on the line only")
     base = ft(m, xi)
     shifted_phase = phase_unit(xi, t) if t != 0 else 1.0 + 0.0j
     value = abs(base + shifted_phase * base)
@@ -422,39 +373,27 @@ def stability_experiment(m1: Measure, m2: Measure,
     The sum's liminf proxy should not fall more than estimator tolerance
     below the smaller component proxy; the caller asserts the tolerance.
     """
-    if m1.ambient_dim != m2.ambient_dim:
-        raise MeasureError("ambient dimensions differ")
     both = Mixture((m1, m2), (1.0, 1.0))
     return (decay_exponent(m1, sched), decay_exponent(m2, sched),
             decay_exponent(both, sched))
-
-
-def _unit_circle_eigenvalue(scale) -> bool:
-    if isinstance(scale, (int, float)):
-        return abs(abs(float(scale)) - 1.0) < 1e-9
-    eig = np.linalg.eigvals(np.array(scale, dtype=float))
-    return bool(np.any(np.abs(np.abs(eig) - 1.0) < 1e-9))
 
 
 def matrix_image_experiment(m: Measure, scale,
                             sched: FrequencySchedule) -> tuple:
     """Decay reports for m and m + (image of m under x -> scale x).
 
-    Valid only when no eigenvalue of the scale lies on the unit circle (for
-    scalars: |a| != 1); on the unit circle the image can cancel the original
-    and the dimension identity fails.
+    scale is a real number a or the 1x1 matrix ((a,),); larger matrices
+    raise MeasureError.  Valid only when |a| != 1: on the unit circle the
+    image can cancel the original and the dimension identity fails.
     """
-    if _unit_circle_eigenvalue(scale):
-        raise MeasureError("scale has an eigenvalue of modulus 1")
     if isinstance(scale, (tuple, list)):
-        rows = tuple(tuple(float(x) for x in r) for r in scale)
-        if len(rows) == 1 and len(rows[0]) == 1:
-            scale = rows[0][0]
-        elif m.ambient_dim != len(rows):
-            raise MeasureError("scale matrix does not match ambient_dim")
-        else:
+        if len(scale) != 1 or not isinstance(scale[0], (tuple, list)) \
+                or len(scale[0]) != 1:
             raise MeasureError(
                 "decay probing for matrix images is implemented on the line only")
+        scale = _finite(scale[0][0], "scale")
+    if abs(abs(_finite(scale, "scale")) - 1.0) < 1e-9:
+        raise MeasureError("scale has an eigenvalue of modulus 1")
     image = AffineImage(m, scale, 0.0, False)
     both = Mixture((m, image), (1.0, 1.0))
     return decay_exponent(m, sched), decay_exponent(both, sched)

@@ -1,27 +1,42 @@
 """Symbolic measures on the line with a closed transform algebra.
 
 A :class:`Measure` is an immutable description of a finite positive Borel
-measure.  The primitive variants (point masses, uniform densities on interval
-unions, trigonometric densities, digit-restricted Lebesgue measures,
-self-similar digit measures) all admit exact closed forms for the transform
+measure on the line.  The primitive variants (point masses, uniform densities
+on interval unions, trigonometric densities, digit-restricted Lebesgue
+measures, self-similar digit measures) all admit exact closed forms for the
+transform
 
     m_hat(xi) = integral exp(-2 pi i xi x) dm(x),
 
 and the algebra is closed under mixtures, affine images (optionally mod 1),
-convolutions and polynomial window cutoffs.  Evaluation lives in
-:mod:`fourierdim.transform`; this module owns the descriptions, their
-validation, support bookkeeping and JSON round-tripping.
+convolutions and polynomial window cutoffs.
 
-All variants are frozen dataclasses built from scalars and tuples: hashable,
-comparable, safe to share across threads, and serialisable with
-:func:`measure_to_dict` / :func:`measure_from_dict`.
+Each variant is a frozen dataclass that owns every rule about it: validation,
+mass and support, the exact scalar transform and its float grid counterpart,
+the grid accuracy guard, atoms, density pieces, the quadrature split and the
+window cutoff.  The public functions (:func:`mass`, :func:`support_interval`
+here; ``ft``, ``ft_grid``, ``atom_weights`` and ``ft_quadrature`` in
+:mod:`fourierdim.transform`; ``decompose_density`` in
+:mod:`fourierdim.density`; ``smooth_cut`` in :mod:`fourierdim.dimension`)
+dispatch to those methods.  :func:`measure_to_dict` /
+:func:`measure_from_dict` serialise any variant from its dataclass fields.
+
+All variants are built from scalars and tuples: hashable, comparable and
+safe to share across threads.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+import operator
+from dataclasses import astuple, dataclass, fields, is_dataclass
+from typing import Iterable
+
+import numpy as np
+
+from .density import DensityPiece, cut_mass, piece_transform, window_poly, window_value
+from .errors import MeasureError, ScheduleError
+from .phase import _eplus_frac, _eplus_vec, _phase_frac, _ratio, phase_unit
 
 __all__ = [
     "MeasureError",
@@ -57,17 +72,18 @@ __all__ = [
 # Tolerance used when checking analytic side conditions on float data.
 _EPS = 1e-12
 
+# Truncation rule for self-similar products: stop once |xi| / base**n < this.
+SELF_SIMILAR_TRUNCATION = 1e-8
 
-class MeasureError(ValueError):
-    """A measure description violates one of its invariants."""
-
-
-class ScheduleError(ValueError):
-    """A frequency schedule is malformed or spans too few windows."""
+# Digit products with more admissible cylinders have no density pieces.
+_ENUM_LIMIT = 1 << 16
 
 
 def _finite(value, what: str) -> float:
-    v = float(value)
+    try:
+        v = float(value)
+    except (TypeError, ValueError):
+        raise MeasureError(f"{what} must be a real number, got {value!r}") from None
     if not math.isfinite(v):
         raise MeasureError(f"{what} must be finite, got {value!r}")
     return v
@@ -79,37 +95,104 @@ def _is_integer_valued(x) -> bool:
     return isinstance(x, float) and x.is_integer()
 
 
+def _require_measures(items, what: str) -> tuple:
+    out = tuple(items)
+    if not all(isinstance(m, Measure) for m in out):
+        raise MeasureError(f"{what} must be measures")
+    return out
+
+
+def _canonical_scalar(xi):
+    """A real frequency as an int when it is integer-valued, else a float."""
+    if isinstance(xi, (bool, np.bool_)):
+        raise MeasureError("frequency must be a number")
+    if isinstance(xi, (int, np.integer)):
+        return int(xi)
+    x = float(xi)
+    if not math.isfinite(x):
+        raise MeasureError(f"frequency must be finite, got {xi!r}")
+    if x.is_integer() and abs(x) < 2 ** 53:
+        return int(x)
+    return x
+
+
+def _self_similar_depth(base: int, abs_xi) -> int:
+    # math.log2 is exact enough for ints of any size, so huge frequencies
+    # keep every level whose factor differs from 1.
+    if abs_xi <= SELF_SIMILAR_TRUNCATION:
+        return 1
+    return max(1, math.ceil(
+        (math.log2(abs_xi) - math.log2(SELF_SIMILAR_TRUNCATION)) / math.log2(base)))
+
+
 class Measure:
-    """Abstract base for all measure variants.  Instances are immutable."""
+    """Abstract base for all measure variants.  Instances are immutable.
+
+    Every variant implements ``_mass``, ``_support``, ``_ft`` (exact
+    transform at a positive int or positive non-integer float) and ``_grid``
+    (float transform over an array).  The other rules default to a measure
+    with no atoms, no explicit density and the widest grid guard.
+    """
 
     __slots__ = ()
 
-    @property
-    def ambient_dim(self) -> int:
-        raise NotImplementedError
+    ambient_dim = 1  # every measure here lives on the line
 
     @property
     def variant(self) -> str:
         return type(self).__name__
 
+    def _ft_signed(self, xi) -> complex:
+        """Transform at a canonical scalar (see _canonical_scalar) of any sign."""
+        if xi == 0:
+            return complex(self._mass())
+        if xi < 0:
+            return self._ft(-xi).conjugate()
+        return self._ft(xi)
 
-def _canonical_position(pos):
-    """Scalar for dimension one, tuple of floats otherwise."""
-    if isinstance(pos, (int, float)):
-        return _finite(pos, "atom position")
-    coords = tuple(_finite(c, "atom coordinate") for c in pos)
-    if len(coords) == 0:
-        raise MeasureError("empty atom position")
-    if len(coords) == 1:
-        return coords[0]
-    return coords
+    def _grid_guard(self) -> float:
+        """Largest |xi| for which the float grid path keeps phases accurate."""
+        return 2.0 ** 40
+
+    def _factorized(self) -> bool:
+        """True when the transform is evaluated as a product over digits."""
+        return False
+
+    def _atoms(self) -> dict:
+        """Map position -> total point mass."""
+        return {}
+
+    def _density(self) -> tuple:
+        """Density pieces; raises when there is no tractable explicit density."""
+        raise MeasureError(f"{type(self).__name__} has no explicit density")
+
+    def _quad_parts(self, weight: float):
+        """(atom list, density piece list) of weight * self, for quadrature."""
+        pieces = self._density()
+        if weight != 1.0:
+            pieces = [p.scaled(weight) for p in pieces]
+        return [], list(pieces)
+
+    def _wrapped_support(self, scale: int) -> tuple:
+        """Support interval of the image under x -> scale x mod 1."""
+        return 0.0, 1.0
+
+    def _cut(self, center: float, radius: float, order: int) -> "Measure":
+        """Product with the window; the window must meet the support."""
+        lo, hi = self._support()
+        if center - radius >= hi or center + radius <= lo:
+            raise MeasureError("window is disjoint from the support (zero measure)")
+        return self._windowed(center, radius, order)
+
+    def _windowed(self, center: float, radius: float, order: int) -> "Measure":
+        self._density()  # raises for variants without an explicit density
+        return SmoothCutDensity(self, center, radius, order)
 
 
 @dataclass(frozen=True)
 class Atomic(Measure):
     """Finite sum of point masses: pairs (position, weight), weight > 0.
 
-    Positions are floats in dimension one and coordinate tuples otherwise.
     An empty atom list is allowed as the zero measure; it only arises as the
     degenerate output of a support decomposition.
     """
@@ -118,30 +201,56 @@ class Atomic(Measure):
 
     def __post_init__(self):
         canon = []
-        for entry in self.atoms:
-            pos, weight = entry
+        for pos, weight in self.atoms:
             w = _finite(weight, "atom weight")
             if w <= 0:
                 raise MeasureError(f"atom weight must be positive, got {weight!r}")
-            canon.append((_canonical_position(pos), w))
-        dims = {1 if isinstance(p, float) else len(p) for p, _ in canon}
-        if len(dims) > 1:
-            raise MeasureError(f"atoms mix ambient dimensions {sorted(dims)}")
+            canon.append((_finite(pos, "atom position"), w))
         object.__setattr__(self, "atoms", tuple(canon))
 
-    @property
-    def ambient_dim(self) -> int:
+    def _mass(self) -> float:
+        return math.fsum(w for _, w in self.atoms)
+
+    def _support(self) -> tuple:
         if not self.atoms:
-            return 1
-        p = self.atoms[0][0]
-        return 1 if isinstance(p, float) else len(p)
+            raise MeasureError("the zero measure has no support")
+        xs = [p for p, _ in self.atoms]
+        return min(xs), max(xs)
+
+    def _ft(self, xi) -> complex:
+        return sum((w * phase_unit(xi, pos) for pos, w in self.atoms), 0.0 + 0.0j)
+
+    def _grid(self, xs: np.ndarray) -> np.ndarray:
+        out = np.zeros(xs.shape, dtype=complex)
+        for pos, w in self.atoms:
+            out += w * np.exp(-2j * math.pi * np.mod(xs * pos, 1.0))
+        return out
+
+    def _atoms(self) -> dict:
+        out = {}
+        for pos, w in self.atoms:
+            out[pos] = out.get(pos, 0.0) + w
+        return out
+
+    def _quad_parts(self, weight: float):
+        return [(pos, weight * w) for pos, w in self.atoms], []
+
+    def _windowed(self, center: float, radius: float, order: int) -> "Atomic":
+        kept = []
+        for pos, w in self.atoms:
+            f = float(window_value(center, radius, order, pos))
+            if f > 0.0:
+                kept.append((pos, w * f))
+        if not kept:
+            raise MeasureError("window vanishes at every atom (zero measure)")
+        return Atomic(tuple(kept))
 
 
 @dataclass(frozen=True)
 class UniformOnIntervals(Measure):
     """Probability measure with constant density on a disjoint union of intervals."""
 
-    intervals: tuple = ((0.0, 1.0),)
+    intervals: tuple
 
     def __post_init__(self):
         canon = sorted(
@@ -159,12 +268,39 @@ class UniformOnIntervals(Measure):
         object.__setattr__(self, "intervals", tuple(canon))
 
     @property
-    def ambient_dim(self) -> int:
-        return 1
-
-    @property
     def total_length(self) -> float:
         return math.fsum(b - a for a, b in self.intervals)
+
+    def _mass(self) -> float:
+        return 1.0
+
+    def _support(self) -> tuple:
+        return self.intervals[0][0], self.intervals[-1][1]
+
+    def _ft(self, xi) -> complex:
+        p, q = _ratio(xi)
+        total = self.total_length
+        out = 0.0 + 0.0j
+        for a, b in self.intervals:
+            pl, ql = _ratio(b - a)
+            cell = _eplus_frac(-(p * pl), q * ql)
+            out += ((b - a) / total) * phase_unit(xi, a) * cell
+        return out
+
+    def _grid(self, xs: np.ndarray) -> np.ndarray:
+        total = self.total_length
+        out = np.zeros(xs.shape, dtype=complex)
+        for a, b in self.intervals:
+            out += ((b - a) / total) * np.exp(-2j * math.pi * xs * a) \
+                * _eplus_vec(-xs * (b - a))
+        return out
+
+    def _density(self) -> tuple:
+        total = self.total_length
+        return tuple(
+            DensityPiece(a, b, 0.5 * (a + b), (1.0 / total,), 1.0 + 0.0j, 0.0)
+            for a, b in self.intervals
+        )
 
 
 @dataclass(frozen=True)
@@ -190,9 +326,39 @@ class TrigDensity(Measure):
             raise MeasureError("sum of |amplitudes| exceeds 1; density could go negative")
         object.__setattr__(self, "terms", tuple(canon))
 
-    @property
-    def ambient_dim(self) -> int:
-        return 1
+    def _mass(self) -> float:
+        return 1.0
+
+    def _support(self) -> tuple:
+        return 0.0, 1.0
+
+    def _ft(self, xi) -> complex:
+        p, q = _ratio(xi)
+        out = _eplus_frac(-p, q)
+        for c, f in self.terms:
+            plus = _eplus_frac(f * q - p, q)
+            minus = _eplus_frac(-(f * q + p), q)
+            out += c * (plus - minus) / 2j
+        return out
+
+    def _grid(self, xs: np.ndarray) -> np.ndarray:
+        out = _eplus_vec(-xs)
+        for c, f in self.terms:
+            if f >= 2 ** 53:
+                continue  # |term| <= 1/(pi(2^53 - 2^40)) under the guard
+            ff = float(f)
+            out += c * (_eplus_vec(ff - xs) - _eplus_vec(-ff - xs)) / 2j
+        return out
+
+    def _density(self) -> tuple:
+        pieces = [DensityPiece(0.0, 1.0, 0.0, (1.0,), 1.0 + 0.0j, 0.0)]
+        for c, f in self.terms:
+            if abs(f) >= 2 ** 53:
+                raise MeasureError(
+                    "trig frequency too large for a float-valued density")
+            pieces.append(DensityPiece(0.0, 1.0, 0.0, (1.0,), c / 2j, float(f)))
+            pieces.append(DensityPiece(0.0, 1.0, 0.0, (1.0,), -c / 2j, -float(f)))
+        return tuple(pieces)
 
 
 @dataclass(frozen=True)
@@ -204,8 +370,8 @@ class SelfSimilarDigit(Measure):
         m_hat(xi) = (1/|D|) sum_{d in D} exp(-2 pi i xi d / base) * m_hat(xi / base).
     """
 
-    base: int = 3
-    allowed_digits: tuple = (0, 2)
+    base: int
+    allowed_digits: tuple
 
     def __post_init__(self):
         if self.base < 2:
@@ -217,9 +383,50 @@ class SelfSimilarDigit(Measure):
             raise MeasureError(f"digits {digits} out of range for base {self.base}")
         object.__setattr__(self, "allowed_digits", digits)
 
-    @property
-    def ambient_dim(self) -> int:
-        return 1
+    def _mass(self) -> float:
+        return 1.0
+
+    def _support(self) -> tuple:
+        return 0.0, 1.0
+
+    def _ft(self, xi) -> complex:
+        p, q = _ratio(xi)
+        depth = _self_similar_depth(self.base, xi)
+        out = 1.0 + 0.0j
+        den = q
+        inv = 1.0 / len(self.allowed_digits)
+        for _ in range(depth):
+            den *= self.base
+            s = 0.0 + 0.0j
+            for d in self.allowed_digits:
+                s += _phase_frac(p * d, den)
+            out *= s * inv
+        return out
+
+    def _grid(self, xs: np.ndarray) -> np.ndarray:
+        depth = _self_similar_depth(self.base, float(np.max(np.abs(xs))))
+        out = np.ones(xs.shape, dtype=complex)
+        inv = 1.0 / len(self.allowed_digits)
+        scale = 1.0
+        for _ in range(depth):
+            scale /= self.base
+            s = np.zeros(xs.shape, dtype=complex)
+            for d in self.allowed_digits:
+                s += np.exp(-2j * math.pi * np.mod(xs * (d * scale), 1.0))
+            out *= s * inv
+        return out
+
+    def _grid_guard(self) -> float:
+        return 2.0 ** 24
+
+    def _factorized(self) -> bool:
+        return True
+
+    def _atoms(self) -> dict:
+        # a single digit leaves the point mass at digit/(base-1)
+        if len(self.allowed_digits) == 1:
+            return {self.allowed_digits[0] / (self.base - 1): 1.0}
+        return {}
 
 
 @dataclass(frozen=True)
@@ -272,10 +479,6 @@ class DigitProduct(Measure):
                 raise MeasureError("blocks overlap")
         object.__setattr__(self, "blocks", canon)
 
-    @property
-    def ambient_dim(self) -> int:
-        return 1
-
     def cylinder_count(self) -> int:
         """Number of admissible depth-L cylinders."""
         free = self.depth - sum(b.length for b in self.blocks)
@@ -288,6 +491,149 @@ class DigitProduct(Measure):
         """Lebesgue measure of the admissible cylinder union."""
         return self.cylinder_count() / (1 << self.depth)
 
+    def _mass(self) -> float:
+        return 1.0
+
+    def _support(self) -> tuple:
+        lo = 0.0
+        hi = 0.0
+        blocked = {}
+        for b in self.blocks:
+            blocked[b.offset] = b
+        pos = 1
+        while pos <= self.depth:
+            b = blocked.get(pos - 1)
+            if b is None:
+                hi += 2.0 ** -pos
+                pos += 1
+                continue
+            top = (1 << b.length) - 1
+            if b.forbidden_pattern == "0" * b.length:
+                lo += 2.0 ** -(b.offset + b.length)
+            max_val = top - 1 if b.forbidden_pattern == "1" * b.length else top
+            hi += max_val * 2.0 ** -(b.offset + b.length)
+            pos = b.offset + b.length + 1
+        return lo, min(1.0, hi + 2.0 ** -self.depth)
+
+    def _wrapped_support(self, scale: int) -> tuple:
+        # A block-aligned dilation by 2^l shifts the digits left by l places;
+        # blocks entirely inside the first l digits only rescale cylinder
+        # multiplicities uniformly (block constraints are independent across
+        # disjoint ranges), so they drop out.
+        if scale <= 0 or scale & (scale - 1):
+            return 0.0, 1.0
+        l = scale.bit_length() - 1
+        if l == 0:
+            return self._support()
+        if l >= self.depth:
+            return 0.0, 1.0
+        kept = []
+        for b in self.blocks:
+            if b.offset >= l:
+                kept.append(DigitBlock(b.offset - l, b.length, b.forbidden_pattern))
+            elif b.offset + b.length > l:
+                return 0.0, 1.0
+        return DigitProduct(self.depth - l, tuple(kept))._support()
+
+    def _ft(self, xi) -> complex:
+        p, q = _ratio(xi)
+        pre = _eplus_frac(-p, q << self.depth)
+        blocked = {b.offset: b for b in self.blocks}
+        factors = 1.0 + 0.0j
+        pos = 1
+        while pos <= self.depth:
+            b = blocked.get(pos - 1)
+            if b is None:
+                factors *= 1.0 + _phase_frac(p, q << pos)
+                pos += 1
+                continue
+            block_prod = 1.0 + 0.0j
+            for r in range(1, b.length + 1):
+                block_prod *= 1.0 + _phase_frac(p, q << (b.offset + r))
+            v = int(b.forbidden_pattern, 2)
+            block_prod -= _phase_frac(p * v, q << (b.offset + b.length))
+            factors *= block_prod
+            pos = b.offset + b.length + 1
+        return pre * factors / self.cylinder_count()
+
+    def _grid(self, xs: np.ndarray) -> np.ndarray:
+        # xi * 2^-i is an exact float scaling, so np.mod gives exact phases.
+        pre = _eplus_vec(-xs * 2.0 ** -self.depth)
+        blocked = {b.offset: b for b in self.blocks}
+        factors = np.ones(xs.shape, dtype=complex)
+        pos = 1
+        while pos <= self.depth:
+            b = blocked.get(pos - 1)
+            if b is None:
+                factors *= 1.0 + np.exp(-2j * math.pi * np.mod(xs * 2.0 ** -pos, 1.0))
+                pos += 1
+                continue
+            block = np.ones(xs.shape, dtype=complex)
+            for r in range(1, b.length + 1):
+                block *= 1.0 + np.exp(
+                    -2j * math.pi * np.mod(xs * 2.0 ** -(b.offset + r), 1.0))
+            v = int(b.forbidden_pattern, 2)
+            forb = np.ones(xs.shape, dtype=complex)
+            for j in range(b.length):
+                if v >> j & 1:
+                    forb *= np.exp(-2j * math.pi * np.mod(
+                        xs * 2.0 ** -(b.offset + b.length - j), 1.0))
+            factors *= block - forb
+            pos = b.offset + b.length + 1
+        return pre * factors / self.cylinder_count()
+
+    def _factorized(self) -> bool:
+        return True
+
+    def _density(self) -> tuple:
+        count = self.cylinder_count()
+        if count > _ENUM_LIMIT:
+            raise MeasureError(
+                f"digit product has {count} cylinders; too many to enumerate")
+        values = self._admissible_values()
+        width = 2.0 ** -self.depth
+        height = (1 << self.depth) / count
+        # Merge runs of adjacent cylinders into single flat pieces.
+        pieces = []
+        run_start = None
+        prev = None
+        for v in values:
+            if run_start is None:
+                run_start = prev = v
+                continue
+            if v == prev + 1:
+                prev = v
+                continue
+            pieces.append(_flat_piece(run_start, prev, width, height))
+            run_start = prev = v
+        pieces.append(_flat_piece(run_start, prev, width, height))
+        return tuple(pieces)
+
+    def _admissible_values(self) -> list:
+        """Sorted integers v < 2**depth whose digit strings avoid every block."""
+        segments = []  # (shift, choices) with v built as sum(choice << shift)
+        covered = sorted((b.offset, b.offset + b.length, b) for b in self.blocks)
+        pos = 0
+        for lo, hi, b in covered:
+            if lo > pos:
+                segments.append((self.depth - lo, range(1 << (lo - pos))))
+            forbidden = int(b.forbidden_pattern, 2)
+            segments.append((self.depth - hi,
+                             [v for v in range(1 << b.length) if v != forbidden]))
+            pos = hi
+        if pos < self.depth:
+            segments.append((0, range(1 << (self.depth - pos))))
+        values = [0]
+        for shift, choices in segments:
+            values = [v + (c << shift) for v in values for c in choices]
+        return sorted(values)
+
+
+def _flat_piece(v0: int, v1: int, width: float, height: float) -> DensityPiece:
+    a = v0 * width
+    b = (v1 + 1) * width
+    return DensityPiece(a, b, 0.5 * (a + b), (height,), 1.0 + 0.0j, 0.0)
+
 
 @dataclass(frozen=True)
 class Mixture(Measure):
@@ -297,90 +643,176 @@ class Mixture(Measure):
     weights: tuple
 
     def __post_init__(self):
-        comps = tuple(self.components)
+        comps = _require_measures(self.components, "mixture components")
         ws = tuple(_finite(w, "mixture weight") for w in self.weights)
         if len(comps) != len(ws) or not comps:
             raise MeasureError("components and weights must be nonempty and equally long")
         if any(w <= 0 for w in ws):
             raise MeasureError("mixture weights must be positive")
-        dims = {c.ambient_dim for c in comps}
-        if len(dims) > 1:
-            raise MeasureError(f"mixture components mix dimensions {sorted(dims)}")
         object.__setattr__(self, "components", comps)
         object.__setattr__(self, "weights", ws)
 
-    @property
-    def ambient_dim(self) -> int:
-        return self.components[0].ambient_dim
+    def _mass(self) -> float:
+        return math.fsum(w * c._mass() for c, w in zip(self.components, self.weights))
 
+    def _support(self) -> tuple:
+        spans = [c._support() for c in self.components]
+        return min(a for a, _ in spans), max(b for _, b in spans)
 
-def _canonical_scale(scale, dim: int):
-    if isinstance(scale, (int, float)):
-        s = scale if isinstance(scale, int) else _finite(scale, "affine scale")
-        if s == 0:
-            raise MeasureError("affine scale must be nonzero")
-        return s
-    rows = tuple(tuple(_finite(x, "matrix entry") for x in row) for row in scale)
-    n = len(rows)
-    if n != dim or any(len(r) != n for r in rows):
-        raise MeasureError("scale matrix must be square and match the ambient dimension")
-    return rows
+    def _ft(self, xi) -> complex:
+        return sum((w * c._ft(xi) for c, w in zip(self.components, self.weights)),
+                   0.0 + 0.0j)
+
+    def _grid(self, xs: np.ndarray) -> np.ndarray:
+        out = np.zeros(xs.shape, dtype=complex)
+        for c, w in zip(self.components, self.weights):
+            out += w * c._grid(xs)
+        return out
+
+    def _grid_guard(self) -> float:
+        return min(c._grid_guard() for c in self.components)
+
+    def _factorized(self) -> bool:
+        return any(c._factorized() for c in self.components)
+
+    def _atoms(self) -> dict:
+        out = {}
+        for c, w in zip(self.components, self.weights):
+            for pos, v in c._atoms().items():
+                out[pos] = out.get(pos, 0.0) + w * v
+        return out
+
+    def _density(self) -> tuple:
+        return tuple(p.scaled(w) for c, w in zip(self.components, self.weights)
+                     for p in c._density())
+
+    def _quad_parts(self, weight: float):
+        atoms, pieces = [], []
+        for c, w in zip(self.components, self.weights):
+            a, p = c._quad_parts(weight * w)
+            atoms.extend(a)
+            pieces.extend(p)
+        return atoms, pieces
+
+    def _windowed(self, center: float, radius: float, order: int) -> "Mixture":
+        comps = []
+        weights = []
+        for comp, w in zip(self.components, self.weights):
+            try:
+                comps.append(comp._cut(center, radius, order))
+                weights.append(w)
+            except MeasureError:
+                continue  # component support misses the window: cut to zero
+        if not comps:
+            raise MeasureError("window is disjoint from every component")
+        return Mixture(tuple(comps), tuple(weights))
 
 
 @dataclass(frozen=True)
 class AffineImage(Measure):
-    """Pushforward of ``inner`` under x -> scale @ x + offset, optionally mod 1.
+    """Pushforward of ``inner`` under x -> scale * x + offset, optionally mod 1.
 
-    With ``mod1`` set, the scale must be a nonzero integer and the inner
-    measure must live on [0, 1]; the transform of the image is then defined
-    at integer frequencies only, where exp(-2 pi i j (a x + b mod 1)) equals
-    exp(-2 pi i j (a x + b)).
+    The scale is a nonzero real number.  With ``mod1`` set, the scale must be
+    a nonzero integer and the inner measure must live on [0, 1]; the
+    transform of the image is then defined at integer frequencies only, where
+    exp(-2 pi i j (a x + b mod 1)) equals exp(-2 pi i j (a x + b)).
     """
 
     inner: Measure
-    scale: object
-    offset: object = 0.0
+    scale: float
+    offset: float = 0.0
     mod1: bool = False
 
     def __post_init__(self):
-        s = _canonical_scale(self.scale, self.inner.ambient_dim)
-        if isinstance(self.offset, (int, float)):
-            off = _finite(self.offset, "affine offset")
-        else:
-            off = tuple(_finite(x, "affine offset") for x in self.offset)
-            if len(off) != self.inner.ambient_dim:
-                raise MeasureError("offset dimension mismatch")
+        _require_measures((self.inner,), "the inner measure")
+        s = self.scale
+        if not isinstance(s, (int, float)):
+            raise MeasureError(f"affine scale must be a real number, got {s!r}")
+        if not isinstance(s, int):
+            s = _finite(s, "affine scale")
+        if s == 0:
+            raise MeasureError("affine scale must be nonzero")
+        off = _finite(self.offset, "affine offset")
         if self.mod1:
-            if not isinstance(s, (int, float)) or not _is_integer_valued(s):
+            if not _is_integer_valued(s):
                 raise MeasureError("mod-1 images need an integer scalar scale")
             s = int(s)
-            lo, hi = support_interval(self.inner)
+            lo, hi = self.inner._support()
             if lo < -_EPS or hi > 1.0 + _EPS:
                 raise MeasureError("mod-1 images need inner support inside [0, 1]")
-        elif isinstance(s, tuple):
-            det = _det(s)
-            norm = max(max(abs(x) for x in row) for row in s)
-            if abs(det) <= 1e-12 * max(norm, 1.0) ** len(s):
-                raise MeasureError("singular scale matrix")
         object.__setattr__(self, "scale", s)
         object.__setattr__(self, "offset", off)
+        object.__setattr__(self, "mod1", bool(self.mod1))
 
-    @property
-    def ambient_dim(self) -> int:
-        return self.inner.ambient_dim
+    def _mass(self) -> float:
+        return self.inner._mass()
 
+    def _support(self) -> tuple:
+        if self.mod1:
+            if self.offset == 0:
+                return self.inner._wrapped_support(self.scale)
+            return 0.0, 1.0
+        a, b = self.inner._support()
+        lo = self.scale * a + self.offset
+        hi = self.scale * b + self.offset
+        return (hi, lo) if self.scale < 0 else (lo, hi)
 
-def _det(rows) -> float:
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    if n == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    total = 0.0
-    for j in range(n):
-        minor = tuple(r[:j] + r[j + 1:] for r in rows[1:])
-        total += ((-1) ** j) * rows[0][j] * _det(minor)
-    return total
+    def _ft(self, xi) -> complex:
+        if self.mod1:
+            if not isinstance(xi, int):
+                raise MeasureError(
+                    "transform of a wrapped (mod 1) image is defined at integer "
+                    f"frequencies only, got {xi!r}")
+            inner_xi = self.scale * xi
+        else:
+            try:
+                inner_xi = self.scale * xi
+                if isinstance(inner_xi, float) and not math.isfinite(inner_xi):
+                    raise OverflowError
+            except OverflowError:
+                raise MeasureError(
+                    "scaled frequency exceeds float range; use an integer scale")
+        offset_phase = phase_unit(xi, self.offset) if self.offset != 0 else 1.0 + 0.0j
+        return offset_phase * self.inner._ft_signed(_canonical_scalar(inner_xi))
+
+    def _grid(self, xs: np.ndarray) -> np.ndarray:
+        if self.mod1 and not np.all(xs == np.round(xs)):
+            raise MeasureError(
+                "transform of a wrapped (mod 1) image is defined at integer "
+                "frequencies only")
+        inner = self.inner._grid(xs * self.scale)
+        if self.offset != 0:
+            inner = inner * np.exp(-2j * math.pi * np.mod(xs * self.offset, 1.0))
+        return inner
+
+    def _grid_guard(self) -> float:
+        return self.inner._grid_guard() / max(abs(self.scale), 1.0)
+
+    def _factorized(self) -> bool:
+        return self.inner._factorized()
+
+    def _atoms(self) -> dict:
+        out = {}
+        for pos, v in self.inner._atoms().items():
+            key = self.scale * pos + self.offset
+            if self.mod1:
+                key = key - math.floor(key)
+            out[key] = out.get(key, 0.0) + v
+        return out
+
+    def _density(self) -> tuple:
+        if self.mod1:
+            raise MeasureError("wrapped images have no piecewise density here")
+        return tuple(p.map_affine(float(self.scale), float(self.offset))
+                     for p in self.inner._density())
+
+    def _quad_parts(self, weight: float):
+        if self.mod1:
+            return super()._quad_parts(weight)
+        atoms, pieces = self.inner._quad_parts(weight)
+        s, o = float(self.scale), float(self.offset)
+        return ([(s * pos + o, w) for pos, w in atoms],
+                [p.map_affine(s, o) for p in pieces])
 
 
 @dataclass(frozen=True)
@@ -390,17 +822,57 @@ class Convolution(Measure):
     factors: tuple
 
     def __post_init__(self):
-        facs = tuple(self.factors)
+        facs = _require_measures(self.factors, "convolution factors")
         if len(facs) < 2:
             raise MeasureError("convolution needs at least two factors")
-        dims = {f.ambient_dim for f in facs}
-        if len(dims) > 1:
-            raise MeasureError("convolution factors mix dimensions")
         object.__setattr__(self, "factors", facs)
 
-    @property
-    def ambient_dim(self) -> int:
-        return self.factors[0].ambient_dim
+    def _mass(self) -> float:
+        out = 1.0
+        for f in self.factors:
+            out *= f._mass()
+        return out
+
+    def _support(self) -> tuple:
+        lo = hi = 0.0
+        for f in self.factors:
+            a, b = f._support()
+            lo += a
+            hi += b
+        return lo, hi
+
+    def _ft(self, xi) -> complex:
+        out = 1.0 + 0.0j
+        for f in self.factors:
+            out *= f._ft(xi)
+        return out
+
+    def _grid(self, xs: np.ndarray) -> np.ndarray:
+        out = np.ones(xs.shape, dtype=complex)
+        for f in self.factors:
+            out *= f._grid(xs)
+        return out
+
+    def _grid_guard(self) -> float:
+        return min(f._grid_guard() for f in self.factors)
+
+    def _factorized(self) -> bool:
+        return any(f._factorized() for f in self.factors)
+
+    def _atoms(self) -> dict:
+        # atomic only when every factor is
+        maps = [f._atoms() for f in self.factors]
+        if any(not d for d in maps):
+            return {}
+        out = {0.0: 1.0}
+        for d in maps:
+            nxt = {}
+            for pos, w in out.items():
+                for p2, w2 in d.items():
+                    key = pos + p2
+                    nxt[key] = nxt.get(key, 0.0) + w * w2
+            out = nxt
+        return out
 
 
 @dataclass(frozen=True)
@@ -420,6 +892,7 @@ class SmoothCutDensity(Measure):
     order: int
 
     def __post_init__(self):
+        _require_measures((self.inner,), "the inner measure")
         object.__setattr__(self, "center", _finite(self.center, "window center"))
         r = _finite(self.radius, "window radius")
         if r <= 0:
@@ -427,134 +900,59 @@ class SmoothCutDensity(Measure):
         object.__setattr__(self, "radius", r)
         if self.order < 1:
             raise MeasureError("window order must be a positive integer")
-        if self.inner.ambient_dim != 1:
-            raise MeasureError("window cutoffs are implemented on the line only")
 
-    @property
-    def ambient_dim(self) -> int:
-        return 1
+    def _mass(self) -> float:
+        return cut_mass(self)
 
-
-# ---------------------------------------------------------------------------
-# mass and support
-
-
-def mass(m: Measure) -> float:
-    """Total mass m(R^d).  Exactly ft(m, 0)."""
-    if isinstance(m, Atomic):
-        return math.fsum(w for _, w in m.atoms)
-    if isinstance(m, (UniformOnIntervals, TrigDensity, SelfSimilarDigit, DigitProduct)):
-        return 1.0
-    if isinstance(m, Mixture):
-        return math.fsum(w * mass(c) for c, w in zip(m.components, m.weights))
-    if isinstance(m, AffineImage):
-        return mass(m.inner)
-    if isinstance(m, Convolution):
-        out = 1.0
-        for f in m.factors:
-            out *= mass(f)
-        return out
-    if isinstance(m, SmoothCutDensity):
-        from .density import cut_mass
-
-        return cut_mass(m)
-    raise TypeError(f"unknown measure variant {type(m).__name__}")
-
-
-def _digit_product_bounds(depth: int, blocks: Sequence[DigitBlock]) -> tuple:
-    lo = 0.0
-    hi = 0.0
-    blocked = {}
-    for b in blocks:
-        blocked[b.offset] = b
-    pos = 1
-    while pos <= depth:
-        b = blocked.get(pos - 1)
-        if b is None:
-            hi += 2.0 ** -pos
-            pos += 1
-            continue
-        top = (1 << b.length) - 1
-        if b.forbidden_pattern == "0" * b.length:
-            lo += 2.0 ** -(b.offset + b.length)
-        max_val = top - 1 if b.forbidden_pattern == "1" * b.length else top
-        hi += max_val * 2.0 ** -(b.offset + b.length)
-        pos = b.offset + b.length + 1
-    return lo, min(1.0, hi + 2.0 ** -depth)
-
-
-def _shifted_digit_product(m: DigitProduct, scale: int):
-    """Pushforward of a digit product under x -> 2^l x mod 1, when block-aligned.
-
-    Digits simply shift left by l places; blocks entirely inside the first l
-    digits only rescale cylinder multiplicities uniformly (block constraints
-    are independent across disjoint ranges), so they drop out.  Returns None
-    when the dilation is not an aligned power of two.
-    """
-    if scale <= 0 or scale & (scale - 1):
-        return None
-    l = scale.bit_length() - 1
-    if l == 0:
-        return m
-    if l >= m.depth:
-        return None
-    kept = []
-    for b in m.blocks:
-        if b.offset >= l:
-            kept.append(DigitBlock(b.offset - l, b.length, b.forbidden_pattern))
-        elif b.offset + b.length > l:
-            return None
-    return DigitProduct(m.depth - l, tuple(kept))
-
-
-def support_interval(m: Measure) -> tuple:
-    """Smallest closed interval containing the support (dimension one only)."""
-    if m.ambient_dim != 1:
-        raise MeasureError("support_interval is defined on the line only")
-    if isinstance(m, Atomic):
-        if not m.atoms:
-            raise MeasureError("the zero measure has no support")
-        xs = [p for p, _ in m.atoms]
-        return min(xs), max(xs)
-    if isinstance(m, UniformOnIntervals):
-        return m.intervals[0][0], m.intervals[-1][1]
-    if isinstance(m, (TrigDensity, SelfSimilarDigit)):
-        return 0.0, 1.0
-    if isinstance(m, DigitProduct):
-        return _digit_product_bounds(m.depth, m.blocks)
-    if isinstance(m, Mixture):
-        spans = [support_interval(c) for c in m.components]
-        return min(a for a, _ in spans), max(b for _, b in spans)
-    if isinstance(m, AffineImage):
-        if m.mod1:
-            if isinstance(m.inner, DigitProduct):
-                shifted = _shifted_digit_product(m.inner, m.scale)
-                if shifted is not None and m.offset == 0:
-                    return _digit_product_bounds(shifted.depth, shifted.blocks)
-            return 0.0, 1.0
-        a, b = support_interval(m.inner)
-        lo = m.scale * a + m.offset
-        hi = m.scale * b + m.offset
-        return (hi, lo) if m.scale < 0 else (lo, hi)
-    if isinstance(m, Convolution):
-        lo = hi = 0.0
-        for f in m.factors:
-            a, b = support_interval(f)
-            lo += a
-            hi += b
-        return lo, hi
-    if isinstance(m, SmoothCutDensity):
-        a, b = support_interval(m.inner)
-        lo = max(a, m.center - m.radius)
-        hi = min(b, m.center + m.radius)
+    def _support(self) -> tuple:
+        a, b = self.inner._support()
+        lo = max(a, self.center - self.radius)
+        hi = min(b, self.center + self.radius)
         if not lo < hi:
             raise MeasureError("window does not meet the support of the inner measure")
         return lo, hi
-    raise TypeError(f"unknown measure variant {type(m).__name__}")
+
+    def _ft(self, xi) -> complex:
+        if isinstance(xi, int) and xi.bit_length() > 1020:
+            return 0.0j  # piece transforms decay like 1/xi; below underflow
+        x = float(xi)
+        return complex(sum(piece_transform(p, x) for p in self._density()))
+
+    def _grid(self, xs: np.ndarray) -> np.ndarray:
+        out = np.zeros(xs.shape, dtype=complex)
+        for p in self._density():
+            out += piece_transform(p, xs)
+        return out
+
+    def _factorized(self) -> bool:
+        return self.inner._factorized()
+
+    def _density(self) -> tuple:
+        wpiece = DensityPiece(self.center - self.radius, self.center + self.radius,
+                              self.center, window_poly(self.radius, self.order),
+                              1.0 + 0.0j, 0.0)
+        out = []
+        for p in self.inner._density():
+            q = p.multiply(wpiece)
+            if q is not None:
+                out.append(q)
+        if not out:
+            raise MeasureError("window does not meet the support of the inner measure")
+        return tuple(out)
 
 
 # ---------------------------------------------------------------------------
-# combinators
+# mass, support and combinators
+
+
+def mass(m: Measure) -> float:
+    """Total mass m(R).  Exactly ft(m, 0)."""
+    return m._mass()
+
+
+def support_interval(m: Measure) -> tuple:
+    """Smallest closed interval containing the support."""
+    return m._support()
 
 
 def mixture(components: Iterable[Measure], weights: Iterable[float]) -> Mixture:
@@ -571,112 +969,83 @@ def convolve(m1: Measure, m2: Measure) -> Convolution:
 
 # ---------------------------------------------------------------------------
 # JSON descriptions
+#
+# A description is {"variant": name, <field>: value, ...} over the dataclass
+# fields.  Tuples become lists and nested measures nested descriptions; each
+# row of a field in _ROW_KEYS becomes an object with those keys (a bare list
+# is accepted on read).  Fields with a default may be left out.
 
-_VARIANTS = {}
+_ROW_KEYS = {
+    "atoms": ("position", "weight"),
+    "intervals": ("a", "b"),
+    "terms": ("amplitude", "frequency"),
+    "blocks": tuple(f.name for f in fields(DigitBlock)),
+}
+
+# JSON key of a dataclass field, where the two differ
+_JSON_KEYS = {"frequencies_list": "frequencies"}
+
+_VARIANTS = {cls.__name__: cls for cls in (
+    Atomic, UniformOnIntervals, TrigDensity, SelfSimilarDigit, DigitProduct,
+    Mixture, AffineImage, Convolution, SmoothCutDensity)}
 
 
-def _register(cls):
-    _VARIANTS[cls.__name__] = cls
-    return cls
+def _to_json(name: str, value):
+    keys = _ROW_KEYS.get(name)
+    if keys is not None:
+        return [dict(zip(keys, astuple(row) if is_dataclass(row) else row))
+                for row in value]
+    if isinstance(value, Measure):
+        return measure_to_dict(value)
+    if isinstance(value, tuple):
+        return [_to_json("", v) for v in value]
+    return value
 
 
-for _cls in (Atomic, UniformOnIntervals, TrigDensity, SelfSimilarDigit,
-             DigitProduct, Mixture, AffineImage, Convolution, SmoothCutDensity):
-    _register(_cls)
+def _from_json(name: str, value):
+    keys = _ROW_KEYS.get(name)
+    if keys is not None:
+        return tuple(tuple(row[k] for k in keys) if isinstance(row, dict)
+                     else tuple(row) for row in value)
+    if isinstance(value, dict):
+        return measure_from_dict(value)
+    if isinstance(value, list):
+        return tuple(_from_json("", v) for v in value)
+    return value
 
 
-def _position_to_json(pos):
-    return pos if isinstance(pos, float) else list(pos)
+def _describe(obj, **head) -> dict:
+    for f in fields(obj):
+        head[_JSON_KEYS.get(f.name, f.name)] = _to_json(f.name, getattr(obj, f.name))
+    return head
+
+
+def _build(cls, d: dict):
+    kwargs = {}
+    for f in fields(cls):
+        key = _JSON_KEYS.get(f.name, f.name)
+        if key in d:
+            kwargs[f.name] = _from_json(f.name, d[key])
+    return cls(**kwargs)
 
 
 def measure_to_dict(m: Measure) -> dict:
     """Plain-dict description with the variant name and per-variant fields."""
-    d = {"variant": m.variant, "ambient_dim": m.ambient_dim}
-    if isinstance(m, Atomic):
-        d["atoms"] = [{"position": _position_to_json(p), "weight": w} for p, w in m.atoms]
-    elif isinstance(m, UniformOnIntervals):
-        d["intervals"] = [{"a": a, "b": b} for a, b in m.intervals]
-    elif isinstance(m, TrigDensity):
-        d["terms"] = [{"amplitude": c, "frequency": f} for c, f in m.terms]
-    elif isinstance(m, SelfSimilarDigit):
-        d["base"] = m.base
-        d["allowed_digits"] = list(m.allowed_digits)
-    elif isinstance(m, DigitProduct):
-        d["base"] = m.base
-        d["depth"] = m.depth
-        d["blocks"] = [
-            {"offset": b.offset, "length": b.length, "forbidden_pattern": b.forbidden_pattern}
-            for b in m.blocks
-        ]
-    elif isinstance(m, Mixture):
-        d["components"] = [measure_to_dict(c) for c in m.components]
-        d["weights"] = list(m.weights)
-    elif isinstance(m, AffineImage):
-        d["inner"] = measure_to_dict(m.inner)
-        d["scale"] = m.scale if isinstance(m.scale, (int, float)) else [list(r) for r in m.scale]
-        d["offset"] = m.offset if isinstance(m.offset, (int, float)) else list(m.offset)
-        d["mod1"] = m.mod1
-    elif isinstance(m, Convolution):
-        d["factors"] = [measure_to_dict(f) for f in m.factors]
-    elif isinstance(m, SmoothCutDensity):
-        d["inner"] = measure_to_dict(m.inner)
-        d["center"] = m.center
-        d["radius"] = m.radius
-        d["order"] = m.order
-    return d
+    return _describe(m, variant=m.variant, ambient_dim=m.ambient_dim)
 
 
 def measure_from_dict(d: dict) -> Measure:
+    """Measure from a description; anything malformed raises MeasureError."""
     try:
-        variant = d["variant"]
-        cls = _VARIANTS[variant]
-    except KeyError as exc:
+        cls = _VARIANTS[d["variant"]]
+    except (KeyError, TypeError) as exc:
         raise MeasureError(f"unknown or missing measure variant: {exc}") from None
-    if cls is Atomic:
-        atoms = []
-        for a in d.get("atoms", []):
-            if isinstance(a, dict):
-                pos, w = a["position"], a["weight"]
-            else:
-                pos, w = a
-            if not isinstance(pos, (int, float)):
-                pos = tuple(pos)
-            atoms.append((pos, w))
-        return Atomic(tuple(atoms))
-    if cls is UniformOnIntervals:
-        ivs = tuple(
-            (iv["a"], iv["b"]) if isinstance(iv, dict) else (iv[0], iv[1])
-            for iv in d["intervals"])
-        return UniformOnIntervals(ivs)
-    if cls is TrigDensity:
-        terms = tuple(
-            (t["amplitude"], t["frequency"]) if isinstance(t, dict) else (t[0], t[1])
-            for t in d.get("terms", []))
-        return TrigDensity(terms)
-    if cls is SelfSimilarDigit:
-        return SelfSimilarDigit(d["base"], tuple(d["allowed_digits"]))
-    if cls is DigitProduct:
-        return DigitProduct(
-            d["depth"],
-            tuple(DigitBlock(b["offset"], b["length"], b["forbidden_pattern"])
-                  for b in d.get("blocks", [])),
-            d.get("base", 2),
-        )
-    if cls is Mixture:
-        return Mixture(tuple(measure_from_dict(c) for c in d["components"]), tuple(d["weights"]))
-    if cls is AffineImage:
-        scale = d["scale"]
-        if isinstance(scale, list):
-            scale = tuple(tuple(row) for row in scale)
-        offset = d.get("offset", 0.0)
-        if isinstance(offset, list):
-            offset = tuple(offset)
-        return AffineImage(measure_from_dict(d["inner"]), scale, offset, bool(d.get("mod1", False)))
-    if cls is Convolution:
-        return Convolution(tuple(measure_from_dict(f) for f in d["factors"]))
-    if cls is SmoothCutDensity:
-        return SmoothCutDensity(measure_from_dict(d["inner"]), d["center"], d["radius"], d["order"])
-    raise MeasureError(f"unhandled variant {variant}")
+    try:
+        return _build(cls, d)
+    except MeasureError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise MeasureError(f"bad {cls.__name__} description: {exc!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -698,17 +1067,25 @@ class FrequencySchedule:
 
     def window_count(self) -> int:
         """Number of distinct dyadic windows [2^e, 2^(e+1)) hit by the schedule."""
-        return len({_floor_log2(abs(x)) for x in self.frequencies()})
+        return len({_floor_log2(x) for x in self.frequencies()})
 
 
-def _floor_log2(a):
-    if isinstance(a, int):
-        if a <= 0:
-            raise ScheduleError("frequencies must be nonzero")
-        return a.bit_length() - 1
-    if a <= 0.0:
+def _floor_log2(x) -> int:
+    """floor(log2 |x|) for a nonzero int of any size or a nonzero float."""
+    if not x:
         raise ScheduleError("frequencies must be nonzero")
-    return math.frexp(a)[1] - 1
+    if isinstance(x, int):
+        return abs(x).bit_length() - 1
+    return math.frexp(abs(x))[1] - 1
+
+
+def _require_ints(schedule, *names) -> None:
+    for name in names:
+        try:
+            operator.index(getattr(schedule, name))
+        except TypeError:
+            raise ScheduleError(
+                f"{name} must be an integer, got {getattr(schedule, name)!r}") from None
 
 
 def _sorted_by_modulus(freqs) -> tuple:
@@ -725,6 +1102,7 @@ class IntegerRange(FrequencySchedule):
     j_min: int = 1
 
     def __post_init__(self):
+        _require_ints(self, "j_max", "j_min")
         if self.j_min < 1 or self.j_max < self.j_min:
             raise ScheduleError("need 1 <= j_min <= j_max")
 
@@ -742,6 +1120,7 @@ class DyadicWindows(FrequencySchedule):
     samples_per_window: int = 16
 
     def __post_init__(self):
+        _require_ints(self, "min_exp", "max_exp", "samples_per_window")
         if self.max_exp < self.min_exp:
             raise ScheduleError("max_exp below min_exp")
         if self.max_exp > 1020:
@@ -812,32 +1191,26 @@ _SCHEDULES = {
     "Lacunary": Lacunary,
     "Explicit": ExplicitFrequencies,
 }
+_SCHEDULE_NAMES = {cls: name for name, cls in _SCHEDULES.items()}
 
 
 def schedule_to_dict(s: FrequencySchedule) -> dict:
-    if isinstance(s, IntegerRange):
-        return {"variant": "IntegerRange", "j_min": s.j_min, "j_max": s.j_max}
-    if isinstance(s, DyadicWindows):
-        return {"variant": "DyadicWindows", "min_exp": s.min_exp, "max_exp": s.max_exp,
-                "samples_per_window": s.samples_per_window}
-    if isinstance(s, Lacunary):
-        return {"variant": "Lacunary", "exponents": list(s.exponents),
-                "multipliers": s.multipliers}
-    if isinstance(s, ExplicitFrequencies):
-        return {"variant": "Explicit", "frequencies": list(s.frequencies_list)}
-    raise ScheduleError(f"unknown schedule {type(s).__name__}")
+    try:
+        variant = _SCHEDULE_NAMES[type(s)]
+    except KeyError:
+        raise ScheduleError(f"unknown schedule {type(s).__name__}") from None
+    return _describe(s, variant=variant)
 
 
 def schedule_from_dict(d: dict) -> FrequencySchedule:
+    """Schedule from a description; anything malformed raises ScheduleError."""
     try:
-        variant = d["variant"]
-        cls = _SCHEDULES[variant]
-    except KeyError as exc:
+        cls = _SCHEDULES[d["variant"]]
+    except (KeyError, TypeError) as exc:
         raise ScheduleError(f"unknown or missing schedule variant: {exc}") from None
-    if cls is IntegerRange:
-        return IntegerRange(d["j_max"], d.get("j_min", 1))
-    if cls is DyadicWindows:
-        return DyadicWindows(d["min_exp"], d["max_exp"], d.get("samples_per_window", 16))
-    if cls is Lacunary:
-        return Lacunary(tuple(d["exponents"]), d.get("multipliers", 1))
-    return ExplicitFrequencies(tuple(d["frequencies"]))
+    try:
+        return _build(cls, d)
+    except ScheduleError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ScheduleError(f"bad {cls.__name__} description: {exc!r}") from None

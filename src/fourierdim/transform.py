@@ -1,17 +1,17 @@
-"""Transform evaluation: exact closed forms, a Filon quadrature oracle,
-batch sampling, and the Wiener square average.
+"""Transform evaluation: the public entry points over the per-variant rules,
+a Filon quadrature oracle, batch sampling, and the Wiener square average.
 
 The transform convention throughout is
 
     ft(m, xi) = integral exp(-2 pi i xi x) dm(x).
 
-Closed-form evaluation reduces every phase to an exact rational: a float is a
-dyadic rational p/q, an integer frequency is p/1, and exp(-2 pi i xi x) equals
-exp(-2 pi i ((p1 p2) mod (q1 q2)) / (q1 q2)) with the modulus taken in exact
-integer arithmetic.  That makes lacunary probes such as xi = 2**2304 evaluable
-with correctly rounded phases, far beyond float range, and it makes
-transform values at integer frequencies exact (for instance, the transform of
-Lebesgue measure on [0, 1] is exactly 0 at every nonzero integer).
+``ft`` takes a real scalar frequency and evaluates the variant's closed form
+with exact rational phase reduction (see :mod:`fourierdim.phase`): Python ints
+of any size are exact, so lacunary probes such as xi = 2**2304 keep
+correctly rounded phases.  ``ft_grid`` evaluates the variant's float rule
+over an array and falls back to ``ft`` beyond the variant's accuracy guard.
+The rules themselves live on the measure classes in
+:mod:`fourierdim.measures`.
 
 Negative frequencies are evaluated by conjugation, ft(m, -xi) =
 conj(ft(m, xi)), which is valid because every representable measure is real
@@ -21,30 +21,23 @@ and makes Hermitian symmetry hold bit for bit.
 from __future__ import annotations
 
 import cmath
-import csv
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .density import DensityPiece, decompose_density, evaluate_density, piece_transform
-from .measures import (
-    AffineImage,
-    Atomic,
-    Convolution,
-    DigitProduct,
+# decompose_density, piece_transform and mass are unused here but stay
+# module globals: perfbench/spans.py wraps these names in this module.
+from .density import decompose_density, evaluate_density, piece_transform  # noqa: F401
+from .measures import (  # noqa: F401
     FrequencySchedule,
     Measure,
     MeasureError,
-    Mixture,
-    SelfSimilarDigit,
-    SmoothCutDensity,
-    TrigDensity,
-    UniformOnIntervals,
+    _canonical_scalar,
     mass,
     support_interval,
 )
+from .phase import oscillatory_integral, phase_unit
 
 __all__ = [
     "ft",
@@ -58,13 +51,10 @@ __all__ = [
     "wiener_average",
     "atom_weights",
     "phase_unit",
-    "write_samples_csv",
 ]
 
+# numpy < 2.0 has no trapezoid
 _trapz = getattr(np, "trapezoid", None) or np.trapz
-
-# Truncation rule for self-similar products: stop once |xi| / base**n < this.
-SELF_SIMILAR_TRUNCATION = 1e-8
 
 
 class QuadratureError(RuntimeError):
@@ -72,296 +62,18 @@ class QuadratureError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# exact rational phases
-
-
-def _ratio(x) -> tuple:
-    """x as an exact integer pair (p, q) with x = p / q, q > 0."""
-    if isinstance(x, (int, np.integer)):
-        return int(x), 1
-    return float(x).as_integer_ratio()
-
-
-def _phase_frac(num: int, den: int) -> complex:
-    """exp(-2 pi i num/den) with the fraction reduced mod 1 in exact arithmetic."""
-    return cmath.exp(-2j * math.pi * ((num % den) / den))
-
-
-def phase_unit(xi, x) -> complex:
-    """exp(-2 pi i xi x) with the phase reduced exactly.
-
-    Both arguments may be ints of any size or floats; the product xi*x is
-    formed as an exact rational before reduction mod 1, so the result is a
-    correctly rounded unit complex number even when xi*x is astronomically
-    large.
-    """
-    p1, q1 = _ratio(xi)
-    p2, q2 = _ratio(x)
-    return _phase_frac(p1 * p2, q1 * q2)
-
-
-def _eplus_frac(num: int, den: int) -> complex:
-    """integral_0^1 exp(2 pi i g x) dx for g = num/den, exactly reduced.
-
-    Equals exp(i pi g) sin(pi g)/(pi g); zero at nonzero integers, one at
-    zero.  The sine argument is reduced mod 2 in integer arithmetic so the
-    value stays accurate for huge |g|.
-    """
-    if num == 0:
-        return 1.0 + 0.0j
-    if num % den == 0:
-        return 0.0j
-    shift = num.bit_length() - den.bit_length()
-    if shift > 1020:
-        return 0.0j  # modulus below 1/(pi 2^1019); underflows anyway
-    if shift < -60:
-        return 1.0 + 0.0j  # |g| < 2^-59: integral is 1 + O(g)
-    rr = num % (2 * den)  # g mod 2, exact, in [0, 2*den)
-    if rr > den:
-        rr -= 2 * den  # center to (-den, den]: sin keeps relative accuracy near 0
-    r = rr / den
-    g = num / den
-    return cmath.exp(1j * math.pi * r) * (math.sin(math.pi * r) / (math.pi * g))
-
-
-def _eplus(gamma) -> complex:
-    num, den = _ratio(gamma)
-    return _eplus_frac(num, den)
-
-
-def oscillatory_integral(alpha, beta) -> complex:
-    """integral_0^1 exp(2 pi i alpha x) sin(2 pi beta x) dx, in closed form.
-
-    Splitting the sine into exponentials gives
-    (E(alpha + beta) - E(alpha - beta)) / (2i) with E the unit-interval
-    exponential integral.  Integer arguments are exact: (-l, l) gives -i/2
-    for every positive integer l.  The modulus never exceeds
-    1 / | |alpha| - |beta| | when the two moduli differ.
-    """
-    pa, qa = _ratio(alpha)
-    pb, qb = _ratio(beta)
-    den = qa * qb
-    plus = _eplus_frac(pa * qb + pb * qa, den)
-    minus = _eplus_frac(pa * qb - pb * qa, den)
-    return (plus - minus) / 2j
-
-
-# ---------------------------------------------------------------------------
-# scalar closed forms
+# scalar and grid evaluation
 
 
 def ft(m: Measure, xi) -> complex:
-    """Transform of m at frequency xi.
+    """Transform of m at the real scalar frequency xi.
 
-    xi is a real scalar for measures on the line (Python ints of any size are
-    evaluated exactly) or a coordinate sequence matching ambient_dim.
-    Measures containing a wrapped (mod-1) image require integer xi at that
-    node.
+    Python ints of any size are evaluated exactly.  Measures containing a
+    wrapped (mod-1) image require integer xi at that node.
     """
     if isinstance(xi, (tuple, list, np.ndarray)):
-        vec = tuple(float(c) for c in np.asarray(xi).ravel())
-        if len(vec) != m.ambient_dim:
-            raise MeasureError(
-                f"frequency has {len(vec)} coordinates for ambient_dim {m.ambient_dim}")
-        if m.ambient_dim > 1:
-            return _ft_vec(m, vec)
-        xi = vec[0]
-    elif m.ambient_dim != 1:
-        raise MeasureError("measures in dimension > 1 need a frequency vector")
-    return _ft_signed(m, _canonical_scalar(xi))
-
-
-def _canonical_scalar(xi):
-    if isinstance(xi, (bool, np.bool_)):
-        raise MeasureError("frequency must be a number")
-    if isinstance(xi, (int, np.integer)):
-        return int(xi)
-    x = float(xi)
-    if not math.isfinite(x):
-        raise MeasureError(f"frequency must be finite, got {xi!r}")
-    if x.is_integer() and abs(x) < 2 ** 53:
-        return int(x)
-    return x
-
-
-def _ft_signed(m: Measure, xi) -> complex:
-    if xi == 0:
-        return complex(mass(m))
-    if xi < 0:
-        return _ft_scalar(m, -xi).conjugate()
-    return _ft_scalar(m, xi)
-
-
-def _ft_scalar(m: Measure, xi) -> complex:
-    """Dispatch on variant; xi is a positive int or positive non-integer float."""
-    if isinstance(m, Atomic):
-        return sum((w * phase_unit(xi, pos) for pos, w in m.atoms), 0.0 + 0.0j)
-
-    if isinstance(m, UniformOnIntervals):
-        p, q = _ratio(xi)
-        total = m.total_length
-        out = 0.0 + 0.0j
-        for a, b in m.intervals:
-            pl, ql = _ratio(b - a)
-            cell = _eplus_frac(-(p * pl), q * ql)
-            out += ((b - a) / total) * phase_unit(xi, a) * cell
-        return out
-
-    if isinstance(m, TrigDensity):
-        p, q = _ratio(xi)
-        out = _eplus_frac(-p, q)
-        for c, f in m.terms:
-            plus = _eplus_frac(f * q - p, q)
-            minus = _eplus_frac(-(f * q + p), q)
-            out += c * (plus - minus) / 2j
-        return out
-
-    if isinstance(m, SelfSimilarDigit):
-        return _ft_self_similar(m, xi)
-
-    if isinstance(m, DigitProduct):
-        return _ft_digit_product(m, xi)
-
-    if isinstance(m, Mixture):
-        return sum((w * _ft_scalar(c, xi) for c, w in zip(m.components, m.weights)),
-                   0.0 + 0.0j)
-
-    if isinstance(m, AffineImage):
-        if m.mod1:
-            if not isinstance(xi, int):
-                raise MeasureError(
-                    "transform of a wrapped (mod 1) image is defined at integer "
-                    f"frequencies only, got {xi!r}")
-            inner_xi = m.scale * xi
-        else:
-            try:
-                inner_xi = m.scale * xi
-                if isinstance(inner_xi, float) and not math.isfinite(inner_xi):
-                    raise OverflowError
-            except OverflowError:
-                raise MeasureError(
-                    "scaled frequency exceeds float range; use an integer scale")
-        offset_phase = phase_unit(xi, m.offset) if m.offset != 0 else 1.0 + 0.0j
-        return offset_phase * _ft_signed(m.inner, _canonical_scalar(inner_xi))
-
-    if isinstance(m, Convolution):
-        out = 1.0 + 0.0j
-        for f in m.factors:
-            out *= _ft_scalar(f, xi)
-        return out
-
-    if isinstance(m, SmoothCutDensity):
-        if isinstance(xi, int) and xi.bit_length() > 1020:
-            return 0.0j  # piece transforms decay like 1/xi; below underflow
-        x = float(xi)
-        return complex(sum(piece_transform(p, x) for p in decompose_density(m)))
-
-    raise MeasureError(f"no transform rule for {type(m).__name__}")
-
-
-def _self_similar_depth(base: int, abs_xi: float) -> int:
-    if abs_xi <= SELF_SIMILAR_TRUNCATION:
-        return 1
-    return max(1, math.ceil(
-        (math.log2(abs_xi) - math.log2(SELF_SIMILAR_TRUNCATION)) / math.log2(base)))
-
-
-def _ft_self_similar(m: SelfSimilarDigit, xi) -> complex:
-    p, q = _ratio(xi)
-    depth = _self_similar_depth(m.base, _log_abs(xi))
-    out = 1.0 + 0.0j
-    den = q
-    inv = 1.0 / len(m.allowed_digits)
-    for _ in range(depth):
-        den *= m.base
-        s = 0.0 + 0.0j
-        for d in m.allowed_digits:
-            s += _phase_frac(p * d, den)
-        out *= s * inv
-    return out
-
-
-def _log_abs(xi) -> float:
-    # |xi| as a float for threshold math; huge ints may overflow float(),
-    # so go through log2.
-    if isinstance(xi, int):
-        return 2.0 ** min(math.log2(xi), 1020)
-    return abs(xi)
-
-
-def _ft_digit_product(m: DigitProduct, xi) -> complex:
-    p, q = _ratio(xi)
-    pre = _eplus_frac(-p, q << m.depth)
-    blocked = {b.offset: b for b in m.blocks}
-    factors = 1.0 + 0.0j
-    pos = 1
-    while pos <= m.depth:
-        b = blocked.get(pos - 1)
-        if b is None:
-            factors *= 1.0 + _phase_frac(p, q << pos)
-            pos += 1
-            continue
-        block_prod = 1.0 + 0.0j
-        for r in range(1, b.length + 1):
-            block_prod *= 1.0 + _phase_frac(p, q << (b.offset + r))
-        v = int(b.forbidden_pattern, 2)
-        block_prod -= _phase_frac(p * v, q << (b.offset + b.length))
-        factors *= block_prod
-        pos = b.offset + b.length + 1
-    return pre * factors / m.cylinder_count()
-
-
-def _ft_vec(m: Measure, vec: tuple) -> complex:
-    if isinstance(m, Atomic):
-        out = 0.0 + 0.0j
-        for pos, w in m.atoms:
-            coords = (pos,) if isinstance(pos, float) else pos
-            angle = math.fsum(x * c for x, c in zip(vec, coords))
-            out += w * cmath.exp(-2j * math.pi * angle)
-        return out
-    if isinstance(m, Mixture):
-        return sum((w * _ft_vec(c, vec) for c, w in zip(m.components, m.weights)),
-                   0.0 + 0.0j)
-    if isinstance(m, Convolution):
-        out = 1.0 + 0.0j
-        for f in m.factors:
-            out *= _ft_vec(f, vec)
-        return out
-    if isinstance(m, AffineImage):
-        rows = m.scale
-        inner_vec = tuple(
-            math.fsum(rows[r][c] * vec[r] for r in range(len(vec)))
-            for c in range(len(vec))
-        )
-        offset = m.offset if isinstance(m.offset, tuple) else (m.offset,) * len(vec)
-        angle = math.fsum(x * o for x, o in zip(vec, offset))
-        return cmath.exp(-2j * math.pi * angle) * _ft_vec(m.inner, inner_vec)
-    raise MeasureError(
-        f"{type(m).__name__} has no transform rule in dimension > 1")
-
-
-# ---------------------------------------------------------------------------
-# vectorized grids
-
-
-def _grid_guard(m: Measure) -> float:
-    """Largest |xi| for which the float grid path keeps phases accurate."""
-    if isinstance(m, SelfSimilarDigit):
-        return 2.0 ** 24
-    if isinstance(m, Mixture):
-        return min(_grid_guard(c) for c in m.components)
-    if isinstance(m, Convolution):
-        return min(_grid_guard(f) for f in m.factors)
-    if isinstance(m, AffineImage):
-        s = m.scale
-        if isinstance(s, tuple):
-            return 0.0
-        return _grid_guard(m.inner) / max(abs(s), 1.0)
-    return 2.0 ** 40
-
-
-def _eplus_vec(g: np.ndarray) -> np.ndarray:
-    return np.exp(1j * math.pi * g) * np.sinc(g)
+        raise MeasureError("ft takes a real scalar frequency; use ft_grid for arrays")
+    return m._ft_signed(_canonical_scalar(xi))
 
 
 def ft_grid(m: Measure, xis) -> np.ndarray:
@@ -375,107 +87,10 @@ def ft_grid(m: Measure, xis) -> np.ndarray:
         return np.zeros(0, dtype=complex)
     if not np.all(np.isfinite(xs)):
         raise MeasureError("grid frequencies must be finite")
-    if float(np.max(np.abs(xs))) > _grid_guard(m):
+    if float(np.max(np.abs(xs))) > m._grid_guard():
         return np.array([ft(m, float(x)) for x in xs.ravel()],
                         dtype=complex).reshape(xs.shape)
-    return _grid(m, xs)
-
-
-def _grid(m: Measure, xs: np.ndarray) -> np.ndarray:
-    if isinstance(m, Atomic):
-        out = np.zeros(xs.shape, dtype=complex)
-        for pos, w in m.atoms:
-            out += w * np.exp(-2j * math.pi * np.mod(xs * pos, 1.0))
-        return out
-
-    if isinstance(m, UniformOnIntervals):
-        total = m.total_length
-        out = np.zeros(xs.shape, dtype=complex)
-        for a, b in m.intervals:
-            out += ((b - a) / total) * np.exp(-2j * math.pi * xs * a) \
-                * _eplus_vec(-xs * (b - a))
-        return out
-
-    if isinstance(m, TrigDensity):
-        out = _eplus_vec(-xs)
-        for c, f in m.terms:
-            if f >= 2 ** 53:
-                continue  # |term| <= 1/(pi(2^53 - 2^40)) under the guard
-            ff = float(f)
-            out += c * (_eplus_vec(ff - xs) - _eplus_vec(-ff - xs)) / 2j
-        return out
-
-    if isinstance(m, SelfSimilarDigit):
-        depth = _self_similar_depth(m.base, float(np.max(np.abs(xs))))
-        out = np.ones(xs.shape, dtype=complex)
-        inv = 1.0 / len(m.allowed_digits)
-        scale = 1.0
-        for _ in range(depth):
-            scale /= m.base
-            s = np.zeros(xs.shape, dtype=complex)
-            for d in m.allowed_digits:
-                s += np.exp(-2j * math.pi * np.mod(xs * (d * scale), 1.0))
-            out *= s * inv
-        return out
-
-    if isinstance(m, DigitProduct):
-        # xi * 2^-i is an exact float scaling, so np.mod gives exact phases.
-        pre = _eplus_vec(-xs * 2.0 ** -m.depth)
-        blocked = {b.offset: b for b in m.blocks}
-        factors = np.ones(xs.shape, dtype=complex)
-        pos = 1
-        while pos <= m.depth:
-            b = blocked.get(pos - 1)
-            if b is None:
-                factors *= 1.0 + np.exp(-2j * math.pi * np.mod(xs * 2.0 ** -pos, 1.0))
-                pos += 1
-                continue
-            block = np.ones(xs.shape, dtype=complex)
-            for r in range(1, b.length + 1):
-                block *= 1.0 + np.exp(
-                    -2j * math.pi * np.mod(xs * 2.0 ** -(b.offset + r), 1.0))
-            v = int(b.forbidden_pattern, 2)
-            forb = np.ones(xs.shape, dtype=complex)
-            for j in range(b.length):
-                if v >> j & 1:
-                    forb *= np.exp(-2j * math.pi * np.mod(
-                        xs * 2.0 ** -(b.offset + b.length - j), 1.0))
-            factors *= block - forb
-            pos = b.offset + b.length + 1
-        return pre * factors / m.cylinder_count()
-
-    if isinstance(m, Mixture):
-        out = np.zeros(xs.shape, dtype=complex)
-        for c, w in zip(m.components, m.weights):
-            out += w * _grid(c, xs)
-        return out
-
-    if isinstance(m, AffineImage):
-        if m.mod1:
-            if not np.all(xs == np.round(xs)):
-                raise MeasureError(
-                    "transform of a wrapped (mod 1) image is defined at integer "
-                    "frequencies only")
-            inner = _grid(m.inner, xs * m.scale)
-        else:
-            inner = _grid(m.inner, xs * m.scale)
-        if m.offset != 0:
-            inner = inner * np.exp(-2j * math.pi * np.mod(xs * m.offset, 1.0))
-        return inner
-
-    if isinstance(m, Convolution):
-        out = np.ones(xs.shape, dtype=complex)
-        for f in m.factors:
-            out *= _grid(f, xs)
-        return out
-
-    if isinstance(m, SmoothCutDensity):
-        out = np.zeros(xs.shape, dtype=complex)
-        for p in decompose_density(m):
-            out += piece_transform(p, xs)
-        return out
-
-    raise MeasureError(f"no transform rule for {type(m).__name__}")
+    return m._grid(xs)
 
 
 # ---------------------------------------------------------------------------
@@ -491,52 +106,16 @@ class TransformSample:
     method: str
 
 
-def _method_tag(m: Measure) -> str:
-    if isinstance(m, (DigitProduct, SelfSimilarDigit)):
-        return "factorized"
-    if isinstance(m, Mixture):
-        kids = m.components
-    elif isinstance(m, Convolution):
-        kids = m.factors
-    elif isinstance(m, (AffineImage, SmoothCutDensity)):
-        kids = (m.inner,)
-    else:
-        return "closed_form"
-    for k in kids:
-        if _method_tag(k) == "factorized":
-            return "factorized"
-    return "closed_form"
-
-
-def ft_batch(m: Measure, sched: FrequencySchedule, workers: int = 0) -> tuple:
+def ft_batch(m: Measure, sched: FrequencySchedule) -> tuple:
     """Transform samples for every schedule frequency, in schedule order.
 
-    Each frequency is independent; with workers > 1 evaluation fans out over
-    a thread pool and results are collected in order.  Integer frequencies
-    stay exact ints end to end.
+    Integer frequencies stay exact ints end to end.
     """
     freqs = sched.frequencies()
     if not freqs:
         raise MeasureError("schedule generated no frequencies")
-    tag = _method_tag(m)
-    if workers and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            values = list(pool.map(lambda f: ft(m, f), freqs))
-    else:
-        values = [ft(m, f) for f in freqs]
-    return tuple(TransformSample(f, v, tag) for f, v in zip(freqs, values))
-
-
-def write_samples_csv(samples, path) -> None:
-    """CSV rows: xi, re, im, abs, log2_abs_xi, log2_abs_value."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["xi", "re", "im", "abs", "log2_abs_xi", "log2_abs_value"])
-        for s in samples:
-            a = abs(s.value)
-            log_v = math.log2(a) if a > 0 else float("-inf")
-            writer.writerow([s.xi, s.value.real, s.value.imag, a,
-                             math.log2(abs(s.xi)), log_v])
+    tag = "factorized" if m._factorized() else "closed_form"
+    return tuple(TransformSample(f, ft(m, f), tag) for f in freqs)
 
 
 # ---------------------------------------------------------------------------
@@ -550,55 +129,7 @@ def atom_weights(m: Measure) -> dict:
     measure is the point mass at digit/(base-1).  Convolutions are atomic
     only when every factor is.
     """
-    if isinstance(m, Atomic):
-        out = {}
-        for pos, w in m.atoms:
-            out[pos] = out.get(pos, 0.0) + w
-        return out
-    if isinstance(m, SelfSimilarDigit):
-        if len(m.allowed_digits) == 1:
-            return {m.allowed_digits[0] / (m.base - 1): 1.0}
-        return {}
-    if isinstance(m, Mixture):
-        out = {}
-        for c, w in zip(m.components, m.weights):
-            for pos, v in atom_weights(c).items():
-                out[pos] = out.get(pos, 0.0) + w * v
-        return out
-    if isinstance(m, AffineImage):
-        inner = atom_weights(m.inner)
-        out = {}
-        for pos, v in inner.items():
-            if isinstance(m.scale, tuple):
-                coords = (pos,) if isinstance(pos, float) else pos
-                img = tuple(
-                    math.fsum(m.scale[r][c] * coords[c] for c in range(len(coords)))
-                    + (m.offset[r] if isinstance(m.offset, tuple) else m.offset)
-                    for r in range(len(coords))
-                )
-                key = img if len(img) > 1 else img[0]
-            else:
-                key = m.scale * pos + m.offset
-                if m.mod1:
-                    key = key - math.floor(key)
-            out[key] = out.get(key, 0.0) + v
-        return out
-    if isinstance(m, Convolution):
-        maps = [atom_weights(f) for f in m.factors]
-        if any(not d for d in maps):
-            return {}
-        out = {0.0: 1.0}
-        for d in maps:
-            nxt = {}
-            for pos, w in out.items():
-                for p2, w2 in d.items():
-                    key = pos + p2
-                    nxt[key] = nxt.get(key, 0.0) + w * w2
-            out = nxt
-        return out
-    if isinstance(m, SmoothCutDensity):
-        return {}  # inner is density-form by construction
-    return {}
+    return m._atoms()
 
 
 # ---------------------------------------------------------------------------
@@ -613,8 +144,6 @@ def wiener_average(m: Measure, T: float, step: float = None) -> float:
     so the default step resolves ten points per fastest period.  The value
     tends to the sum of squared atom masses as T grows.
     """
-    if m.ambient_dim != 1:
-        raise MeasureError("the square average is implemented on the line only")
     if T <= 0:
         raise MeasureError("T must be positive")
     if step is None:
@@ -673,31 +202,6 @@ class QuadratureResult:
     panels: int
 
 
-def _quad_parts(m: Measure, weight: float = 1.0):
-    """Split into (atom list, density piece list) for quadrature."""
-    if isinstance(m, Atomic):
-        return [(pos, weight * w) for pos, w in m.atoms], []
-    if isinstance(m, Mixture):
-        atoms, pieces = [], []
-        for c, w in zip(m.components, m.weights):
-            a, p = _quad_parts(c, weight * w)
-            atoms.extend(a)
-            pieces.extend(p)
-        return atoms, pieces
-    if isinstance(m, AffineImage) and not m.mod1 \
-            and isinstance(m.scale, (int, float)):
-        atoms, pieces = _quad_parts(m.inner, weight)
-        s, o = float(m.scale), float(m.offset)
-        return ([(s * pos + o, w) for pos, w in atoms],
-                [p.map_affine(s, o) for p in pieces])
-    pieces = decompose_density(m)  # raises MeasureError when unsupported
-    if weight != 1.0:
-        pieces = [DensityPiece(p.a, p.b, p.center, p.poly,
-                               weight * p.amplitude, p.frequency)
-                  for p in pieces]
-    return [], list(pieces)
-
-
 def ft_quadrature(m: Measure, xi, tol: float = 1e-9,
                   max_panels: int = 1 << 17) -> QuadratureResult:
     """Independent Filon-type evaluation of ft(m, xi).
@@ -712,7 +216,7 @@ def ft_quadrature(m: Measure, xi, tol: float = 1e-9,
     x = float(xi)
     if not math.isfinite(x):
         raise MeasureError("frequency must be finite")
-    atoms, pieces = _quad_parts(m)
+    atoms, pieces = m._quad_parts(1.0)
     value = sum((w * phase_unit(x, pos) for pos, w in atoms), 0.0 + 0.0j)
     if not pieces:
         return QuadratureResult(value, 0.0, 0)

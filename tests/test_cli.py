@@ -1,8 +1,11 @@
 """End-to-end checks of the experiment runner CLI."""
 
+import csv
 import json
+import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -139,6 +142,56 @@ def test_quadrature_blowup_exits_3(tmp_path, monkeypatch, capsys):
     assert "quadrature" in capsys.readouterr().err
 
 
+BAD_CONFIGS = {
+    "params-not-object": {"experiment": "transform", "measure": LEB,
+                          "schedule": DYADIC, "params": [1, 2]},
+    "missing-measure": {"experiment": "transform", "schedule": DYADIC},
+    "missing-schedule": {"experiment": "transform", "measure": LEB},
+    "experiment-not-string": {"experiment": ["decay"]},
+    "seed-not-int": {"experiment": "cantor", "seed": "x"},
+    "setex-n": {"experiment": "setex", "params": {"n": "x"}},
+    "lowerbound-j-max": {"experiment": "lowerbound", "measure": LEB,
+                         "params": {"eps": 0.5, "j_max": "x"}},
+    "energy-s": {"experiment": "energy", "measure": LEB, "params": {"s": "abc"}},
+    "energy-missing-s": {"experiment": "energy", "measure": LEB},
+    "lacunary-exponents": {"experiment": "decay", "measure": LEB,
+                           "schedule": {"variant": "Lacunary",
+                                        "exponents": [1, 2, "a"]}},
+    "schedule-not-object": {"experiment": "decay", "measure": LEB,
+                            "schedule": "DyadicWindows"},
+    "unknown-schedule": {"experiment": "decay", "measure": LEB,
+                         "schedule": {"variant": "Nope"}},
+    "matrix-image-scale": {"experiment": "matrix-image", "measure": LEB,
+                           "schedule": DYADIC_WIDE, "params": {"scale": "abc"}},
+    "matrix-image-2x2": {"experiment": "matrix-image", "measure": LEB,
+                         "schedule": DYADIC_WIDE,
+                         "params": {"scale": [[2.0, 0.0], [0.0, 3.0]]}},
+    "unknown-measure": {"experiment": "transform", "schedule": DYADIC,
+                        "measure": {"variant": "Nope"}},
+    "measure-not-object": {"experiment": "transform", "schedule": DYADIC,
+                           "measure": [0.5, 1.0]},
+    "measure-missing-field": {"experiment": "transform", "schedule": DYADIC,
+                              "measure": {"variant": "UniformOnIntervals"}},
+    "planar-atom": {"experiment": "transform", "schedule": DYADIC,
+                    "measure": {"variant": "Atomic",
+                                "atoms": [{"position": [0.25, 0.5], "weight": 1.0}]}},
+    "matrix-affine-scale": {"experiment": "transform", "schedule": DYADIC,
+                            "measure": {"variant": "AffineImage", "inner": LEB,
+                                        "scale": [[2.0]]}},
+    "digit-base-not-int": {"experiment": "transform", "schedule": DYADIC,
+                           "measure": {"variant": "SelfSimilarDigit", "base": "3",
+                                       "allowed_digits": [0, 2]}},
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_CONFIGS))
+def test_bad_config_exits_2_without_traceback(name, tmp_path, monkeypatch, capsys):
+    # main runs in process, so any uncaught exception fails the test
+    assert _run(tmp_path, monkeypatch, BAD_CONFIGS[name]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 EXPERIMENT_CONFIGS = {
     "transform": {"experiment": "transform", "measure": LEB,
                   "schedule": DYADIC},
@@ -181,3 +234,54 @@ def test_console_entry_point(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "transform" in proc.stdout
+
+
+# The committed outputs of EXPERIMENT_CONFIGS pin the numbers across changes
+# of the program.  Keys, strings, ints and bools must match exactly.  Floats
+# may move by a relative 1e-12: room for a reordered float sum, far below
+# every tolerance an experiment itself applies.
+SNAPSHOT_RTOL = 1e-12
+SNAPSHOT = json.loads((Path(__file__).parent / "cli_snapshot.json").read_text())
+
+
+def _cell(text):
+    for kind in (int, float):
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    return text
+
+
+def _assert_matches(got, want, where):
+    if isinstance(want, float):
+        assert isinstance(got, float), where
+        assert math.isclose(got, want, rel_tol=SNAPSHOT_RTOL, abs_tol=0.0), \
+            f"{where}: {got!r} != {want!r}"
+    elif isinstance(want, dict):
+        assert isinstance(got, dict) and sorted(got) == sorted(want), where
+        for key in want:
+            _assert_matches(got[key], want[key], f"{where}.{key}")
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), where
+        for i, (g, w) in enumerate(zip(got, want)):
+            _assert_matches(g, w, f"{where}[{i}]")
+    else:
+        assert type(got) is type(want) and got == want, f"{where}: {got!r} != {want!r}"
+
+
+@pytest.mark.parametrize("name", sorted(EXPERIMENT_CONFIGS))
+def test_outputs_match_snapshot(name, tmp_path, monkeypatch):
+    cfg = dict(EXPERIMENT_CONFIGS[name])
+    cfg["output"] = "out"
+    _run(tmp_path, monkeypatch, cfg)
+    want = SNAPSHOT[name]
+    _assert_matches(json.loads((tmp_path / "out.json").read_text()),
+                    want["summary"], name)
+    csv_path = tmp_path / "out.csv"
+    assert csv_path.exists() == ("csv" in want)
+    if "csv" in want:
+        with open(csv_path, newline="") as fh:
+            rows = [[_cell(c) for c in row] for row in csv.reader(fh)]
+        _assert_matches(rows, [[_cell(c) for c in row] for row in want["csv"]],
+                        f"{name}.csv")

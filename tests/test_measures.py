@@ -115,9 +115,14 @@ def test_affine_mod1_requires_unit_support():
 
 
 def test_affine_rejects_singular_matrix():
+    # scales are real numbers: any matrix, singular or not, is rejected
     leb = fd.UniformOnIntervals(((0.0, 1.0),))
+    for scale in (((1.0, 2.0), (2.0, 4.0)), ((2.0, 0.0), (0.0, 3.0)), ((2.0,),)):
+        with pytest.raises(fd.MeasureError):
+            fd.AffineImage(leb, scale, 0.0, False)
     with pytest.raises(fd.MeasureError):
-        fd.AffineImage(leb, ((1.0, 2.0), (2.0, 4.0)), (0.0, 0.0), False)
+        fd.measure_from_dict({"variant": "AffineImage", "inner": fd.measure_to_dict(leb),
+                              "scale": [[2.0]]})
 
 
 def test_dilated_digit_product_support():
@@ -156,8 +161,12 @@ def test_smooth_cut_density_mass_shrinks():
 def test_ambient_dim():
     leb = fd.UniformOnIntervals(((0.0, 1.0),))
     assert leb.ambient_dim == 1
-    planar = fd.Atomic((((0.25, 0.5), 1.0),))
-    assert planar.ambient_dim == 2
+    # coordinate-tuple atoms (planar measures) are rejected
+    with pytest.raises(fd.MeasureError):
+        fd.Atomic((((0.25, 0.5), 1.0),))
+    with pytest.raises(fd.MeasureError):
+        fd.measure_from_dict({"variant": "Atomic",
+                              "atoms": [{"position": [0.25, 0.5], "weight": 1.0}]})
 
 
 # serialization -------------------------------------------------------------
