@@ -2,16 +2,19 @@
 
 An IncidenceModel is an nx-by-ny matrix of nonnegative pairings between two
 index families.  perp maps a subset of one side to the subset of the other
-side pairing to exactly zero with every member.  The lattice identities
-checked here (double-perp containment, antitonicity, triple-perp collapse,
-and the two de-Morgan style family laws) hold for any Galois connection and
-are verified exactly, with random counterexample search as the test harness.
+side pairing to exactly zero with every member.  Subsets are bitmasks
+(Python ints, so any width), and each index carries the mask of the
+opposite-side indices it pairs to zero with, so perp(D) is the AND of the
+zero masks of D's members.  The lattice identities checked here
+(double-perp containment, antitonicity, triple-perp collapse, and the two
+de-Morgan style family laws) hold for any Galois connection and are
+verified exactly, with random counterexample search as the test harness.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .measures import Atomic, MeasureError
 
@@ -29,11 +32,17 @@ _SIDES = ("left", "right")
 
 @dataclass(frozen=True)
 class IncidenceModel:
-    """Nonnegative pairing matrix between a left and a right index family."""
+    """Nonnegative pairing matrix between a left and a right index family.
+
+    zero_right[i] has bit j set, and zero_left[j] has bit i set, when
+    pairing[i][j] == 0.0.
+    """
 
     nx: int
     ny: int
     pairing: tuple
+    zero_right: tuple = field(init=False, repr=False, compare=False)
+    zero_left: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.nx < 1 or self.ny < 1:
@@ -45,6 +54,14 @@ class IncidenceModel:
         if any(x < 0 or not math.isfinite(x) for r in rows for x in r):
             raise MeasureError("pairings must be finite and nonnegative")
         object.__setattr__(self, "pairing", rows)
+        zero_right, zero_left = [0] * self.nx, [0] * self.ny
+        for i, r in enumerate(rows):
+            for j, x in enumerate(r):
+                if x == 0.0:
+                    zero_right[i] |= 1 << j
+                    zero_left[j] |= 1 << i
+        object.__setattr__(self, "zero_right", tuple(zero_right))
+        object.__setattr__(self, "zero_left", tuple(zero_left))
 
     @classmethod
     def random(cls, rng, nx: int, ny: int, zero_prob: float = 0.5):
@@ -75,24 +92,46 @@ def _check_range(model: IncidenceModel, d: SubsetPair) -> None:
         raise MeasureError(f"subset indices out of range for side {d.side}")
 
 
+def _perp_mask(masks: tuple, full: int, d: int) -> int:
+    """perp on bitmasks: the AND of masks[i] over the members i of d.
+
+    masks[i] is the zero mask of index i on d's side; the empty set maps to
+    full, the whole opposite side.
+    """
+    out = full
+    while d and out:
+        low = d & -d
+        out &= masks[low.bit_length() - 1]
+        d ^= low
+    return out
+
+
 def perp(model: IncidenceModel, d: SubsetPair) -> SubsetPair:
     """Elements of the opposite side pairing to exactly 0.0 with all of d.
 
     The empty subset maps to the full opposite side.
     """
     _check_range(model, d)
-    other = "right" if d.side == "left" else "left"
-    size = model.ny if d.side == "left" else model.nx
     if d.side == "left":
-        def pair(i, j):
-            return model.pairing[i][j]
+        other, masks, size = "right", model.zero_right, model.ny
     else:
-        def pair(i, j):
-            return model.pairing[j][i]
-    members = frozenset(
-        j for j in range(size)
-        if all(pair(i, j) == 0.0 for i in d.members))
-    return SubsetPair(other, members)
+        other, masks, size = "left", model.zero_left, model.nx
+    members = sum(1 << i for i in d.members)
+    return _subset(other, _perp_mask(masks, (1 << size) - 1, members))
+
+
+def _subset(side: str, mask: int) -> SubsetPair:
+    return SubsetPair(side, frozenset(
+        i for i in range(mask.bit_length()) if mask >> i & 1))
+
+
+def _draw(rng, size: int) -> int:
+    """Mask of the indices i < size whose rng.random() draw is < 0.5."""
+    out = 0
+    for i, x in enumerate(rng.random(size).tolist()):
+        if x < 0.5:
+            out |= 1 << i
+    return out
 
 
 def check_perp_properties(model: IncidenceModel, trials: int, rng) -> dict:
@@ -108,56 +147,63 @@ def check_perp_properties(model: IncidenceModel, trials: int, rng) -> dict:
           family's intersection,
       v   the intersection of the perps equals the perp of the union.
 
+    Subsets are bitmasks; a <= b is a & ~b == 0.  Each member is kept when
+    its rng.random() draw is < 0.5, with one batched draw per subset.
     Returns violation counts per law and the first counterexample found.
     """
     counts = {"double_perp": 0, "antitone": 0, "triple_perp": 0,
               "family_intersection": 0, "family_union": 0}
     first = None
-
-    def draw(side):
-        size = model.nx if side == "left" else model.ny
-        members = frozenset(int(i) for i in range(size) if rng.random() < 0.5)
-        return SubsetPair(side, members)
+    # per side: its size, its members' zero masks, the opposite full mask
+    sides = ((model.nx, model.zero_right, (1 << model.ny) - 1),
+             (model.ny, model.zero_left, (1 << model.nx) - 1))
 
     for t in range(trials):
-        side = _SIDES[int(rng.integers(0, 2))]
-        size = model.nx if side == "left" else model.ny
+        k = int(rng.integers(0, 2))
+        side = _SIDES[k]
+        size, fwd, full = sides[k]
+        _, back, full_back = sides[1 - k]
 
-        d = draw(side)
-        dpp = perp(model, perp(model, d))
-        if not d.members <= dpp.members:
+        d = _draw(rng, size)
+        p = _perp_mask(fwd, full, d)
+        dpp = _perp_mask(back, full_back, p)
+        if d & ~dpp:
             counts["double_perp"] += 1
-            first = first or ("double_perp", t, d)
+            first = first or ("double_perp", t, _subset(side, d))
 
-        d2 = draw(side)
-        d1 = SubsetPair(side, frozenset(
-            i for i in d2.members if rng.random() < 0.5))
-        if not perp(model, d2).members <= perp(model, d1).members:
+        d2 = _draw(rng, size)
+        # D1 keeps each member of D2, ascending, on one draw per member, so
+        # the stream advances by |D2| draws whichever members are kept
+        d1 = 0
+        m = d2
+        for x in rng.random(d2.bit_count()).tolist():
+            low = m & -m
+            if x < 0.5:
+                d1 |= low
+            m ^= low
+        if _perp_mask(fwd, full, d2) & ~_perp_mask(fwd, full, d1):
             counts["antitone"] += 1
-            first = first or ("antitone", t, (d1, d2))
+            first = first or ("antitone", t, (_subset(side, d1), _subset(side, d2)))
 
-        p = perp(model, d)
-        if perp(model, perp(model, p)).members != p.members:
+        if _perp_mask(fwd, full, dpp) != p:
             counts["triple_perp"] += 1
-            first = first or ("triple_perp", t, d)
+            first = first or ("triple_perp", t, _subset(side, d))
 
-        fam = [draw(side) for _ in range(2 + int(rng.integers(0, 2)))]
-        perps = [perp(model, f).members for f in fam]
-        inter = frozenset(range(size))
-        union = frozenset()
+        fam = [_draw(rng, size) for _ in range(2 + int(rng.integers(0, 2)))]
+        inter, union = full_back, 0
+        union_of_perps, inter_of_perps = 0, full
         for f in fam:
-            inter &= f.members
-            union |= f.members
-        got_union_of_perps = frozenset().union(*perps)
-        if not got_union_of_perps <= perp(model, SubsetPair(side, inter)).members:
+            inter &= f
+            union |= f
+            pf = _perp_mask(fwd, full, f)
+            union_of_perps |= pf
+            inter_of_perps &= pf
+        if union_of_perps & ~_perp_mask(fwd, full, inter):
             counts["family_intersection"] += 1
-            first = first or ("family_intersection", t, fam)
-        inter_of_perps = perps[0]
-        for pset in perps[1:]:
-            inter_of_perps = inter_of_perps & pset
-        if inter_of_perps != perp(model, SubsetPair(side, union)).members:
+            first = first or ("family_intersection", t, [_subset(side, f) for f in fam])
+        if inter_of_perps != _perp_mask(fwd, full, union):
             counts["family_union"] += 1
-            first = first or ("family_union", t, fam)
+            first = first or ("family_union", t, [_subset(side, f) for f in fam])
 
     return {"trials": trials, "violations": counts,
             "total_violations": sum(counts.values()),

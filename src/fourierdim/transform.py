@@ -136,6 +136,11 @@ def atom_weights(m: Measure) -> dict:
 # Wiener square average
 
 
+# Largest grid wiener_average samples: ten times the 10^6 points of T = 1e4
+# at the default step of 0.01.
+WIENER_MAX_POINTS = 10 ** 7
+
+
 def wiener_average(m: Measure, T: float, step: float = None) -> float:
     """(1/2T) integral_{-T}^{T} |ft(m, xi)|^2 dxi by trapezoid quadrature.
 
@@ -144,13 +149,17 @@ def wiener_average(m: Measure, T: float, step: float = None) -> float:
     so the default step resolves ten points per fastest period.  The value
     tends to the sum of squared atom masses as T grows.
     """
-    if T <= 0:
-        raise MeasureError("T must be positive")
+    if not (T > 0 and math.isfinite(T)):
+        raise MeasureError("T must be positive and finite")
     if step is None:
         lo, hi = support_interval(m)
         diam = hi - lo
         step = min(0.01, 1.0 / (10.0 * diam)) if diam > 0 else 0.01
-    n = max(2, int(math.ceil(T / step)))
+    points = T / step if step > 0 else math.inf
+    if not points <= WIENER_MAX_POINTS:
+        raise MeasureError(f"a grid of {points:.3g} points exceeds the cap "
+                           f"of {WIENER_MAX_POINTS}")
+    n = max(2, int(math.ceil(points)))
     xs = np.linspace(0.0, T, n + 1)
     y = np.abs(ft_grid(m, xs)) ** 2
     # Normalizing by the quadrature of 1 (rather than by T) keeps the

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fourierdim as fd
-from fourierdim import IncidenceModel, SubsetPair, perp
+from fourierdim import IncidenceModel, SubsetPair, bandlattice, perp
 
 
 MODEL = IncidenceModel(2, 3, ((0.0, 1.0, 0.0), (0.0, 0.0, 2.0)))
@@ -42,6 +42,13 @@ def test_subset_pair_validation():
 
 
 def test_perp_hand_example():
+    # bit j of zero_right[i] and bit i of zero_left[j] mark a zero pairing;
+    # the masks take no part in ==, hash or repr
+    assert MODEL.zero_right == (0b101, 0b011)
+    assert MODEL.zero_left == (0b11, 0b10, 0b01)
+    twin = IncidenceModel(2, 3, MODEL.pairing)
+    assert twin == MODEL and hash(twin) == hash(MODEL)
+    assert repr(MODEL) == f"IncidenceModel(nx=2, ny=3, pairing={MODEL.pairing!r})"
     assert perp(MODEL, SubsetPair("left", {0})).members == frozenset({0, 2})
     assert perp(MODEL, SubsetPair("left", {0, 1})).members == frozenset({0})
     assert perp(MODEL, SubsetPair("right", {1})).members == frozenset({1})
@@ -70,14 +77,20 @@ def _perp_brute(model, side, members):
 
 def test_perp_matches_brute_force():
     rng = np.random.default_rng(42)
-    for _ in range(50):
-        m = IncidenceModel.random(rng, int(rng.integers(1, 7)),
-                                  int(rng.integers(1, 7)))
+    models = [IncidenceModel.random(rng, int(rng.integers(1, 7)),
+                                    int(rng.integers(1, 7)))
+              for _ in range(50)]
+    # one side wider than a machine word
+    models += [IncidenceModel.random(rng, 3, 70),
+               IncidenceModel.random(rng, 70, 2),
+               IncidenceModel.random(rng, 65, 66, zero_prob=0.9)]
+    for m in models:
         for side, size in (("left", m.nx), ("right", m.ny)):
-            members = frozenset(
+            random_subset = frozenset(
                 int(i) for i in range(size) if rng.random() < 0.5)
-            got = perp(m, SubsetPair(side, members))
-            assert got.members == _perp_brute(m, side, members)
+            for members in (random_subset, frozenset(), frozenset(range(size))):
+                got = perp(m, SubsetPair(side, members))
+                assert got.members == _perp_brute(m, side, members)
 
 
 _matrix = st.integers(1, 4).flatmap(
@@ -134,6 +147,32 @@ def test_check_perp_properties_clean_run():
     assert set(out["violations"]) == {
         "double_perp", "antitone", "triple_perp",
         "family_intersection", "family_union"}
+
+
+def test_check_perp_properties_reports_violations(monkeypatch):
+    # Dropping the lowest member is not a Galois connection: it breaks each
+    # of the five laws on some draws.
+    monkeypatch.setattr(bandlattice, "_perp_mask", lambda masks, full, d: d >> 1)
+    rng = np.random.default_rng(5)
+    out = fd.check_perp_properties(IncidenceModel.random(rng, 6, 6), 50, rng)
+    v = out["violations"]
+    assert all(count > 0 for count in v.values()), v
+    assert out["total_violations"] == sum(v.values())
+    assert "SubsetPair(side=" in out["first_counterexample"]
+    assert "members=frozenset(" in out["first_counterexample"]
+
+
+def test_check_perp_properties_rng_stream():
+    # Each subset is one batched rng.random(n), which must consume the
+    # stream exactly as n scalar draws did; the values pinned below are the
+    # generator's next draws after this loop with scalar draws.
+    rng = np.random.default_rng(2024)
+    for _ in range(30):
+        nx, ny = (int(k) for k in rng.integers(1, 12, size=2))
+        model = IncidenceModel.random(rng, nx, ny)
+        assert fd.check_perp_properties(model, 10, rng)["total_violations"] == 0
+    assert rng.random() == 0.9690623904838539
+    assert rng.integers(0, 2 ** 31) == 1570156658
 
 
 # ---------------------------------------------------------------------------

@@ -181,6 +181,20 @@ BAD_CONFIGS = {
     "digit-base-not-int": {"experiment": "transform", "schedule": DYADIC,
                            "measure": {"variant": "SelfSimilarDigit", "base": "3",
                                        "allowed_digits": [0, 2]}},
+    "wiener-T-huge": {"experiment": "wiener", "measure": TWO_ATOMS,
+                      "params": {"T": 1e30}},
+    "wiener-T-inf": {"experiment": "wiener", "measure": TWO_ATOMS,
+                     "params": {"T": math.inf}},
+    "wiener-T-nan": {"experiment": "wiener", "measure": TWO_ATOMS,
+                     "params": {"T": math.nan}},
+    "wiener-atom-huge": {"experiment": "wiener",
+                         "measure": {"variant": "Atomic",
+                                     "atoms": [{"position": 0.5, "weight": 0.5},
+                                               {"position": 1e30, "weight": 0.5}]}},
+    "wiener-diameter-overflows": {"experiment": "wiener",
+                                  "measure": {"variant": "Atomic",
+                                              "atoms": [{"position": -1e308, "weight": 0.5},
+                                                        {"position": 1e308, "weight": 0.5}]}},
 }
 
 
