@@ -568,16 +568,18 @@ class DigitProduct(Measure):
                 factors *= 1.0 + np.exp(-2j * math.pi * np.mod(xs * 2.0 ** -pos, 1.0))
                 pos += 1
                 continue
+            # phases[r - 1] is digit offset + r's character; the block
+            # product and the forbidden pattern's character share them.
+            phases = [np.exp(-2j * math.pi * np.mod(xs * 2.0 ** -(b.offset + r), 1.0))
+                      for r in range(1, b.length + 1)]
             block = np.ones(xs.shape, dtype=complex)
-            for r in range(1, b.length + 1):
-                block *= 1.0 + np.exp(
-                    -2j * math.pi * np.mod(xs * 2.0 ** -(b.offset + r), 1.0))
+            for ph in phases:
+                block *= 1.0 + ph
             v = int(b.forbidden_pattern, 2)
             forb = np.ones(xs.shape, dtype=complex)
             for j in range(b.length):
                 if v >> j & 1:
-                    forb *= np.exp(-2j * math.pi * np.mod(
-                        xs * 2.0 ** -(b.offset + b.length - j), 1.0))
+                    forb *= phases[b.length - 1 - j]
             factors *= block - forb
             pos = b.offset + b.length + 1
         return pre * factors / self.cylinder_count()

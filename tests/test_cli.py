@@ -154,6 +154,12 @@ BAD_CONFIGS = {
                          "params": {"eps": 0.5, "j_max": "x"}},
     "energy-s": {"experiment": "energy", "measure": LEB, "params": {"s": "abc"}},
     "energy-missing-s": {"experiment": "energy", "measure": LEB},
+    "energy-cutoff-inf": {"experiment": "energy", "measure": LEB,
+                          "params": {"s": 0.5, "cutoff": math.inf}},
+    "energy-cutoff-nan": {"experiment": "energy", "measure": LEB,
+                          "params": {"s": 0.5, "cutoff": math.nan}},
+    "energy-resolution-huge": {"experiment": "energy", "measure": LEB,
+                               "params": {"s": 0.5, "resolution": 10 ** 11}},
     "lacunary-exponents": {"experiment": "decay", "measure": LEB,
                            "schedule": {"variant": "Lacunary",
                                         "exponents": [1, 2, "a"]}},

@@ -2,9 +2,11 @@
 
 import math
 
+import numpy as np
 import pytest
 
 import fourierdim as fd
+from fourierdim import measures
 
 
 def test_atomic_mass_and_support():
@@ -68,6 +70,41 @@ def test_digit_product_rejects_overlapping_blocks():
         fd.DigitProduct(6, (fd.DigitBlock(0, 3, "000"), fd.DigitBlock(2, 2, "11")))
     with pytest.raises(fd.MeasureError):
         fd.DigitProduct(3, (fd.DigitBlock(2, 2, "01"),))  # runs past depth
+
+
+def _digit_product_grid_per_digit(m, xs):
+    """DigitProduct's grid rule with every digit character computed where used."""
+    def char(pos):
+        return np.exp(-2j * math.pi * np.mod(xs * 2.0 ** -pos, 1.0))
+
+    blocked = {b.offset: b for b in m.blocks}
+    factors = np.ones(xs.shape, dtype=complex)
+    pos = 1
+    while pos <= m.depth:
+        b = blocked.get(pos - 1)
+        if b is None:
+            factors *= 1.0 + char(pos)
+            pos += 1
+            continue
+        block = np.ones(xs.shape, dtype=complex)
+        for r in range(1, b.length + 1):
+            block *= 1.0 + char(b.offset + r)
+        v = int(b.forbidden_pattern, 2)
+        forb = np.ones(xs.shape, dtype=complex)
+        for j in range(b.length):
+            if v >> j & 1:
+                forb *= char(b.offset + b.length - j)
+        factors *= block - forb
+        pos = b.offset + b.length + 1
+    return measures._eplus_vec(-xs * 2.0 ** -m.depth) * factors / m.cylinder_count()
+
+
+def test_digit_product_grid_shares_digit_phases_bit_for_bit():
+    xs = np.linspace(-3000.0, 70000.0, 4099)
+    for m in (fd.DigitProduct(6, (fd.DigitBlock(1, 2, "01"),)),
+              fd.DigitProduct(10, (fd.DigitBlock(0, 3, "101"), fd.DigitBlock(5, 2, "11"))),
+              fd.DigitProduct(16, (fd.DigitBlock(2, 4, "0110"), fd.DigitBlock(8, 4, "0000")))):
+        assert np.array_equal(fd.ft_grid(m, xs), _digit_product_grid_per_digit(m, xs))
 
 
 def test_digit_product_support_all_zeros_forbidden():
