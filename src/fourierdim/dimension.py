@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# window_value is unused here but stays a module global: perfbench/spans.py
-# wraps this name in this module.
+# window_value and ft_batch are unused here but stay module globals:
+# perfbench/spans.py wraps these names in this module.
 from .density import decompose_density, evaluate_density, window_value  # noqa: F401
 from .measures import (
     AffineImage,
@@ -35,11 +35,12 @@ from .measures import (
     ScheduleError,
     _finite,
     _floor_log2,
+    _window_count,
     mass,
     support_interval,
 )
 from .phase import _ratio
-from .transform import _trapz, atom_weights, ft, ft_batch, ft_grid, phase_unit
+from .transform import _trapz, atom_weights, ft, ft_batch, ft_grid, phase_unit  # noqa: F401
 
 __all__ = [
     "WindowStat",
@@ -108,13 +109,24 @@ def decay_exponent(m: Measure, sched: FrequencySchedule) -> DecayReport:
     proxy is the minimum over the top half of the windows, and capped_dim
     clamps it to [0, ambient_dim].
     """
-    if sched.window_count() < 8:
-        raise ScheduleError(
-            f"schedule spans {sched.window_count()} dyadic windows; need >= 8")
-    samples = ft_batch(m, sched)
+    freqs = _decay_frequencies(sched)
+    return _decay_report(m, freqs, [ft(m, xi) for xi in freqs])
+
+
+def _decay_frequencies(sched: FrequencySchedule) -> tuple:
+    """The schedule's frequencies, read once and checked to span 8 windows."""
+    freqs = sched.frequencies()
+    count = _window_count(freqs)
+    if count < 8:
+        raise ScheduleError(f"schedule spans {count} dyadic windows; need >= 8")
+    return freqs
+
+
+def _decay_report(m: Measure, freqs, values) -> DecayReport:
+    """decay_exponent's report from the transform values at freqs."""
     buckets = {}
-    for s in samples:
-        buckets.setdefault(_floor_log2(s.xi), []).append(abs(s.value))
+    for xi, v in zip(freqs, values):
+        buckets.setdefault(_floor_log2(xi), []).append(abs(v))
     windows = []
     for e in sorted(buckets):
         mx = max(buckets[e])
@@ -385,10 +397,17 @@ def stability_experiment(m1: Measure, m2: Measure,
 
     The sum's liminf proxy should not fall more than estimator tolerance
     below the smaller component proxy; the caller asserts the tolerance.
+    Each part is evaluated once per frequency and the sum's values are
+    combined from those by the mixture's own rule, so the three reports
+    equal those of three separate decay_exponent calls.
     """
     both = Mixture((m1, m2), (1.0, 1.0))
-    return (decay_exponent(m1, sched), decay_exponent(m2, sched),
-            decay_exponent(both, sched))
+    freqs = _decay_frequencies(sched)
+    v1 = [ft(m1, xi) for xi in freqs]
+    v2 = [ft(m2, xi) for xi in freqs]
+    v_sum = [both._combine_signed(xi, (a, b)) for xi, a, b in zip(freqs, v1, v2)]
+    return (_decay_report(m1, freqs, v1), _decay_report(m2, freqs, v2),
+            _decay_report(both, freqs, v_sum))
 
 
 def matrix_image_experiment(m: Measure, scale,
@@ -407,6 +426,5 @@ def matrix_image_experiment(m: Measure, scale,
         scale = _finite(scale[0][0], "scale")
     if abs(abs(_finite(scale, "scale")) - 1.0) < 1e-9:
         raise MeasureError("scale has an eigenvalue of modulus 1")
-    image = AffineImage(m, scale, 0.0, False)
-    both = Mixture((m, image), (1.0, 1.0))
-    return decay_exponent(m, sched), decay_exponent(both, sched)
+    own, _, both = stability_experiment(m, AffineImage(m, scale, 0.0, False), sched)
+    return own, both

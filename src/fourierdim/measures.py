@@ -30,13 +30,15 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import astuple, dataclass, fields, is_dataclass
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
 
 from .density import DensityPiece, cut_mass, piece_transform, window_poly, window_value
 from .errors import MeasureError, ScheduleError
-from .phase import _eplus_frac, _eplus_vec, _phase_frac, _ratio, phase_unit
+from .phase import (_eplus_frac, _eplus_turned, _eplus_vec, _half_turn, _phase_frac,
+                    _ratio, phase_unit)
 
 __all__ = [
     "MeasureError",
@@ -333,11 +335,26 @@ class TrigDensity(Measure):
         return 0.0, 1.0
 
     def _ft(self, xi) -> complex:
+        # Term f needs E(f - xi) and E(-f - xi), E = _eplus_frac.  At
+        # xi = p/q both numerators, f q - p and -(f q + p), are congruent to
+        # (f mod 2) q - p mod 2q, so one half turn per parity of f serves
+        # every term.  At an integer xi, E is 1 where its argument is 0 and
+        # 0 at every other integer.
         p, q = _ratio(xi)
         out = _eplus_frac(-p, q)
+        whole = p % q == 0
+        turns = {}
         for c, f in self.terms:
-            plus = _eplus_frac(f * q - p, q)
-            minus = _eplus_frac(-(f * q + p), q)
+            fq = f * q
+            if whole:
+                plus = 1.0 + 0.0j if fq == p else 0.0j
+                minus = 1.0 + 0.0j if fq == -p else 0.0j
+            else:
+                turn = turns.get(f & 1)
+                if turn is None:
+                    turn = turns[f & 1] = _half_turn((f & 1) * q - p, q)
+                plus = _eplus_turned(fq - p, q, turn)
+                minus = _eplus_turned(-(fq + p), q, turn)
             out += c * (plus - minus) / 2j
         return out
 
@@ -390,16 +407,24 @@ class SelfSimilarDigit(Measure):
         return 0.0, 1.0
 
     def _ft(self, xi) -> complex:
+        # Level n sums exp(-2 pi i p d / den) over the digits, den = q base^n:
+        # p is reduced mod den once per level and each digit's residue comes
+        # from that.  Digit 0 contributes exactly 1.
         p, q = _ratio(xi)
         depth = _self_similar_depth(self.base, xi)
+        digits = self.allowed_digits
+        start = 0.0 + 0.0j
+        if digits[0] == 0:
+            start, digits = 1.0 + 0.0j, digits[1:]
         out = 1.0 + 0.0j
         den = q
         inv = 1.0 / len(self.allowed_digits)
         for _ in range(depth):
             den *= self.base
-            s = 0.0 + 0.0j
-            for d in self.allowed_digits:
-                s += _phase_frac(p * d, den)
+            r = p % den
+            s = start
+            for d in digits:
+                s += _phase_frac(r * d, den)
             out *= s * inv
         return out
 
@@ -535,54 +560,63 @@ class DigitProduct(Measure):
                 return 0.0, 1.0
         return DigitProduct(self.depth - l, tuple(kept))._support()
 
-    def _ft(self, xi) -> complex:
-        p, q = _ratio(xi)
-        pre = _eplus_frac(-p, q << self.depth)
+    @cached_property
+    def _factor_plan(self) -> tuple:
+        """(factors, cylinder count); factors lists a free digit at position
+        pos as ((pos,), None) and a block as (its digit positions, the
+        forbidden pattern as an int)."""
         blocked = {b.offset: b for b in self.blocks}
-        factors = 1.0 + 0.0j
+        factors = []
         pos = 1
         while pos <= self.depth:
             b = blocked.get(pos - 1)
             if b is None:
-                factors *= 1.0 + _phase_frac(p, q << pos)
+                factors.append(((pos,), None))
                 pos += 1
                 continue
+            factors.append((tuple(range(pos, pos + b.length)), int(b.forbidden_pattern, 2)))
+            pos += b.length
+        return tuple(factors), self.cylinder_count()
+
+    def _ft(self, xi) -> complex:
+        p, q = _ratio(xi)
+        pre = _eplus_frac(-p, q << self.depth)
+        p %= q << self.depth  # every phase below has a modulus dividing this one
+        plan, count = self._factor_plan
+        factors = 1.0 + 0.0j
+        for positions, v in plan:
+            if v is None:
+                factors *= 1.0 + _phase_frac(p, q << positions[0])
+                continue
             block_prod = 1.0 + 0.0j
-            for r in range(1, b.length + 1):
-                block_prod *= 1.0 + _phase_frac(p, q << (b.offset + r))
-            v = int(b.forbidden_pattern, 2)
-            block_prod -= _phase_frac(p * v, q << (b.offset + b.length))
+            for pos in positions:
+                block_prod *= 1.0 + _phase_frac(p, q << pos)
+            block_prod -= _phase_frac(p * v, q << positions[-1])
             factors *= block_prod
-            pos = b.offset + b.length + 1
-        return pre * factors / self.cylinder_count()
+        return pre * factors / count
 
     def _grid(self, xs: np.ndarray) -> np.ndarray:
         # xi * 2^-i is an exact float scaling, so np.mod gives exact phases.
         pre = _eplus_vec(-xs * 2.0 ** -self.depth)
-        blocked = {b.offset: b for b in self.blocks}
+        plan, count = self._factor_plan
         factors = np.ones(xs.shape, dtype=complex)
-        pos = 1
-        while pos <= self.depth:
-            b = blocked.get(pos - 1)
-            if b is None:
-                factors *= 1.0 + np.exp(-2j * math.pi * np.mod(xs * 2.0 ** -pos, 1.0))
-                pos += 1
+        for positions, v in plan:
+            if v is None:
+                factors *= 1.0 + np.exp(-2j * math.pi * np.mod(xs * 2.0 ** -positions[0], 1.0))
                 continue
-            # phases[r - 1] is digit offset + r's character; the block
+            # phases[i] is the character of digit positions[i]; the block
             # product and the forbidden pattern's character share them.
-            phases = [np.exp(-2j * math.pi * np.mod(xs * 2.0 ** -(b.offset + r), 1.0))
-                      for r in range(1, b.length + 1)]
+            phases = [np.exp(-2j * math.pi * np.mod(xs * 2.0 ** -pos, 1.0))
+                      for pos in positions]
             block = np.ones(xs.shape, dtype=complex)
             for ph in phases:
                 block *= 1.0 + ph
-            v = int(b.forbidden_pattern, 2)
             forb = np.ones(xs.shape, dtype=complex)
-            for j in range(b.length):
+            for j in range(len(positions)):
                 if v >> j & 1:
-                    forb *= phases[b.length - 1 - j]
+                    forb *= phases[-1 - j]
             factors *= block - forb
-            pos = b.offset + b.length + 1
-        return pre * factors / self.cylinder_count()
+        return pre * factors / count
 
     def _factorized(self) -> bool:
         return True
@@ -662,8 +696,19 @@ class Mixture(Measure):
         return min(a for a, _ in spans), max(b for _, b in spans)
 
     def _ft(self, xi) -> complex:
-        return sum((w * c._ft(xi) for c, w in zip(self.components, self.weights)),
-                   0.0 + 0.0j)
+        return self._combine(c._ft(xi) for c in self.components)
+
+    def _combine(self, parts) -> complex:
+        """The transform from the components' transforms at one positive
+        frequency; _ft and _combine_signed both sum through here."""
+        return sum((w * v for v, w in zip(parts, self.weights)), 0.0 + 0.0j)
+
+    def _combine_signed(self, xi, parts) -> complex:
+        """ft(self, xi) from ft(c, xi) of each component, bit for bit, at a
+        nonzero frequency xi: a negative xi conjugates the sum at -xi."""
+        if xi < 0:
+            return self._combine(v.conjugate() for v in parts).conjugate()
+        return self._combine(parts)
 
     def _grid(self, xs: np.ndarray) -> np.ndarray:
         out = np.zeros(xs.shape, dtype=complex)
@@ -930,6 +975,12 @@ class SmoothCutDensity(Measure):
         return self.inner._factorized()
 
     def _density(self) -> tuple:
+        return self._pieces
+
+    @cached_property
+    def _pieces(self) -> tuple:
+        """The product pieces, built on first use and kept; a build that
+        raises stores nothing, so every later call raises the same way."""
         wpiece = DensityPiece(self.center - self.radius, self.center + self.radius,
                               self.center, window_poly(self.radius, self.order),
                               1.0 + 0.0j, 0.0)
@@ -1069,7 +1120,11 @@ class FrequencySchedule:
 
     def window_count(self) -> int:
         """Number of distinct dyadic windows [2^e, 2^(e+1)) hit by the schedule."""
-        return len({_floor_log2(x) for x in self.frequencies()})
+        return _window_count(self.frequencies())
+
+
+def _window_count(freqs) -> int:
+    return len({_floor_log2(x) for x in freqs})
 
 
 def _floor_log2(x) -> int:

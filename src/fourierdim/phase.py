@@ -55,17 +55,32 @@ def _eplus_frac(num: int, den: int) -> complex:
         return 1.0 + 0.0j
     if num % den == 0:
         return 0.0j
+    return _eplus_turned(num, den, _half_turn(num, den))
+
+
+def _half_turn(num: int, den: int) -> tuple:
+    """(exp(i pi r), sin(pi r)) for r = num/den reduced mod 2 to (-1, 1].
+
+    It depends on num only through num mod 2*den, so callers whose numerators
+    share that residue compute it once.
+    """
+    rr = num % (2 * den)  # g mod 2, exact, in [0, 2*den)
+    if rr > den:
+        rr -= 2 * den  # center to (-den, den]: sin keeps relative accuracy near 0
+    r = rr / den
+    return cmath.exp(1j * math.pi * r), math.sin(math.pi * r)
+
+
+def _eplus_turned(num: int, den: int, turn: tuple) -> complex:
+    """_eplus_frac(num, den) for num not a multiple of den, given
+    turn = _half_turn(num, den)."""
     shift = num.bit_length() - den.bit_length()
     if shift > 1020:
         return 0.0j  # modulus below 1/(pi 2^1019); underflows anyway
     if shift < -60:
         return 1.0 + 0.0j  # |g| < 2^-59: integral is 1 + O(g)
-    rr = num % (2 * den)  # g mod 2, exact, in [0, 2*den)
-    if rr > den:
-        rr -= 2 * den  # center to (-den, den]: sin keeps relative accuracy near 0
-    r = rr / den
-    g = num / den
-    return cmath.exp(1j * math.pi * r) * (math.sin(math.pi * r) / (math.pi * g))
+    rotation, sine = turn
+    return rotation * (sine / (math.pi * (num / den)))
 
 
 def _eplus_vec(g: np.ndarray) -> np.ndarray:

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -249,9 +250,12 @@ def test_every_experiment_runs_clean(name, tmp_path, monkeypatch):
 
 
 def test_console_entry_point(tmp_path):
+    # the child finds the package where this process does, installed or not
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "fourierdim.cli", "--list"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert "transform" in proc.stdout
 
