@@ -22,9 +22,6 @@ from .measures import (
     SmoothCutDensity,
     mass,
     support_interval,
-    mixture,
-    affine_image,
-    convolve,
     measure_to_dict,
     measure_from_dict,
     FrequencySchedule,
@@ -88,7 +85,7 @@ __all__ = [
     "Atomic", "UniformOnIntervals", "TrigDensity", "SelfSimilarDigit",
     "DigitBlock", "DigitProduct", "Mixture", "AffineImage", "Convolution",
     "SmoothCutDensity",
-    "mass", "support_interval", "mixture", "affine_image", "convolve",
+    "mass", "support_interval",
     "measure_to_dict", "measure_from_dict",
     "FrequencySchedule", "IntegerRange", "DyadicWindows", "Lacunary",
     "ExplicitFrequencies", "merge_schedules",

@@ -74,22 +74,6 @@ from .transform import (
     wiener_average,
 )
 
-_DESCRIPTIONS = {
-    "transform": "sample the transform along a schedule, check |ft| <= mass",
-    "decay": "windowed decay exponents along a schedule",
-    "energy": "s-energy by the spatial and frequency routes, check agreement",
-    "wiener": "time-averaged squared transform vs the atomic mass sum",
-    "lowerbound": "smallest integer frequency witnessing the modulus bound",
-    "stability": "decay of two measures and of their sum",
-    "matrix-image": "decay of a measure and of measure plus dilated image",
-    "setex": "dilated digit-constraint measures: integer witnesses per block",
-    "setexc": "proportional digit schedule: removed-mass tail convergence",
-    "measex": "lacunary densities: spike identities and decay split",
-    "cantor": "ternary digit measure: transform recursion and non-decay",
-    "galois": "random incidence models: perp laws and exact decompositions",
-}
-
-
 def _clean(obj):
     """Make a summary JSON-safe and deterministic."""
     if isinstance(obj, dict):
@@ -170,8 +154,6 @@ def _run_transform(cfg, params, rng):
                 f"closed form and quadrature disagree by {quad_dev}")
     passed = max_abs <= total + 1e-12
     summary = {
-        "experiment": "transform",
-        "claim": "every sampled transform modulus is at most the total mass",
         "n_samples": len(samples),
         "mass": total,
         "max_abs": max_abs,
@@ -179,7 +161,7 @@ def _run_transform(cfg, params, rng):
         "quadrature_max_dev": quad_dev,
         "passed": passed,
     }
-    return summary, rows, passed
+    return summary, rows
 
 
 def _run_decay(cfg, params, rng):
@@ -195,14 +177,12 @@ def _run_decay(cfg, params, rng):
     rows = [{"exp_lo": w.exp_lo, "exp_hi": w.exp_hi, "max_abs": w.max_abs,
              "local_exponent": w.local_exponent} for w in report.windows]
     summary = {
-        "experiment": "decay",
-        "claim": "windowed decay exponents bound the transform dimension",
         "windows": len(report.windows),
         "liminf_proxy": report.liminf_proxy,
         "capped_dim": report.capped_dim,
         "passed": passed,
     }
-    return summary, rows, passed
+    return summary, rows
 
 
 def _run_energy(cfg, params, rng):
@@ -222,15 +202,13 @@ def _run_energy(cfg, params, rng):
             + 0.02 * max(1.0, abs(spa.value)))
         agree = dev <= budget
     summary = {
-        "experiment": "energy",
-        "claim": "spatial and frequency-side energies agree within budget",
         "s": s,
         "spatial": spa.to_dict(),
         "fourier": fou.to_dict(),
         "deviation": dev,
         "passed": agree,
     }
-    return summary, None, agree
+    return summary, None
 
 
 def _run_wiener(cfg, params, rng):
@@ -241,15 +219,13 @@ def _run_wiener(cfg, params, rng):
     tol = _param(params, "tol", float, 0.02)
     passed = abs(value - limit) <= tol
     summary = {
-        "experiment": "wiener",
-        "claim": "the transform's mean square tends to the atomic mass sum",
         "T": horizon,
         "value": value,
         "atomic_limit": limit,
         "deviation": abs(value - limit),
         "passed": passed,
     }
-    return summary, None, passed
+    return summary, None
 
 
 def _run_lowerbound(cfg, params, rng):
@@ -258,14 +234,12 @@ def _run_lowerbound(cfg, params, rng):
     j_max = _param(params, "j_max", int, 10 ** 6)
     wit = lower_bound_search(m, eps, j_max)
     summary = {
-        "experiment": "lowerbound",
-        "claim": "some integer frequency keeps the modulus above the bound",
         "eps": eps,
         "j_max": j_max,
         "witness": wit.to_dict(),
         "passed": wit.found,
     }
-    return summary, None, wit.found
+    return summary, None
 
 
 def _run_stability(cfg, params, rng):
@@ -283,15 +257,13 @@ def _run_stability(cfg, params, rng):
                          "exp_hi": w.exp_hi, "max_abs": w.max_abs,
                          "local_exponent": w.local_exponent})
     summary = {
-        "experiment": "stability",
-        "claim": "the sum's decay dimension is at least the smaller part's",
         "capped_dim_first": r1.capped_dim,
         "capped_dim_second": r2.capped_dim,
         "capped_dim_sum": rsum.capped_dim,
         "floor": floor,
         "passed": passed,
     }
-    return summary, rows, passed
+    return summary, rows
 
 
 def _run_matrix_image(cfg, params, rng):
@@ -302,14 +274,12 @@ def _run_matrix_image(cfg, params, rng):
     slack = _param(params, "slack", float, 0.05)
     passed = abs(base.capped_dim - summed.capped_dim) <= slack
     summary = {
-        "experiment": "matrix-image",
-        "claim": "adding an off-circle dilated image preserves the dimension",
         "scale": scale,
         "capped_dim_base": base.capped_dim,
         "capped_dim_sum": summed.capped_dim,
         "passed": passed,
     }
-    return summary, None, passed
+    return summary, None
 
 
 # ---------------------------------------------------------------------------
@@ -334,9 +304,6 @@ def _run_setex(cfg, params, rng):
                      "found": wit.found, "j": wit.j, "value": wit.value,
                      "bound": wit.bound, "weak_floor": eps / 5.0})
     summary = {
-        "experiment": "setex",
-        "claim": "every dilated constraint measure has an integer witness "
-                 "above both the sharp and the eps/5 bound",
         "n": n,
         "K": top,
         "j_max": j_max,
@@ -344,7 +311,7 @@ def _run_setex(cfg, params, rng):
         "witnesses": rows,
         "passed": passed,
     }
-    return summary, rows, passed
+    return summary, rows
 
 
 def _run_setexc(cfg, params, rng):
@@ -362,9 +329,6 @@ def _run_setexc(cfg, params, rng):
                 range(n, top + 1), spec.exponents, spec.lengths,
                 report["terms"], report["partial_sums"])]
     summary = {
-        "experiment": "setexc",
-        "claim": "the removed-mass tail of the proportional schedule "
-                 "converges geometrically",
         "n": n,
         "K": top,
         "s": s,
@@ -374,7 +338,7 @@ def _run_setexc(cfg, params, rng):
         "tail": report,
         "passed": passed,
     }
-    return summary, rows, passed
+    return summary, rows
 
 
 def _run_measex(cfg, params, rng):
@@ -414,9 +378,6 @@ def _run_measex(cfg, params, rng):
     passed = (spikes_ok and sum_ok and dim_g <= 0.05 and dim_h <= 0.05
               and dim_sum >= 0.95)
     summary = {
-        "experiment": "measex",
-        "claim": "two lacunary densities have vanishing decay dimension "
-                 "while their sum is Lebesgue with full dimension",
         "identity_depth": id_depth,
         "decay_depth": decay_depth,
         "spike_max_dev": spike_dev,
@@ -426,7 +387,7 @@ def _run_measex(cfg, params, rng):
         "dim_sum": dim_sum,
         "passed": passed,
     }
-    return summary, None, passed
+    return summary, None
 
 
 def _run_cantor(cfg, params, rng):
@@ -446,16 +407,13 @@ def _run_cantor(cfg, params, rng):
     passed = (id_dev <= 1e-10 and base > 0.05
               and report.capped_dim <= 0.05)
     summary = {
-        "experiment": "cantor",
-        "claim": "the ternary digit measure repeats its modulus along powers "
-                 "of three and has zero decay dimension",
         "base_abs": base,
         "identity_max_dev": id_dev,
         "k_max": k_max,
         "capped_dim": report.capped_dim,
         "passed": passed,
     }
-    return summary, rows, passed
+    return summary, rows
 
 
 def _run_galois(cfg, params, rng):
@@ -503,9 +461,6 @@ def _run_galois(cfg, params, rng):
 
     passed = total_viol == 0 and bad_partitions == 0 and weights_ok
     summary = {
-        "experiment": "galois",
-        "claim": "the perp laws hold exactly on random incidence models and "
-                 "atomic decompositions partition without mass loss",
         "models": n_models,
         "trials_per_model": trials,
         "perp_violations": total_viol,
@@ -515,22 +470,41 @@ def _run_galois(cfg, params, rng):
         "weights_exact": weights_ok,
         "passed": passed,
     }
-    return summary, None, passed
+    return summary, None
 
 
-_RUNNERS = {
-    "transform": _run_transform,
-    "decay": _run_decay,
-    "energy": _run_energy,
-    "wiener": _run_wiener,
-    "lowerbound": _run_lowerbound,
-    "stability": _run_stability,
-    "matrix-image": _run_matrix_image,
-    "setex": _run_setex,
-    "setexc": _run_setexc,
-    "measex": _run_measex,
-    "cantor": _run_cantor,
-    "galois": _run_galois,
+# name -> (runner, --list description, the claim the run checks); a runner
+# returns (summary, rows), and its summary's "passed" decides exit code 4
+_EXPERIMENTS = {
+    "transform": (_run_transform, "sample the transform along a schedule, check |ft| <= mass",
+                "every sampled transform modulus is at most the total mass"),
+    "decay": (_run_decay, "windowed decay exponents along a schedule",
+                "windowed decay exponents bound the transform dimension"),
+    "energy": (_run_energy, "s-energy by the spatial and frequency routes, check agreement",
+                "spatial and frequency-side energies agree within budget"),
+    "wiener": (_run_wiener, "time-averaged squared transform vs the atomic mass sum",
+                "the transform's mean square tends to the atomic mass sum"),
+    "lowerbound": (_run_lowerbound, "smallest integer frequency witnessing the modulus bound",
+                "some integer frequency keeps the modulus above the bound"),
+    "stability": (_run_stability, "decay of two measures and of their sum",
+                "the sum's decay dimension is at least the smaller part's"),
+    "matrix-image": (_run_matrix_image, "decay of a measure and of measure plus dilated image",
+                "adding an off-circle dilated image preserves the dimension"),
+    "setex": (_run_setex, "dilated digit-constraint measures: integer witnesses per block",
+                "every dilated constraint measure has an integer witness "
+                "above both the sharp and the eps/5 bound"),
+    "setexc": (_run_setexc, "proportional digit schedule: removed-mass tail convergence",
+                "the removed-mass tail of the proportional schedule "
+                "converges geometrically"),
+    "measex": (_run_measex, "lacunary densities: spike identities and decay split",
+                "two lacunary densities have vanishing decay dimension "
+                "while their sum is Lebesgue with full dimension"),
+    "cantor": (_run_cantor, "ternary digit measure: transform recursion and non-decay",
+                "the ternary digit measure repeats its modulus along powers "
+                "of three and has zero decay dimension"),
+    "galois": (_run_galois, "random incidence models: perp laws and exact decompositions",
+                "the perp laws hold exactly on random incidence models and "
+                "atomic decompositions partition without mass loss"),
 }
 
 
@@ -560,8 +534,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.list:
-        for name in sorted(_RUNNERS):
-            print(f"{name:14s} {_DESCRIPTIONS[name]}")
+        for name in sorted(_EXPERIMENTS):
+            print(f"{name:14s} {_EXPERIMENTS[name][1]}")
         return 0
 
     if not args.config:
@@ -579,8 +553,8 @@ def main(argv=None) -> int:
         print("error: config must be a JSON object", file=sys.stderr)
         return 2
     name = cfg.get("experiment")
-    if not isinstance(name, str) or name not in _RUNNERS:
-        known = ", ".join(sorted(_RUNNERS))
+    if not isinstance(name, str) or name not in _EXPERIMENTS:
+        known = ", ".join(sorted(_EXPERIMENTS))
         print(f"error: unknown experiment {name!r} (known: {known})",
               file=sys.stderr)
         return 2
@@ -590,10 +564,11 @@ def main(argv=None) -> int:
         print("error: params must be a JSON object", file=sys.stderr)
         return 2
     prefix = args.out or cfg.get("output") or name
+    runner, _, claim = _EXPERIMENTS[name]
 
     try:
         seed = _seed(args.seed if args.seed is not None else _param(cfg, "seed", int, 0))
-        summary, rows, passed = _RUNNERS[name](cfg, params, np.random.default_rng(seed))
+        summary, rows = runner(cfg, params, np.random.default_rng(seed))
     except QuadratureError as exc:
         print(f"error: quadrature failed to converge: {exc}", file=sys.stderr)
         return 3
@@ -601,7 +576,8 @@ def main(argv=None) -> int:
         print(f"error: bad config: {exc}", file=sys.stderr)
         return 2
 
-    summary["seed"] = seed
+    summary.update(experiment=name, claim=claim, seed=seed)
+    passed = summary["passed"]
     _write_outputs(prefix, summary, rows)
     print(f"{name}: {'ok' if passed else 'FAILED CLAIM'} -> {prefix}.json")
     return 0 if passed else 4

@@ -39,7 +39,7 @@ from .measures import (
     mass,
     support_interval,
 )
-from .phase import _ratio
+from .phase import _half_turn, _ratio
 from .transform import _trapz, atom_weights, ft, ft_batch, ft_grid, phase_unit  # noqa: F401
 
 __all__ = [
@@ -365,15 +365,6 @@ def lower_bound_search(m: Measure, eps: float, j_max: int) -> LowerBoundWitness:
 # stability experiments
 
 
-def _cos_pi(t, xi) -> float:
-    """cos(pi t xi) with the angle reduced mod 2 in exact rational arithmetic."""
-    p1, q1 = _ratio(t)
-    p2, q2 = _ratio(xi)
-    num, den = p1 * p2, q1 * q2
-    r = (num % (2 * den)) / den
-    return math.cos(math.pi * r)
-
-
 def translation_pair_transform(m: Measure, t: float, xi) -> float:
     """|transform of (m + translate(m, t))| at xi.
 
@@ -384,7 +375,11 @@ def translation_pair_transform(m: Measure, t: float, xi) -> float:
     base = ft(m, xi)
     shifted_phase = phase_unit(xi, t) if t != 0 else 1.0 + 0.0j
     value = abs(base + shifted_phase * base)
-    rhs = 2.0 * abs(_cos_pi(t, xi)) * abs(base)
+    p1, q1 = _ratio(t)
+    p2, q2 = _ratio(xi)
+    # cos(pi t xi) with the angle reduced mod 2 in exact rational arithmetic
+    cos = _half_turn(p1 * p2, q1 * q2)[0].real
+    rhs = 2.0 * abs(cos) * abs(base)
     if abs(value - rhs) > 1e-12 * max(1.0, 2.0 * mass(m)):
         raise ArithmeticError(
             f"translation identity violated at t={t}, xi={xi}: {value} vs {rhs}")

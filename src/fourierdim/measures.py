@@ -31,7 +31,6 @@ import math
 import operator
 from dataclasses import astuple, dataclass, fields, is_dataclass
 from functools import cached_property
-from typing import Iterable
 
 import numpy as np
 
@@ -56,9 +55,6 @@ __all__ = [
     "SmoothCutDensity",
     "mass",
     "support_interval",
-    "mixture",
-    "affine_image",
-    "convolve",
     "measure_to_dict",
     "measure_from_dict",
     "FrequencySchedule",
@@ -520,25 +516,7 @@ class DigitProduct(Measure):
         return 1.0
 
     def _support(self) -> tuple:
-        lo = 0.0
-        hi = 0.0
-        blocked = {}
-        for b in self.blocks:
-            blocked[b.offset] = b
-        pos = 1
-        while pos <= self.depth:
-            b = blocked.get(pos - 1)
-            if b is None:
-                hi += 2.0 ** -pos
-                pos += 1
-                continue
-            top = (1 << b.length) - 1
-            if b.forbidden_pattern == "0" * b.length:
-                lo += 2.0 ** -(b.offset + b.length)
-            max_val = top - 1 if b.forbidden_pattern == "1" * b.length else top
-            hi += max_val * 2.0 ** -(b.offset + b.length)
-            pos = b.offset + b.length + 1
-        return lo, min(1.0, hi + 2.0 ** -self.depth)
+        return _plan_support(self._factor_plan[0], self.depth)
 
     def _wrapped_support(self, scale: int) -> tuple:
         # A block-aligned dilation by 2^l shifts the digits left by l places;
@@ -548,17 +526,15 @@ class DigitProduct(Measure):
         if scale <= 0 or scale & (scale - 1):
             return 0.0, 1.0
         l = scale.bit_length() - 1
-        if l == 0:
-            return self._support()
         if l >= self.depth:
             return 0.0, 1.0
         kept = []
-        for b in self.blocks:
-            if b.offset >= l:
-                kept.append(DigitBlock(b.offset - l, b.length, b.forbidden_pattern))
-            elif b.offset + b.length > l:
+        for positions, v in self._factor_plan[0]:
+            if positions[0] > l:
+                kept.append((tuple(pos - l for pos in positions), v))
+            elif positions[-1] > l:
                 return 0.0, 1.0
-        return DigitProduct(self.depth - l, tuple(kept))._support()
+        return _plan_support(kept, self.depth - l)
 
     @cached_property
     def _factor_plan(self) -> tuple:
@@ -646,23 +622,33 @@ class DigitProduct(Measure):
         return tuple(pieces)
 
     def _admissible_values(self) -> list:
-        """Sorted integers v < 2**depth whose digit strings avoid every block."""
-        segments = []  # (shift, choices) with v built as sum(choice << shift)
-        covered = sorted((b.offset, b.offset + b.length, b) for b in self.blocks)
-        pos = 0
-        for lo, hi, b in covered:
-            if lo > pos:
-                segments.append((self.depth - lo, range(1 << (lo - pos))))
-            forbidden = int(b.forbidden_pattern, 2)
-            segments.append((self.depth - hi,
-                             [v for v in range(1 << b.length) if v != forbidden]))
-            pos = hi
-        if pos < self.depth:
-            segments.append((0, range(1 << (self.depth - pos))))
+        """Sorted integers v < 2**depth whose digit strings avoid every block.
+
+        The plan runs from the leading digit down and each factor's offsets
+        ascend, so the values come out in order."""
         values = [0]
-        for shift, choices in segments:
-            values = [v + (c << shift) for v in values for c in choices]
-        return sorted(values)
+        for positions, v in self._factor_plan[0]:
+            shift = self.depth - positions[-1]
+            offsets = [c << shift for c in range(1 << len(positions)) if c != v]
+            values = [x + o for x in values for o in offsets]
+        return values
+
+
+def _plan_support(plan, depth: int) -> tuple:
+    """Support interval of the digit product laid out by plan (see
+    DigitProduct._factor_plan) over depth digits."""
+    lo = 0.0
+    hi = 0.0
+    for positions, v in plan:
+        unit = 2.0 ** -positions[-1]
+        if v is None:
+            hi += unit
+            continue
+        top = (1 << len(positions)) - 1
+        if v == 0:
+            lo += unit
+        hi += (top - 1 if v == top else top) * unit
+    return lo, min(1.0, hi + 2.0 ** -depth)
 
 
 def _flat_piece(v0: int, v1: int, width: float, height: float) -> DensityPiece:
@@ -971,9 +957,6 @@ class SmoothCutDensity(Measure):
             out += piece_transform(p, xs)
         return out
 
-    def _factorized(self) -> bool:
-        return self.inner._factorized()
-
     def _density(self) -> tuple:
         return self._pieces
 
@@ -1006,18 +989,6 @@ def mass(m: Measure) -> float:
 def support_interval(m: Measure) -> tuple:
     """Smallest closed interval containing the support."""
     return m._support()
-
-
-def mixture(components: Iterable[Measure], weights: Iterable[float]) -> Mixture:
-    return Mixture(tuple(components), tuple(weights))
-
-
-def affine_image(m: Measure, scale, offset=0.0, mod1: bool = False) -> AffineImage:
-    return AffineImage(m, scale, offset, mod1)
-
-
-def convolve(m1: Measure, m2: Measure) -> Convolution:
-    return Convolution((m1, m2))
 
 
 # ---------------------------------------------------------------------------

@@ -141,21 +141,20 @@ def atom_weights(m: Measure) -> dict:
 WIENER_MAX_POINTS = 10 ** 7
 
 
-def wiener_average(m: Measure, T: float, step: float = None) -> float:
+def wiener_average(m: Measure, T: float) -> float:
     """(1/2T) integral_{-T}^{T} |ft(m, xi)|^2 dxi by trapezoid quadrature.
 
     The integrand is even, so only [0, T] is sampled.  |ft|^2 of an atomic
     measure is almost periodic with phases at the pairwise atom separations,
-    so the default step resolves ten points per fastest period.  The value
+    so the step resolves ten points per fastest period.  The value
     tends to the sum of squared atom masses as T grows.
     """
     if not (T > 0 and math.isfinite(T)):
         raise MeasureError("T must be positive and finite")
-    if step is None:
-        lo, hi = support_interval(m)
-        diam = hi - lo
-        step = min(0.01, 1.0 / (10.0 * diam)) if diam > 0 else 0.01
-    points = T / step if step > 0 else math.inf
+    lo, hi = support_interval(m)
+    diam = hi - lo
+    step = min(0.01, 1.0 / (10.0 * diam)) if diam > 0 else 0.01
+    points = T / step if step > 0 else math.inf  # diam overflows to inf
     if not points <= WIENER_MAX_POINTS:
         raise MeasureError(f"a grid of {points:.3g} points exceeds the cap "
                            f"of {WIENER_MAX_POINTS}")

@@ -39,8 +39,9 @@ def test_poly_exp_integral_against_simpson():
 
 
 def test_poly_exp_integral_symmetric_interval():
-    # even polynomial on [-a, a]: odd moments vanish exactly; the series
-    # branch must not stop at the first zero term
+    # even polynomial on [-a, a]: the odd moments vanish exactly, which a
+    # term-by-term series would have to step over; the Gauss-Legendre branch
+    # sums nodes and sees no moments
     poly = (1.0, 0.0, -0.08, 0.0, 0.0016)
     t = np.linspace(-0.5, 0.5, 400001)
     vals = (1.0 - 0.08 * t ** 2 + 0.0016 * t ** 4)

@@ -1,6 +1,7 @@
 """Measure variants: validation, mass, support, serialization."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -113,6 +114,90 @@ def test_digit_product_support_all_zeros_forbidden():
     # smallest admissible string is 0100..., largest 1111
     assert lo == 0.25
     assert hi == 1.0
+
+
+# The support, the dilated supports and the cylinder enumeration all read the
+# block layout from DigitProduct._factor_plan.  The references below walk
+# the blocks directly, as the rules did before they shared the plan.
+
+
+def _ref_support(m):
+    lo = hi = 0.0
+    blocked = {b.offset: b for b in m.blocks}
+    pos = 1
+    while pos <= m.depth:
+        b = blocked.get(pos - 1)
+        if b is None:
+            hi += 2.0 ** -pos
+            pos += 1
+            continue
+        top = (1 << b.length) - 1
+        if b.forbidden_pattern == "0" * b.length:
+            lo += 2.0 ** -(b.offset + b.length)
+        max_val = top - 1 if b.forbidden_pattern == "1" * b.length else top
+        hi += max_val * 2.0 ** -(b.offset + b.length)
+        pos = b.offset + b.length + 1
+    return lo, min(1.0, hi + 2.0 ** -m.depth)
+
+
+def _ref_wrapped_support(m, l):
+    if l == 0:
+        return _ref_support(m)
+    if l >= m.depth:
+        return 0.0, 1.0
+    kept = []
+    for b in m.blocks:
+        if b.offset >= l:
+            kept.append(fd.DigitBlock(b.offset - l, b.length, b.forbidden_pattern))
+        elif b.offset + b.length > l:
+            return 0.0, 1.0
+    return _ref_support(fd.DigitProduct(m.depth - l, tuple(kept)))
+
+
+def _ref_admissible_values(m):
+    segments = []
+    pos = 0
+    for b in sorted(m.blocks, key=lambda b: b.offset):
+        lo, hi = b.offset, b.offset + b.length
+        if lo > pos:
+            segments.append((m.depth - lo, range(1 << (lo - pos))))
+        forbidden = int(b.forbidden_pattern, 2)
+        segments.append((m.depth - hi, [v for v in range(1 << b.length) if v != forbidden]))
+        pos = hi
+    if pos < m.depth:
+        segments.append((0, range(1 << (m.depth - pos))))
+    values = [0]
+    for shift, choices in segments:
+        values = [v + (c << shift) for v in values for c in choices]
+    return sorted(values)
+
+
+def _random_digit_product(rng):
+    depth = rng.randint(1, 70)
+    blocks = []
+    pos = rng.randint(0, 3)
+    while pos < depth and rng.random() < 0.8:
+        length = rng.randint(1, min(6, depth - pos))
+        pattern = rng.choice(("0" * length, "1" * length,
+                              format(rng.getrandbits(length), f"0{length}b")))
+        blocks.append(fd.DigitBlock(pos, length, pattern))
+        pos += length + rng.randint(0, 4)
+    return fd.DigitProduct(depth, tuple(blocks))
+
+
+def test_digit_layout_matches_per_block_rules():
+    rng = random.Random(14061480)
+    enumerated = 0
+    for _ in range(400):
+        m = _random_digit_product(rng)
+        assert fd.support_interval(m) == _ref_support(m)
+        for l in range(m.depth + 2):
+            assert m._wrapped_support(1 << l) == _ref_wrapped_support(m, l), (m, l)
+        assert m._wrapped_support(3) == (0.0, 1.0)
+        if m.cylinder_count() <= 1 << 12:
+            assert m._admissible_values() == _ref_admissible_values(m)
+            enumerated += 1
+    assert enumerated >= 50
 
 
 def test_mixture_weights_validated():

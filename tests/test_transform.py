@@ -238,6 +238,9 @@ def test_ft_batch_order_and_methods():
     assert all(s.method == "closed_form" for s in samples)
     digit_samples = fd.ft_batch(DIGIT_CASES[1], sched)
     assert all(s.method == "factorized" for s in digit_samples)
+    # a window cut of a digit product is a sum over density pieces
+    cut = fd.smooth_cut(fd.DigitProduct(6, (fd.DigitBlock(1, 2, "01"),)), (0.5, 0.3, 2))
+    assert all(s.method == "closed_form" for s in fd.ft_batch(cut, sched))
 
 
 # oscillatory integrals ------------------------------------------------------
