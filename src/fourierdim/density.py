@@ -8,11 +8,14 @@ supported on an interval [a, b], with P a real polynomial.  The family is
 closed under sums, affine substitution and multiplication, which is exactly
 what the window cutoff needs.  :func:`poly_exp_integral` gives each piece's
 transform: a Gauss-Legendre rule where the piece oscillates little over its
-interval, and the closed-form moment recurrence elsewhere.
+interval, and the closed-form moment recurrence elsewhere.  Piece phases come
+from :func:`fourierdim.phase._phase_vec`, and ``_legendre_rule`` is the
+package's one source of Gauss-Legendre nodes.
 
 The quadrature route in :mod:`fourierdim.transform` deliberately does not use
 :func:`poly_exp_integral`; it only sees pointwise density values through
-:func:`evaluate_density`, so the two transform routes stay independent.
+:func:`evaluate_density` and shares the node rule, not the integral, so the
+two transform routes stay independent.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import MeasureError
+from .phase import _phase_vec
 
 __all__ = [
     "DensityPiece",
@@ -61,7 +65,7 @@ class DensityPiece:
         p = np.zeros_like(t)
         for c in reversed(self.poly):
             p = p * t + c
-        out = self.amplitude * p * np.exp(2j * math.pi * self.frequency * t)
+        out = self.amplitude * p * _phase_vec(t, -self.frequency)
         return np.where((x >= self.a) & (x <= self.b), out, 0.0)
 
     def map_affine(self, scale: float, offset: float) -> "DensityPiece":
@@ -93,8 +97,7 @@ class DensityPiece:
         delta = self.center - other.center
         shifted = _taylor_shift(other.poly, delta)
         poly = tuple(np.convolve(np.asarray(self.poly), np.asarray(shifted)))
-        amp = (self.amplitude * other.amplitude
-               * np.exp(2j * math.pi * other.frequency * delta))
+        amp = self.amplitude * other.amplitude * _phase_vec(delta, -other.frequency)
         return DensityPiece(lo, hi, self.center, poly, amp,
                             self.frequency + other.frequency)
 
@@ -181,19 +184,29 @@ def poly_exp_integral(poly, gamma, t1: float, t2: float) -> np.ndarray:
 
 @functools.lru_cache(maxsize=128)
 def _legendre_rule(n: int) -> tuple:
-    return np.polynomial.legendre.leggauss(n)
+    """Gauss-Legendre nodes and weights on [-1, 1]; the package's only source.
+    The arrays are shared by every caller, so they are read-only."""
+    u, w = np.polynomial.legendre.leggauss(n)
+    u.flags.writeable = w.flags.writeable = False
+    return u, w
+
+
+def _oscillatory_rule(deg: int, theta_max: float, half: float) -> tuple:
+    """Gauss-Legendre rule for P(t) exp(i theta t) over an interval of
+    half-width half, with deg P = deg and |theta| <= theta_max.
+
+    n nodes integrate polynomials of degree 2n - 1 exactly: ceil((deg+1)/2)
+    of them cover P, and 1.4 per radian of |theta| * half plus 12 more cover
+    the exponential's Taylor tail to rounding.
+    """
+    return _legendre_rule(-(-(deg + 1) // 2) + math.ceil(1.4 * theta_max * half) + 12)
 
 
 def _gauss_sum(poly, theta, t1, t2):
-    # n nodes integrate polynomials of degree 2n - 1 exactly: ceil((deg+1)/2)
-    # of them cover P, and 1.4 per radian of |theta| * h plus 12 more cover
-    # the exponential's Taylor tail to rounding.  Nodes are summed one at a
-    # time, so memory stays linear in len(theta).
+    # Nodes are summed one at a time, so memory stays linear in len(theta).
     mid = 0.5 * (t1 + t2)
     half = 0.5 * (t2 - t1)
-    deg = len(poly) - 1
-    n = -(-(deg + 1) // 2) + math.ceil(1.4 * float(np.max(np.abs(theta))) * half) + 12
-    u, w = _legendre_rule(n)
+    u, w = _oscillatory_rule(len(poly) - 1, float(np.max(np.abs(theta))), half)
     t = mid + half * u
     p = np.zeros_like(t)
     for c in reversed(poly):
@@ -226,7 +239,7 @@ def piece_transform(piece: DensityPiece, xi) -> np.ndarray:
     gamma = piece.frequency - x
     inner = poly_exp_integral(piece.poly, gamma,
                               piece.a - piece.center, piece.b - piece.center)
-    return piece.amplitude * np.exp(-2j * math.pi * x * piece.center) * inner
+    return piece.amplitude * _phase_vec(x, piece.center) * inner
 
 
 def cut_mass(m) -> float:

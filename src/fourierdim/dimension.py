@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .density import _legendre_rule
 # window_value and ft_batch are unused here but stay module globals:
 # perfbench/spans.py wraps these names in this module.
 from .density import decompose_density, evaluate_density, window_value  # noqa: F401
@@ -248,7 +249,7 @@ def energy_fourier(m: Measure, s: float, cutoff: float = 4096.0) -> EnergyResult
         return EnergyResult(s, math.inf, "fourier", c, 0.0)
 
     def low_part(n):
-        u, w = np.polynomial.legendre.leggauss(n)
+        u, w = _legendre_rule(n)
         u = 0.5 * (u + 1.0)
         w = 0.5 * w
         vals = np.abs(ft_grid(m, u ** (1.0 / s))) ** 2

@@ -37,7 +37,7 @@ import numpy as np
 from .density import DensityPiece, cut_mass, piece_transform, window_poly, window_value
 from .errors import MeasureError, ScheduleError
 from .phase import (_eplus_frac, _eplus_turned, _eplus_vec, _half_turn, _phase_frac,
-                    _ratio, phase_unit)
+                    _phase_vec, _ratio, phase_unit)
 
 __all__ = [
     "MeasureError",
@@ -221,7 +221,7 @@ class Atomic(Measure):
     def _grid(self, xs: np.ndarray) -> np.ndarray:
         out = np.zeros(xs.shape, dtype=complex)
         for pos, w in self.atoms:
-            out += w * np.exp(-2j * math.pi * np.mod(xs * pos, 1.0))
+            out += w * _phase_vec(xs, pos)
         return out
 
     def _atoms(self) -> dict:
@@ -289,8 +289,7 @@ class UniformOnIntervals(Measure):
         total = self.total_length
         out = np.zeros(xs.shape, dtype=complex)
         for a, b in self.intervals:
-            out += ((b - a) / total) * np.exp(-2j * math.pi * xs * a) \
-                * _eplus_vec(-xs * (b - a))
+            out += ((b - a) / total) * _phase_vec(xs, a) * _eplus_vec(-xs * (b - a))
         return out
 
     def _density(self) -> tuple:
@@ -433,7 +432,7 @@ class SelfSimilarDigit(Measure):
             scale /= self.base
             s = np.zeros(xs.shape, dtype=complex)
             for d in self.allowed_digits:
-                s += np.exp(-2j * math.pi * np.mod(xs * (d * scale), 1.0))
+                s += _phase_vec(xs, d * scale)
             out *= s * inv
         return out
 
@@ -572,18 +571,17 @@ class DigitProduct(Measure):
         return pre * factors / count
 
     def _grid(self, xs: np.ndarray) -> np.ndarray:
-        # xi * 2^-i is an exact float scaling, so np.mod gives exact phases.
+        # xi * 2^-i is an exact float scaling, so _phase_vec reduces it exactly.
         pre = _eplus_vec(-xs * 2.0 ** -self.depth)
         plan, count = self._factor_plan
         factors = np.ones(xs.shape, dtype=complex)
         for positions, v in plan:
             if v is None:
-                factors *= 1.0 + np.exp(-2j * math.pi * np.mod(xs * 2.0 ** -positions[0], 1.0))
+                factors *= 1.0 + _phase_vec(xs, 2.0 ** -positions[0])
                 continue
             # phases[i] is the character of digit positions[i]; the block
             # product and the forbidden pattern's character share them.
-            phases = [np.exp(-2j * math.pi * np.mod(xs * 2.0 ** -pos, 1.0))
-                      for pos in positions]
+            phases = [_phase_vec(xs, 2.0 ** -pos) for pos in positions]
             block = np.ones(xs.shape, dtype=complex)
             for ph in phases:
                 block *= 1.0 + ph
@@ -685,8 +683,9 @@ class Mixture(Measure):
         return self._combine(c._ft(xi) for c in self.components)
 
     def _combine(self, parts) -> complex:
-        """The transform from the components' transforms at one positive
-        frequency; _ft and _combine_signed both sum through here."""
+        """The transform from the components' transforms (scalars at one
+        positive frequency, or grids); _ft, _grid and _combine_signed all sum
+        through here."""
         return sum((w * v for v, w in zip(parts, self.weights)), 0.0 + 0.0j)
 
     def _combine_signed(self, xi, parts) -> complex:
@@ -697,10 +696,7 @@ class Mixture(Measure):
         return self._combine(parts)
 
     def _grid(self, xs: np.ndarray) -> np.ndarray:
-        out = np.zeros(xs.shape, dtype=complex)
-        for c, w in zip(self.components, self.weights):
-            out += w * c._grid(xs)
-        return out
+        return self._combine(c._grid(xs) for c in self.components)
 
     def _grid_guard(self) -> float:
         return min(c._grid_guard() for c in self.components)
@@ -815,7 +811,7 @@ class AffineImage(Measure):
                 "frequencies only")
         inner = self.inner._grid(xs * self.scale)
         if self.offset != 0:
-            inner = inner * np.exp(-2j * math.pi * np.mod(xs * self.offset, 1.0))
+            inner = inner * _phase_vec(xs, self.offset)
         return inner
 
     def _grid_guard(self) -> float:
@@ -875,16 +871,10 @@ class Convolution(Measure):
         return lo, hi
 
     def _ft(self, xi) -> complex:
-        out = 1.0 + 0.0j
-        for f in self.factors:
-            out *= f._ft(xi)
-        return out
+        return math.prod((f._ft(xi) for f in self.factors), start=1.0 + 0.0j)
 
     def _grid(self, xs: np.ndarray) -> np.ndarray:
-        out = np.ones(xs.shape, dtype=complex)
-        for f in self.factors:
-            out *= f._grid(xs)
-        return out
+        return math.prod((f._grid(xs) for f in self.factors), start=1.0 + 0.0j)
 
     def _grid_guard(self) -> float:
         return min(f._grid_guard() for f in self.factors)
@@ -997,7 +987,8 @@ def support_interval(m: Measure) -> tuple:
 # A description is {"variant": name, <field>: value, ...} over the dataclass
 # fields.  Tuples become lists and nested measures nested descriptions; each
 # row of a field in _ROW_KEYS becomes an object with those keys (a bare list
-# is accepted on read).  Fields with a default may be left out.
+# is accepted on read).  Fields with a default may be left out; any key that
+# is not a field, "variant" or "ambient_dim" is rejected.
 
 _ROW_KEYS = {
     "atoms": ("position", "weight"),
@@ -1045,12 +1036,12 @@ def _describe(obj, **head) -> dict:
 
 
 def _build(cls, d: dict):
-    kwargs = {}
-    for f in fields(cls):
-        key = _JSON_KEYS.get(f.name, f.name)
-        if key in d:
-            kwargs[f.name] = _from_json(f.name, d[key])
-    return cls(**kwargs)
+    names = {_JSON_KEYS.get(f.name, f.name): f.name for f in fields(cls)}
+    unknown = set(d) - set(names) - {"variant", "ambient_dim"}
+    if unknown:
+        raise ValueError(f"unknown {cls.__name__} fields: {sorted(map(str, unknown))}")
+    return cls(**{name: _from_json(name, d[key])
+                  for key, name in names.items() if key in d})
 
 
 def measure_to_dict(m: Measure) -> dict:

@@ -1,4 +1,4 @@
-"""Exact rational phase arithmetic.
+"""Phase kernels: exact rational phase arithmetic and its float counterparts.
 
 A float is a dyadic rational p/q and an integer frequency is p/1, so
 exp(-2 pi i xi x) equals exp(-2 pi i ((p1 p2) mod (q1 q2)) / (q1 q2)) with
@@ -7,6 +7,10 @@ such as xi = 2**2304 evaluable with correctly rounded phases, far beyond
 float range, and it makes transform values at integer frequencies exact (for
 instance, the transform of Lebesgue measure on [0, 1] is exactly 0 at every
 nonzero integer).
+
+The float route (grid rules, density pieces, Filon panels) forms every phase
+exp(-2 pi i xi x) of a frequency and a position through ``_phase_vec``, and
+every unit-interval integral through ``_eplus_vec``.
 """
 
 from __future__ import annotations
@@ -81,6 +85,17 @@ def _eplus_turned(num: int, den: int, turn: tuple) -> complex:
         return 1.0 + 0.0j  # |g| < 2^-59: integral is 1 + O(g)
     rotation, sine = turn
     return rotation * (sine / (math.pi * (num / den)))
+
+
+def _phase_vec(xs, x) -> np.ndarray:
+    """Float counterpart of phase_unit: exp(-2 pi i xs x) over an array of xs,
+    with the float product t = xs * x reduced mod 1 before the exponential.
+
+    t - floor(t) rounds the same exact value once, so it equals np.mod(t, 1.0)
+    bit for bit, zeros included, and it is cheaper to evaluate.
+    """
+    t = xs * x
+    return np.exp(-2j * math.pi * (t - np.floor(t)))
 
 
 def _eplus_vec(g: np.ndarray) -> np.ndarray:

@@ -11,7 +11,9 @@ of any size are exact, so lacunary probes such as xi = 2**2304 keep
 correctly rounded phases.  ``ft_grid`` evaluates the variant's float rule
 over an array and falls back to ``ft`` beyond the variant's accuracy guard.
 The rules themselves live on the measure classes in
-:mod:`fourierdim.measures`.
+:mod:`fourierdim.measures`.  ``ft_quadrature`` is the independent Filon
+route: degree-4 panels whose moments take density's Gauss-Legendre node rule
+for small |theta| and an upward recurrence beyond.
 
 Negative frequencies are evaluated by conjugation, ft(m, -xi) =
 conj(ft(m, xi)), which is valid because every representable measure is real
@@ -26,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .density import _oscillatory_rule
 # decompose_density, piece_transform and mass are unused here but stay
 # module globals: perfbench/spans.py wraps these names in this module.
 from .density import decompose_density, evaluate_density, piece_transform  # noqa: F401
@@ -37,7 +40,7 @@ from .measures import (  # noqa: F401
     mass,
     support_interval,
 )
-from .phase import oscillatory_integral, phase_unit
+from .phase import _phase_vec, oscillatory_integral, phase_unit
 
 __all__ = [
     "ft",
@@ -176,24 +179,15 @@ _VAND_INV = np.linalg.inv(np.vander(_FILON_NODES, 5, increasing=True))
 def _filon_moments(theta: float) -> np.ndarray:
     """m_r(theta) = integral_{-1}^{1} u^r exp(i theta u) du for r = 0..4.
 
-    Series for small |theta|; for large |theta| the upward recurrence
+    For small |theta| a Gauss-Legendre rule on [-1, 1] with density's node
+    count; for large |theta| the upward recurrence
     m_r = (e^{i theta} - (-1)^r e^{-i theta})/(i theta) - (r/(i theta)) m_{r-1}
     is stable because |theta| exceeds the degree.
     """
-    out = np.zeros(5, dtype=complex)
     if abs(theta) <= 10.0:
-        for r in range(5):
-            acc = 0.0 + 0.0j
-            term = 1.0 + 0.0j
-            for j in range(0, 80):
-                if j > 0:
-                    term *= 1j * theta / j
-                if (r + j) % 2 == 0:
-                    acc += term * (2.0 / (r + j + 1))
-                if abs(term) < 1e-18 * (1.0 + abs(acc)) and j > abs(theta):
-                    break
-            out[r] = acc
-        return out
+        u, w = _oscillatory_rule(4, abs(theta), 1.0)
+        return (w * np.exp(1j * theta * u)) @ np.vander(u, 5, increasing=True)
+    out = np.zeros(5, dtype=complex)
     it = 1j * theta
     e_plus = cmath.exp(it)
     e_minus = cmath.exp(-it)
@@ -267,5 +261,5 @@ def _filon_segment(pieces, u: float, v: float, xi: float, n: int) -> complex:
     theta = -math.pi * xi * h
     moments = _filon_moments(theta)
     centers = starts + 0.5 * h
-    panel_vals = (h / 2.0) * np.exp(-2j * math.pi * xi * centers) * (coeffs @ moments)
+    panel_vals = (h / 2.0) * _phase_vec(centers, xi) * (coeffs @ moments)
     return complex(np.sum(panel_vals))

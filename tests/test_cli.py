@@ -188,6 +188,17 @@ BAD_CONFIGS = {
     "digit-base-not-int": {"experiment": "transform", "schedule": DYADIC,
                            "measure": {"variant": "SelfSimilarDigit", "base": "3",
                                        "allowed_digits": [0, 2]}},
+    # misspelt fields: each used to be ignored, running with the default
+    "affine-unknown-field": {"experiment": "transform", "schedule": DYADIC,
+                             "measure": {"variant": "AffineImage", "inner": LEB,
+                                         "scale": 2, "mod_1": True}},
+    "dyadic-unknown-field": {"experiment": "decay", "measure": LEB,
+                             "schedule": {"variant": "DyadicWindows", "min_exp": 4,
+                                          "max_exp": 12, "samples_per_windows": 8}},
+    "lacunary-unknown-field": {"experiment": "decay", "measure": LEB,
+                               "schedule": {"variant": "Lacunary",
+                                            "exponents": list(range(4, 13)),
+                                            "multiplier": 4}},
     "wiener-T-huge": {"experiment": "wiener", "measure": TWO_ATOMS,
                       "params": {"T": 1e30}},
     "wiener-T-inf": {"experiment": "wiener", "measure": TWO_ATOMS,

@@ -36,6 +36,7 @@ import pytest
 import fourierdim as fd
 from fourierdim.density import poly_exp_integral
 from fourierdim.measures import _self_similar_depth
+from fourierdim.transform import _filon_moments
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -274,3 +275,24 @@ def test_uniform_cut_against_oracle():
         worst = max(relative_error(fd.ft(m, xi), oracle_cut(m, xi))
                     for xi in np.linspace(0.05, 8.0, 200).tolist())
     assert worst <= CUT_BOUND, worst / U
+
+
+# The Filon moments m_r(theta) = integral_{-1}^{1} u^r e^{i theta u} du take a
+# Gauss-Legendre rule for |theta| <= 10 and the recurrence above.  The oracle
+# integrates u^r by parts at 120 digits.  The largest absolute error measured
+# on this grid is 50.3 u (theta = 2.925, r = 0), bounded at 2^7 u; the Taylor
+# series the rule replaced read 1311 u (theta = -9.925, r = 3).
+
+FILON_BOUND = 2 ** 7 * U
+
+
+def test_filon_moments_against_oracle():
+    thetas = np.linspace(-10.0, 10.0, 801).tolist() + [0.0, 10.0 - 1e-9, -(10.0 - 1e-9)]
+    worst = 0.0
+    with mpmath.workdps(120):
+        for theta in thetas:
+            got = _filon_moments(theta)
+            for r in range(5):
+                want = oracle_piece_integral((0.0,) * r + (1.0,), mpmath.mpf(theta), -1.0, 1.0)
+                worst = max(worst, abs(complex(got[r]) - complex(want)))
+    assert worst <= FILON_BOUND, worst / U

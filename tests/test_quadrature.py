@@ -93,7 +93,7 @@ def _simpson_moment(r, theta, n=1 << 18):
 
 @pytest.mark.parametrize("theta", [0.3, 2.0, 9.7, 10.5, 40.0, 300.0])
 def test_filon_moments_match_dense_simpson(theta):
-    # Covers both the series branch (|theta| <= 10) and the recurrence.
+    # Covers both the Gauss-Legendre branch (|theta| <= 10) and the recurrence.
     mom = _filon_moments(theta)
     for r in range(5):
         assert abs(mom[r] - _simpson_moment(r, theta)) < 1e-11

@@ -320,3 +320,15 @@ def test_phase_unit_rational_reduction():
     assert abs(fd.phase_unit(1, 0.5) + 1.0) < 1e-15
     # without reduction the phase at xi = 2^60 + 1/2 would be garbage
     assert abs(fd.phase_unit(2 ** 60, 0.5) - 1.0) == 0.0
+
+
+def test_phase_vec_reduction_is_np_mod_bit_for_bit():
+    from fourierdim.phase import _phase_vec
+
+    rng = np.random.default_rng(1406)
+    xs = np.concatenate([rng.uniform(-1.0, 1.0, 2000) * 2.0 ** rng.uniform(-40, 60, 2000),
+                         [0.0, -0.0, 1.0, -1.0, -2.0, 2.0 ** 53, -(2.0 ** 60), -1e-20]])
+    for x in (0.3, -0.7, 1.0, 2.0 ** -12):
+        want = np.exp(-2j * math.pi * np.mod(xs * x, 1.0))
+        got = _phase_vec(xs, x)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
