@@ -25,6 +25,7 @@ import csv
 import json
 import math
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -42,7 +43,6 @@ from .constructions import (
     tail_report,
 )
 from .dimension import (
-    _json_float,
     decay_exponent,
     energy_fourier,
     energy_spatial,
@@ -73,6 +73,16 @@ from .transform import (
     ft_quadrature,
     wiener_average,
 )
+
+
+def _json_float(x: float):
+    """x, or "inf" / "-inf" / "nan" where JSON has no number."""
+    if math.isinf(x):
+        return "inf" if x > 0 else "-inf"
+    if math.isnan(x):
+        return "nan"
+    return x
+
 
 def _clean(obj):
     """Make a summary JSON-safe and deterministic."""
@@ -109,6 +119,14 @@ def _param(section: dict, key: str, kind=None, default=_REQUIRED):
     except (TypeError, ValueError, OverflowError):
         raise MeasureError(f"config field '{key}' must be {kind.__name__}, "
                            f"got {section[key]!r}") from None
+
+
+def _count(section: dict, key: str, default: int) -> int:
+    """A positive int param: a count of zero checks would pass any claim."""
+    n = _param(section, key, int, default)
+    if n < 1:
+        raise MeasureError(f"config field '{key}' must be at least 1, got {n}")
+    return n
 
 
 def _seed(value: int) -> int:
@@ -174,8 +192,7 @@ def _run_decay(cfg, params, rng):
     bottom = _param(params, "min_capped_dim", float, None)
     if bottom is not None:
         passed = passed and report.capped_dim >= bottom
-    rows = [{"exp_lo": w.exp_lo, "exp_hi": w.exp_hi, "max_abs": w.max_abs,
-             "local_exponent": w.local_exponent} for w in report.windows]
+    rows = [asdict(w) for w in report.windows]
     summary = {
         "windows": len(report.windows),
         "liminf_proxy": report.liminf_proxy,
@@ -203,8 +220,8 @@ def _run_energy(cfg, params, rng):
         agree = dev <= budget
     summary = {
         "s": s,
-        "spatial": spa.to_dict(),
-        "fourier": fou.to_dict(),
+        "spatial": asdict(spa),
+        "fourier": asdict(fou),
         "deviation": dev,
         "passed": agree,
     }
@@ -236,7 +253,7 @@ def _run_lowerbound(cfg, params, rng):
     summary = {
         "eps": eps,
         "j_max": j_max,
-        "witness": wit.to_dict(),
+        "witness": asdict(wit),
         "passed": wit.found,
     }
     return summary, None
@@ -250,12 +267,9 @@ def _run_stability(cfg, params, rng):
     slack = _param(params, "slack", float, 0.05)
     floor = min(r1.capped_dim, r2.capped_dim) - slack
     passed = rsum.capped_dim >= floor
-    rows = []
-    for tag, rep in (("first", r1), ("second", r2), ("sum", rsum)):
-        for w in rep.windows:
-            rows.append({"measure": tag, "exp_lo": w.exp_lo,
-                         "exp_hi": w.exp_hi, "max_abs": w.max_abs,
-                         "local_exponent": w.local_exponent})
+    rows = [{"measure": tag, **asdict(w)}
+            for tag, rep in (("first", r1), ("second", r2), ("sum", rsum))
+            for w in rep.windows]
     summary = {
         "capped_dim_first": r1.capped_dim,
         "capped_dim_second": r2.capped_dim,
@@ -392,7 +406,7 @@ def _run_measex(cfg, params, rng):
 
 def _run_cantor(cfg, params, rng):
     mu = cantor_measure()
-    k_max = _param(params, "k_max", int, 12)
+    k_max = _count(params, "k_max", 12)
     base = abs(ft(mu, 1))
     rows = []
     id_dev = 0.0
@@ -417,11 +431,11 @@ def _run_cantor(cfg, params, rng):
 
 
 def _run_galois(cfg, params, rng):
-    n_models = _param(params, "models", int, 200)
-    trials = _param(params, "trials", int, 20)
+    n_models = _count(params, "models", 200)
+    trials = _count(params, "trials", 20)
     nx = _param(params, "nx", int, 8)
     ny = _param(params, "ny", int, 8)
-    n_decomp = _param(params, "decompositions", int, 200)
+    n_decomp = _count(params, "decompositions", 200)
 
     total_viol = 0
     first = None

@@ -115,10 +115,18 @@ def _taylor_shift(poly, delta: float) -> tuple:
 
 
 def window_poly(radius: float, order: int) -> tuple:
-    """Coefficients in t of ((radius^2 - t^2) / radius^2) ** order."""
+    """Coefficients in t of ((radius^2 - t^2) / radius^2) ** order; raises
+    MeasureError when one of them is past the float range."""
     coeffs = [0.0] * (2 * order + 1)
-    for k in range(order + 1):
-        coeffs[2 * k] = math.comb(order, k) * (-1.0) ** k / radius ** (2 * k)
+    try:
+        for k in range(order + 1):
+            coeffs[2 * k] = math.comb(order, k) * (-1.0) ** k / radius ** (2 * k)
+        finite = all(map(math.isfinite, coeffs))
+    except (OverflowError, ZeroDivisionError):
+        finite = False
+    if not finite:
+        raise MeasureError(f"window polynomial of radius {radius} and order {order} "
+                           "has coefficients past the float range")
     return tuple(coeffs)
 
 

@@ -36,7 +36,6 @@ from .measures import (
     ScheduleError,
     _finite,
     _floor_log2,
-    _window_count,
     mass,
     support_interval,
 )
@@ -80,26 +79,6 @@ class DecayReport:
     liminf_proxy: float
     capped_dim: float
 
-    def to_dict(self) -> dict:
-        return {
-            "windows": [
-                {"exp_lo": w.exp_lo, "exp_hi": w.exp_hi, "max_abs": w.max_abs,
-                 "local_exponent": _json_float(w.local_exponent)}
-                for w in self.windows
-            ],
-            "liminf_proxy": _json_float(self.liminf_proxy),
-            "capped_dim": _json_float(self.capped_dim),
-        }
-
-
-def _json_float(x: float):
-    """x, or "inf" / "-inf" / "nan" where JSON has no number."""
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    if math.isnan(x):
-        return "nan"
-    return x
-
 
 def decay_exponent(m: Measure, sched: FrequencySchedule) -> DecayReport:
     """Windowed decay analysis of |ft(m, .)| along the schedule.
@@ -108,22 +87,22 @@ def decay_exponent(m: Measure, sched: FrequencySchedule) -> DecayReport:
     exponent of window [2^e, 2^(e+1)) is -2 log2(max_abs) / (e + 0.5) (the
     defining ratio evaluated at the window's geometric center); the liminf
     proxy is the minimum over the top half of the windows, and capped_dim
-    clamps it to [0, ambient_dim].
+    clamps it to [0, 1].
     """
     freqs = _decay_frequencies(sched)
-    return _decay_report(m, freqs, [ft(m, xi) for xi in freqs])
+    return _decay_report(freqs, [ft(m, xi) for xi in freqs])
 
 
 def _decay_frequencies(sched: FrequencySchedule) -> tuple:
     """The schedule's frequencies, read once and checked to span 8 windows."""
     freqs = sched.frequencies()
-    count = _window_count(freqs)
+    count = len({_floor_log2(xi) for xi in freqs})
     if count < 8:
         raise ScheduleError(f"schedule spans {count} dyadic windows; need >= 8")
     return freqs
 
 
-def _decay_report(m: Measure, freqs, values) -> DecayReport:
+def _decay_report(freqs, values) -> DecayReport:
     """decay_exponent's report from the transform values at freqs."""
     buckets = {}
     for xi, v in zip(freqs, values):
@@ -138,8 +117,7 @@ def _decay_report(m: Measure, freqs, values) -> DecayReport:
         windows.append(WindowStat(e, e + 1, mx, local))
     top = windows[len(windows) // 2:]
     liminf = min(w.local_exponent for w in top)
-    d = float(m.ambient_dim)
-    capped = min(d, max(liminf, 0.0)) + 0.0  # normalize -0.0
+    capped = min(1.0, max(liminf, 0.0)) + 0.0  # normalize -0.0
     return DecayReport(tuple(windows), liminf, capped)
 
 
@@ -155,15 +133,6 @@ class EnergyResult:
     constant: float
     err_estimate: float
 
-    def to_dict(self) -> dict:
-        return {
-            "s": self.s,
-            "value": _json_float(self.value),
-            "method": self.method,
-            "constant": self.constant,
-            "err_estimate": _json_float(self.err_estimate),
-        }
-
 
 def riesz_constant(d: int, s: float) -> float:
     """c(d, s) in the Fourier-side energy identity."""
@@ -174,7 +143,7 @@ def riesz_constant(d: int, s: float) -> float:
 
 def _require_energy_order(s: float) -> None:
     if not 0 < s < 1:
-        raise MeasureError(f"need 0 < s < ambient_dim = 1, got s={s}")
+        raise MeasureError(f"need 0 < s < 1, got s={s}")
 
 
 # Largest cell count energy_spatial accepts: 256 times the default 4096.  Its
@@ -296,11 +265,12 @@ def energy_fourier(m: Measure, s: float, cutoff: float = 4096.0) -> EnergyResult
 def smooth_cut(m: Measure, window) -> Measure:
     """Multiply m by the bump ((radius^2 - (x-center)^2)_+ / radius^2)^order.
 
-    window is (center, radius, order).  The order must be at least
-    ceil(3 d / 2); the bump peaks at 1, so mass can only shrink and the
-    measure is not renormalised.  Atomic parts reweight exactly; density
-    parts gain a polynomial window factor.  A window disjoint from the
-    support leaves the zero measure and is an error.
+    window is (center, radius, order).  The order must be at least 2; the
+    bump peaks at 1, so mass can only shrink and the measure is not
+    renormalised.  Atomic parts reweight exactly; density parts gain a
+    polynomial window factor, and a part without an explicit density is an
+    error.  A window disjoint from the support leaves the zero measure and is
+    an error too.
     """
     center, radius, order = window
     center = float(center)
@@ -308,10 +278,12 @@ def smooth_cut(m: Measure, window) -> Measure:
     order = int(order)
     if radius <= 0:
         raise MeasureError("window radius must be positive")
-    need = math.ceil(1.5 * m.ambient_dim)
-    if order < need:
-        raise MeasureError(f"window order {order} below required {need}")
-    return m._cut(center, radius, order)
+    if order < 2:  # ceil(3 d / 2) with d = 1
+        raise MeasureError(f"window order {order} below required 2")
+    cut = m._cut(center, radius, order)
+    if cut is None:
+        raise MeasureError("window is disjoint from the support (zero measure)")
+    return cut
 
 
 # ---------------------------------------------------------------------------
@@ -325,10 +297,6 @@ class LowerBoundWitness:
     value: float
     bound: float
     searched_up_to: int
-
-    def to_dict(self) -> dict:
-        return {"found": self.found, "j": self.j, "value": self.value,
-                "bound": self.bound, "searched_up_to": self.searched_up_to}
 
 
 def lower_bound_search(m: Measure, eps: float, j_max: int) -> LowerBoundWitness:
@@ -394,16 +362,18 @@ def stability_experiment(m1: Measure, m2: Measure,
     The sum's liminf proxy should not fall more than estimator tolerance
     below the smaller component proxy; the caller asserts the tolerance.
     Each part is evaluated once per frequency and the sum's values are
-    combined from those by the mixture's own rule, so the three reports
-    equal those of three separate decay_exponent calls.
+    combined from those by the mixture's own rule.  At a negative frequency
+    that sum can differ from ft(m1 + m2) in the sign of a zero imaginary
+    part; the reports read only moduli, so the three equal those of three
+    separate decay_exponent calls.
     """
     both = Mixture((m1, m2), (1.0, 1.0))
     freqs = _decay_frequencies(sched)
     v1 = [ft(m1, xi) for xi in freqs]
     v2 = [ft(m2, xi) for xi in freqs]
-    v_sum = [both._combine_signed(xi, (a, b)) for xi, a, b in zip(freqs, v1, v2)]
-    return (_decay_report(m1, freqs, v1), _decay_report(m2, freqs, v2),
-            _decay_report(both, freqs, v_sum))
+    v_sum = [both._combine(parts) for parts in zip(v1, v2)]
+    return (_decay_report(freqs, v1), _decay_report(freqs, v2),
+            _decay_report(freqs, v_sum))
 
 
 def matrix_image_experiment(m: Measure, scale,

@@ -87,6 +87,13 @@ def _finite(value, what: str) -> float:
     return v
 
 
+def _integer(value, what: str, error=MeasureError) -> int:
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise error(f"{what} must be an integer, got {value!r}") from None
+
+
 def _is_integer_valued(x) -> bool:
     if isinstance(x, int):
         return True
@@ -134,8 +141,6 @@ class Measure:
 
     __slots__ = ()
 
-    ambient_dim = 1  # every measure here lives on the line
-
     @property
     def variant(self) -> str:
         return type(self).__name__
@@ -175,16 +180,17 @@ class Measure:
         """Support interval of the image under x -> scale x mod 1."""
         return 0.0, 1.0
 
-    def _cut(self, center: float, radius: float, order: int) -> "Measure":
-        """Product with the window; the window must meet the support."""
+    def _cut(self, center: float, radius: float, order: int):
+        """Product with the window, or None when that is the zero measure."""
         lo, hi = self._support()
         if center - radius >= hi or center + radius <= lo:
-            raise MeasureError("window is disjoint from the support (zero measure)")
+            return None
         return self._windowed(center, radius, order)
 
-    def _windowed(self, center: float, radius: float, order: int) -> "Measure":
-        self._density()  # raises for variants without an explicit density
-        return SmoothCutDensity(self, center, radius, order)
+    def _windowed(self, center: float, radius: float, order: int):
+        # building the pieces raises for variants without an explicit density
+        cut = SmoothCutDensity(self, center, radius, order)
+        return cut if cut._pieces else None
 
 
 @dataclass(frozen=True)
@@ -233,15 +239,13 @@ class Atomic(Measure):
     def _quad_parts(self, weight: float):
         return [(pos, weight * w) for pos, w in self.atoms], []
 
-    def _windowed(self, center: float, radius: float, order: int) -> "Atomic":
+    def _windowed(self, center: float, radius: float, order: int):
         kept = []
         for pos, w in self.atoms:
             f = float(window_value(center, radius, order, pos))
             if f > 0.0:
                 kept.append((pos, w * f))
-        if not kept:
-            raise MeasureError("window vanishes at every atom (zero measure)")
-        return Atomic(tuple(kept))
+        return Atomic(tuple(kept)) if kept else None
 
 
 @dataclass(frozen=True)
@@ -386,9 +390,9 @@ class SelfSimilarDigit(Measure):
     allowed_digits: tuple
 
     def __post_init__(self):
-        if self.base < 2:
+        if _integer(self.base, "base") < 2:
             raise MeasureError("base must be at least 2")
-        digits = tuple(sorted(set(int(d) for d in self.allowed_digits)))
+        digits = tuple(sorted(set(_integer(d, "digit") for d in self.allowed_digits)))
         if not digits:
             raise MeasureError("allowed_digits is empty")
         if digits[0] < 0 or digits[-1] >= self.base:
@@ -458,14 +462,15 @@ class DigitBlock:
     forbidden_pattern: str
 
     def __post_init__(self):
-        if self.offset < 0:
+        if _integer(self.offset, "block offset") < 0:
             raise MeasureError("block offset must be nonnegative")
-        if self.length < 1:
+        if _integer(self.length, "block length") < 1:
             raise MeasureError("block length must be positive")
-        if len(self.forbidden_pattern) != self.length:
-            raise MeasureError("forbidden_pattern length differs from block length")
-        if set(self.forbidden_pattern) - {"0", "1"}:
+        pattern = self.forbidden_pattern
+        if not isinstance(pattern, str) or set(pattern) - {"0", "1"}:
             raise MeasureError("forbidden_pattern must be a binary string")
+        if len(pattern) != self.length:
+            raise MeasureError("forbidden_pattern length differs from block length")
 
 
 @dataclass(frozen=True)
@@ -485,7 +490,7 @@ class DigitProduct(Measure):
     def __post_init__(self):
         if self.base != 2:
             raise MeasureError("only base 2 digit products are supported")
-        if self.depth < 1:
+        if _integer(self.depth, "depth") < 1:
             raise MeasureError("depth must be positive")
         canon = tuple(
             b if isinstance(b, DigitBlock) else DigitBlock(*b) for b in self.blocks
@@ -498,6 +503,8 @@ class DigitProduct(Measure):
             if lo1 < hi0:
                 raise MeasureError("blocks overlap")
         object.__setattr__(self, "blocks", canon)
+        if self.cylinder_count() > 1 << 1023:
+            raise MeasureError("more than 2^1023 cylinders: the float weights overflow")
 
     def cylinder_count(self) -> int:
         """Number of admissible depth-L cylinders."""
@@ -506,10 +513,6 @@ class DigitProduct(Measure):
         for b in self.blocks:
             count *= (1 << b.length) - 1
         return count
-
-    def pre_normalization_mass(self) -> float:
-        """Lebesgue measure of the admissible cylinder union."""
-        return self.cylinder_count() / (1 << self.depth)
 
     def _mass(self) -> float:
         return 1.0
@@ -684,16 +687,8 @@ class Mixture(Measure):
 
     def _combine(self, parts) -> complex:
         """The transform from the components' transforms (scalars at one
-        positive frequency, or grids); _ft, _grid and _combine_signed all sum
-        through here."""
+        frequency, or grids); _ft and _grid both sum through here."""
         return sum((w * v for v, w in zip(parts, self.weights)), 0.0 + 0.0j)
-
-    def _combine_signed(self, xi, parts) -> complex:
-        """ft(self, xi) from ft(c, xi) of each component, bit for bit, at a
-        nonzero frequency xi: a negative xi conjugates the sum at -xi."""
-        if xi < 0:
-            return self._combine(v.conjugate() for v in parts).conjugate()
-        return self._combine(parts)
 
     def _grid(self, xs: np.ndarray) -> np.ndarray:
         return self._combine(c._grid(xs) for c in self.components)
@@ -723,18 +718,11 @@ class Mixture(Measure):
             pieces.extend(p)
         return atoms, pieces
 
-    def _windowed(self, center: float, radius: float, order: int) -> "Mixture":
-        comps = []
-        weights = []
-        for comp, w in zip(self.components, self.weights):
-            try:
-                comps.append(comp._cut(center, radius, order))
-                weights.append(w)
-            except MeasureError:
-                continue  # component support misses the window: cut to zero
-        if not comps:
-            raise MeasureError("window is disjoint from every component")
-        return Mixture(tuple(comps), tuple(weights))
+    def _windowed(self, center: float, radius: float, order: int):
+        cuts = [(c._cut(center, radius, order), w)
+                for c, w in zip(self.components, self.weights)]
+        kept = [(c, w) for c, w in cuts if c is not None]
+        return Mixture(*zip(*kept)) if kept else None
 
 
 @dataclass(frozen=True)
@@ -762,6 +750,8 @@ class AffineImage(Measure):
         if s == 0:
             raise MeasureError("affine scale must be nonzero")
         off = _finite(self.offset, "affine offset")
+        if not isinstance(self.mod1, bool):
+            raise MeasureError(f"mod1 must be true or false, got {self.mod1!r}")
         if self.mod1:
             if not _is_integer_valued(s):
                 raise MeasureError("mod-1 images need an integer scalar scale")
@@ -771,7 +761,6 @@ class AffineImage(Measure):
                 raise MeasureError("mod-1 images need inner support inside [0, 1]")
         object.__setattr__(self, "scale", s)
         object.__setattr__(self, "offset", off)
-        object.__setattr__(self, "mod1", bool(self.mod1))
 
     def _mass(self) -> float:
         return self.inner._mass()
@@ -921,7 +910,7 @@ class SmoothCutDensity(Measure):
         if r <= 0:
             raise MeasureError("window radius must be positive")
         object.__setattr__(self, "radius", r)
-        if self.order < 1:
+        if _integer(self.order, "window order") < 1:
             raise MeasureError("window order must be a positive integer")
 
     def _mass(self) -> float:
@@ -948,23 +937,20 @@ class SmoothCutDensity(Measure):
         return out
 
     def _density(self) -> tuple:
+        if not self._pieces:
+            raise MeasureError("window does not meet the support of the inner measure")
         return self._pieces
 
     @cached_property
     def _pieces(self) -> tuple:
-        """The product pieces, built on first use and kept; a build that
-        raises stores nothing, so every later call raises the same way."""
+        """The product pieces, empty where the window misses the inner
+        density, built on first use and kept; a build that raises stores
+        nothing, so every later call raises the same way."""
         wpiece = DensityPiece(self.center - self.radius, self.center + self.radius,
                               self.center, window_poly(self.radius, self.order),
                               1.0 + 0.0j, 0.0)
-        out = []
-        for p in self.inner._density():
-            q = p.multiply(wpiece)
-            if q is not None:
-                out.append(q)
-        if not out:
-            raise MeasureError("window does not meet the support of the inner measure")
-        return tuple(out)
+        products = (p.multiply(wpiece) for p in self.inner._density())
+        return tuple(q for q in products if q is not None)
 
 
 # ---------------------------------------------------------------------------
@@ -988,7 +974,9 @@ def support_interval(m: Measure) -> tuple:
 # fields.  Tuples become lists and nested measures nested descriptions; each
 # row of a field in _ROW_KEYS becomes an object with those keys (a bare list
 # is accepted on read).  Fields with a default may be left out; any key that
-# is not a field, "variant" or "ambient_dim" is rejected.
+# is not a field, "variant" or "ambient_dim" is rejected.  "ambient_dim" is
+# read and ignored: older descriptions carry it, and every measure here lives
+# on the line.
 
 _ROW_KEYS = {
     "atoms": ("position", "weight"),
@@ -1044,23 +1032,29 @@ def _build(cls, d: dict):
                   for key, name in names.items() if key in d})
 
 
+def _decode(table: dict, d: dict, error: type):
+    """The class that table names by d["variant"], built from d; anything
+    malformed raises error."""
+    try:
+        cls = table[d["variant"]]
+    except (KeyError, TypeError) as exc:
+        raise error(f"unknown or missing variant: {exc}") from None
+    try:
+        return _build(cls, d)
+    except error:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise error(f"bad {cls.__name__} description: {exc!r}") from None
+
+
 def measure_to_dict(m: Measure) -> dict:
     """Plain-dict description with the variant name and per-variant fields."""
-    return _describe(m, variant=m.variant, ambient_dim=m.ambient_dim)
+    return _describe(m, variant=m.variant)
 
 
 def measure_from_dict(d: dict) -> Measure:
     """Measure from a description; anything malformed raises MeasureError."""
-    try:
-        cls = _VARIANTS[d["variant"]]
-    except (KeyError, TypeError) as exc:
-        raise MeasureError(f"unknown or missing measure variant: {exc}") from None
-    try:
-        return _build(cls, d)
-    except MeasureError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MeasureError(f"bad {cls.__name__} description: {exc!r}") from None
+    return _decode(_VARIANTS, d, MeasureError)
 
 
 # ---------------------------------------------------------------------------
@@ -1080,14 +1074,6 @@ class FrequencySchedule:
     def frequencies(self) -> tuple:
         raise NotImplementedError
 
-    def window_count(self) -> int:
-        """Number of distinct dyadic windows [2^e, 2^(e+1)) hit by the schedule."""
-        return _window_count(self.frequencies())
-
-
-def _window_count(freqs) -> int:
-    return len({_floor_log2(x) for x in freqs})
-
 
 def _floor_log2(x) -> int:
     """floor(log2 |x|) for a nonzero int of any size or a nonzero float."""
@@ -1100,11 +1086,7 @@ def _floor_log2(x) -> int:
 
 def _require_ints(schedule, *names) -> None:
     for name in names:
-        try:
-            operator.index(getattr(schedule, name))
-        except TypeError:
-            raise ScheduleError(
-                f"{name} must be an integer, got {getattr(schedule, name)!r}") from None
+        _integer(getattr(schedule, name), name, ScheduleError)
 
 
 def _sorted_by_modulus(freqs) -> tuple:
@@ -1165,7 +1147,7 @@ class Lacunary(FrequencySchedule):
     multipliers: int = 1
 
     def __post_init__(self):
-        exps = tuple(int(e) for e in self.exponents)
+        exps = tuple(_integer(e, "exponent", ScheduleError) for e in self.exponents)
         if not exps or any(e < 0 for e in exps):
             raise ScheduleError("exponents must be nonnegative integers")
         if not isinstance(self.multipliers, int) or self.multipliers < 1:
@@ -1223,13 +1205,4 @@ def schedule_to_dict(s: FrequencySchedule) -> dict:
 
 def schedule_from_dict(d: dict) -> FrequencySchedule:
     """Schedule from a description; anything malformed raises ScheduleError."""
-    try:
-        cls = _SCHEDULES[d["variant"]]
-    except (KeyError, TypeError) as exc:
-        raise ScheduleError(f"unknown or missing schedule variant: {exc}") from None
-    try:
-        return _build(cls, d)
-    except ScheduleError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ScheduleError(f"bad {cls.__name__} description: {exc!r}") from None
+    return _decode(_SCHEDULES, d, ScheduleError)

@@ -204,6 +204,11 @@ class QuadratureResult:
     panels: int
 
 
+# Largest panel budget ft_quadrature accepts: twice the default.  One
+# five-piece segment at 2^18 panels takes about 130 MB of numpy temporaries.
+QUADRATURE_MAX_PANELS = 1 << 18
+
+
 def ft_quadrature(m: Measure, xi, tol: float = 1e-9,
                   max_panels: int = 1 << 17) -> QuadratureResult:
     """Independent Filon-type evaluation of ft(m, xi).
@@ -213,11 +218,18 @@ def ft_quadrature(m: Measure, xi, tol: float = 1e-9,
     the density's own oscillation sets the panel count; |xi| can be large at
     no extra cost.  Panels are doubled until two successive refinements agree
     within tol.  Atomic parts are summed exactly.  Raises QuadratureError
-    when the panel budget is exhausted before reaching tol.
+    when the panel budget is exhausted before reaching tol, and MeasureError
+    for a tol that is not positive and finite or a budget outside
+    [8, QUADRATURE_MAX_PANELS] (the first refinement already takes 8 panels).
     """
     x = float(xi)
     if not math.isfinite(x):
         raise MeasureError("frequency must be finite")
+    if not 0.0 < tol < math.inf:
+        raise MeasureError(f"quadrature tol must be positive and finite, got {tol}")
+    if not 8 <= max_panels <= QUADRATURE_MAX_PANELS:
+        raise MeasureError(f"quadrature panel budget must lie in [8, "
+                           f"{QUADRATURE_MAX_PANELS}], got {max_panels}")
     atoms, pieces = m._quad_parts(1.0)
     value = sum((w * phase_unit(x, pos) for pos, w in atoms), 0.0 + 0.0j)
     if not pieces:

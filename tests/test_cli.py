@@ -213,6 +213,71 @@ BAD_CONFIGS = {
                                   "measure": {"variant": "Atomic",
                                               "atoms": [{"position": -1e308, "weight": 0.5},
                                                         {"position": 1e308, "weight": 0.5}]}},
+    # non-integer counts, digits and exponents, and a non-bool mod1: each
+    # used to be truncated, end in a TypeError, be taken as given, or (a
+    # block offset) drop the block silently
+    "block-offset-float": {"experiment": "transform", "schedule": DYADIC,
+                           "measure": {"variant": "DigitProduct", "depth": 8,
+                                       "blocks": [{"offset": 0.5, "length": 2,
+                                                   "forbidden_pattern": "00"}]}},
+    "digit-depth-float": {"experiment": "transform", "schedule": DYADIC,
+                          "measure": {"variant": "DigitProduct", "depth": 8.5}},
+    "cut-order-float": {"experiment": "transform", "schedule": DYADIC,
+                        "measure": {"variant": "SmoothCutDensity", "inner": LEB,
+                                    "center": 0.5, "radius": 0.4, "order": 2.5}},
+    "digit-float": {"experiment": "transform", "schedule": DYADIC,
+                    "measure": {"variant": "SelfSimilarDigit", "base": 3,
+                                "allowed_digits": [0, 1.5]}},
+    "digit-base-float": {"experiment": "transform", "schedule": DYADIC,
+                         "measure": {"variant": "SelfSimilarDigit", "base": 2.5,
+                                     "allowed_digits": [0, 1]}},
+    "lacunary-exponent-float": {"experiment": "decay", "measure": LEB,
+                                "schedule": {"variant": "Lacunary",
+                                             "exponents": [1.5] + list(range(4, 13))}},
+    "mod1-not-bool": {"experiment": "transform", "schedule": {"variant": "IntegerRange",
+                                                              "j_max": 20},
+                      "measure": {"variant": "AffineImage", "inner": LEB,
+                                  "scale": 2, "mod1": "no"}},
+    # a pattern that is a list, not a string, used to end in a TypeError
+    "block-pattern-list": {"experiment": "transform", "schedule": DYADIC,
+                           "measure": {"variant": "DigitProduct", "depth": 4,
+                                       "blocks": [{"offset": 0, "length": 2,
+                                                   "forbidden_pattern": ["0", "0"]}]}},
+    # 2^1024 cylinders: the normalisation used to overflow with a traceback
+    "digit-depth-huge": {"experiment": "transform", "schedule": DYADIC,
+                         "measure": {"variant": "DigitProduct", "depth": 1024}},
+    # window polynomials past the float range
+    "cut-radius-huge": {"experiment": "transform", "schedule": DYADIC,
+                        "measure": {"variant": "SmoothCutDensity", "inner": LEB,
+                                    "center": 0.5, "radius": 1e200, "order": 2}},
+    "cut-order-huge": {"experiment": "transform", "schedule": DYADIC,
+                       "measure": {"variant": "SmoothCutDensity", "inner": LEB,
+                                   "center": 0.5, "radius": 0.3, "order": 400}},
+    "cut-coefficient-inf": {"experiment": "transform", "schedule": DYADIC,
+                            "measure": {"variant": "SmoothCutDensity", "inner": LEB,
+                                        "center": 0.5, "radius": 0.4, "order": 400}},
+    # out-of-range params: each used to exit 3, or 0 after checking nothing
+    "quadrature-tol-zero": {"experiment": "transform", "measure": LEB, "schedule": DYADIC,
+                            "params": {"quadrature_count": 1, "quadrature_tol": 0.0}},
+    "quadrature-tol-negative": {"experiment": "transform", "measure": LEB,
+                                "schedule": DYADIC,
+                                "params": {"quadrature_count": 1, "quadrature_tol": -1e-9}},
+    "quadrature-tol-nan": {"experiment": "transform", "measure": LEB, "schedule": DYADIC,
+                           "params": {"quadrature_count": 1, "quadrature_tol": math.nan}},
+    "quadrature-panels-small": {"experiment": "transform", "measure": LEB,
+                                "schedule": DYADIC,
+                                "params": {"quadrature_count": 1,
+                                           "quadrature_max_panels": 7}},
+    "quadrature-panels-huge": {"experiment": "transform", "measure": LEB,
+                               "schedule": DYADIC,
+                               "params": {"quadrature_count": 1,
+                                          "quadrature_max_panels": 1 << 40}},
+    "galois-models-negative": {"experiment": "galois", "params": {"models": -3}},
+    "galois-trials-negative": {"experiment": "galois",
+                               "params": {"models": 2, "trials": -1}},
+    "galois-decompositions-negative": {"experiment": "galois",
+                                       "params": {"models": 2, "decompositions": -1}},
+    "cantor-k-max-zero": {"experiment": "cantor", "params": {"k_max": 0}},
 }
 
 

@@ -85,6 +85,14 @@ def test_piece_multiply_disjoint_returns_none():
     assert p.multiply(q) is None
 
 
+@pytest.mark.parametrize("radius,order", [(1e200, 2), (0.3, 400), (0.4, 400)])
+def test_window_poly_past_float_range_raises(radius, order):
+    # 1e200 ** 4 overflows, 0.3 ** 800 underflows to 0, and 0.4 ** 800 is
+    # subnormal, so C(400, 200) / 0.4 ** 800 is inf
+    with pytest.raises(fd.MeasureError):
+        window_poly(radius, order)
+
+
 def test_window_poly_peaks_at_one():
     coeffs = window_poly(0.8, 3)
     val = sum(c * 0.0 ** r for r, c in enumerate(coeffs))

@@ -1,12 +1,14 @@
 """Decay estimation, energies, window cutoffs, and the decay experiments."""
 
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 import fourierdim as fd
 from fourierdim import dimension
+from fourierdim.cli import _clean
 
 
 LEB = fd.UniformOnIntervals(((0.0, 1.0),))
@@ -52,10 +54,12 @@ def test_decay_requires_eight_windows():
 def test_decay_report_serialization():
     sched = fd.ExplicitFrequencies(tuple(float(2 ** e) for e in range(4, 16)))
     rep = fd.decay_exponent(LEB, sched)
-    d = rep.to_dict()
+    d = _clean(asdict(rep))  # what the CLI writes
     assert d["liminf_proxy"] == "inf"
     assert d["capped_dim"] == 1.0
     assert len(d["windows"]) == len(rep.windows)
+    assert d["windows"][0] == {"exp_lo": 4, "exp_hi": 5, "max_abs": 0.0,
+                               "local_exponent": "inf"}
 
 
 def test_decay_cantor_plateau():
@@ -198,8 +202,9 @@ def test_energy_atoms_flag_infinity():
     for m in (atom, mixed):
         assert fd.energy_spatial(m, 0.5).value == math.inf
         assert fd.energy_fourier(m, 0.5).value == math.inf
-    d = fd.energy_spatial(atom, 0.5).to_dict()
+    d = _clean(asdict(fd.energy_spatial(atom, 0.5)))
     assert d["value"] == "inf"
+    assert d["err_estimate"] == 0.0
 
 
 def test_energy_validation():
@@ -274,6 +279,31 @@ def test_smooth_cut_mixture_drops_far_components():
     assert len(cut.components) == 1
 
 
+def test_smooth_cut_mixture_keeps_components_without_density():
+    # The window meets the Cantor half, which has no explicit density: the
+    # cut fails as it does for the Cantor measure alone, instead of dropping
+    # that half and returning the cut of the other one.
+    window = (0.5, 0.4, 2)
+    for m in (fd.cantor_measure(), fd.Mixture((fd.cantor_measure(), LEB), (0.5, 0.5))):
+        with pytest.raises(fd.MeasureError, match="no explicit density"):
+            fd.smooth_cut(m, window)
+
+
+def test_smooth_cut_mixture_drops_only_zero_cuts():
+    # Atoms or intervals in the support hull where the window vanishes cut
+    # to zero too, like a component outside the window.
+    atoms = fd.Atomic(((0.05, 1.0), (0.95, 1.0)))
+    gap = fd.UniformOnIntervals(((0.0, 0.05), (0.95, 1.0)))
+    far = fd.AffineImage(LEB, 0.25, 4.0)
+    window = (0.5, 0.4, 2)
+    cut = fd.smooth_cut(fd.Mixture((atoms, gap, LEB, far), (0.2, 0.2, 0.4, 0.2)), window)
+    assert cut == fd.Mixture((fd.smooth_cut(LEB, window),), (0.4,))
+    assert fd.mass(cut) == pytest.approx(0.4 * 16.0 * 0.4 / 15.0, abs=1e-12)
+    for m in (gap, fd.Mixture((atoms, gap, far), (0.5, 0.25, 0.25))):
+        with pytest.raises(fd.MeasureError, match="zero measure"):
+            fd.smooth_cut(m, window)
+
+
 def test_smooth_cut_quadrature_cross_check():
     cut = fd.smooth_cut(LEB, (0.5, 0.3, 3))
     for xi in (0.0, 1.5, 7.25):
@@ -314,7 +344,7 @@ def test_lower_bound_miss_is_reported_honestly():
     wit = fd.lower_bound_search(m, 0.5, 1)  # the j = 1 value is exactly 0
     assert not wit.found
     assert wit.searched_up_to == 1
-    assert wit.to_dict()["found"] is False
+    assert asdict(wit)["found"] is False
 
 
 def test_lower_bound_uniform_on_upper_half():

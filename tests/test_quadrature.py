@@ -69,6 +69,15 @@ def test_budget_exhaustion_raises():
         fd.ft_quadrature(m, 0.3, tol=1e-18, max_panels=8)
 
 
+def test_tolerance_and_budget_validated():
+    for tol in (0.0, -1e-9, math.nan, math.inf):
+        with pytest.raises(fd.MeasureError):
+            fd.ft_quadrature(LEB, 0.3, tol=tol)
+    for panels in (7, fd.transform.QUADRATURE_MAX_PANELS + 1):
+        with pytest.raises(fd.MeasureError):
+            fd.ft_quadrature(LEB, 0.3, max_panels=panels)
+
+
 def test_non_finite_frequency_rejected():
     with pytest.raises(fd.MeasureError):
         fd.ft_quadrature(LEB, math.inf)
