@@ -121,6 +121,27 @@ def _param(section: dict, key: str, kind=None, default=_REQUIRED):
                            f"got {section[key]!r}") from None
 
 
+def _threshold(section: dict, key: str, default, ok=math.isfinite, need="finite"):
+    """A float claim threshold, default when absent; a given value that
+    fails ok (NaN always does) is a MeasureError, not a failed claim."""
+    if key not in section:
+        return default
+    x = _param(section, key, float)
+    if not ok(x):
+        raise MeasureError(f"config field '{key}' must be {need}, got {x!r}")
+    return x
+
+
+def _slack(params: dict) -> float:
+    return _threshold(params, "slack", 0.05, lambda x: 0.0 <= x < math.inf,
+                      "finite and at least 0")
+
+
+def _tol(params: dict, default: float) -> float:
+    return _threshold(params, "tol", default, lambda x: 0.0 < x < math.inf,
+                      "positive and finite")
+
+
 def _count(section: dict, key: str, default: int) -> int:
     """A positive int param: a count of zero checks would pass any claim."""
     n = _param(section, key, int, default)
@@ -186,10 +207,10 @@ def _run_decay(cfg, params, rng):
     m = _measure(cfg)
     report = decay_exponent(m, _schedule(cfg))
     passed = True
-    top = _param(params, "max_capped_dim", float, None)
+    top = _threshold(params, "max_capped_dim", None)
     if top is not None:
         passed = passed and report.capped_dim <= top
-    bottom = _param(params, "min_capped_dim", float, None)
+    bottom = _threshold(params, "min_capped_dim", None)
     if bottom is not None:
         passed = passed and report.capped_dim >= bottom
     rows = [asdict(w) for w in report.windows]
@@ -214,9 +235,8 @@ def _run_energy(cfg, params, rng):
         dev = 0.0 if agree else math.inf
     else:
         dev = abs(spa.value - fou.value)
-        budget = _param(
-            params, "tol", float, 3.0 * (spa.err_estimate + fou.err_estimate)
-            + 0.02 * max(1.0, abs(spa.value)))
+        budget = _tol(params, 3.0 * (spa.err_estimate + fou.err_estimate)
+                      + 0.02 * max(1.0, abs(spa.value)))
         agree = dev <= budget
     summary = {
         "s": s,
@@ -233,7 +253,7 @@ def _run_wiener(cfg, params, rng):
     horizon = _param(params, "T", float, 1.0e4)
     value = wiener_average(m, horizon)
     limit = math.fsum(w * w for w in atom_weights(m).values())
-    tol = _param(params, "tol", float, 0.02)
+    tol = _tol(params, 0.02)
     passed = abs(value - limit) <= tol
     summary = {
         "T": horizon,
@@ -264,7 +284,7 @@ def _run_stability(cfg, params, rng):
     m2 = measure_from_dict(_param(params, "measure2"))
     sched = _schedule(cfg)
     r1, r2, rsum = stability_experiment(m1, m2, sched)
-    slack = _param(params, "slack", float, 0.05)
+    slack = _slack(params)
     floor = min(r1.capped_dim, r2.capped_dim) - slack
     passed = rsum.capped_dim >= floor
     rows = [{"measure": tag, **asdict(w)}
@@ -285,7 +305,7 @@ def _run_matrix_image(cfg, params, rng):
     scale = _param(params, "scale")
     sched = _schedule(cfg)
     base, summed = matrix_image_experiment(m, scale, sched)
-    slack = _param(params, "slack", float, 0.05)
+    slack = _slack(params)
     passed = abs(base.capped_dim - summed.capped_dim) <= slack
     summary = {
         "scale": scale,

@@ -211,7 +211,22 @@ def _oscillatory_rule(deg: int, theta_max: float, half: float) -> tuple:
 
 
 def _gauss_sum(poly, theta, t1, t2):
+    # Each point takes the node count of its own |theta|, so its value does
+    # not depend on the other points: the points are grouped by count.
     # Nodes are summed one at a time, so memory stays linear in len(theta).
+    half = 0.5 * (t2 - t1)
+    counts = np.ceil(1.4 * np.abs(theta) * half)
+    groups = set(counts.tolist())
+    if len(groups) == 1:
+        return _gauss_group(poly, theta, t1, t2)
+    out = np.empty(theta.shape, dtype=complex)
+    for n in groups:
+        sel = counts == n
+        out[sel] = _gauss_group(poly, theta[sel], t1, t2)
+    return out
+
+
+def _gauss_group(poly, theta, t1, t2):
     mid = 0.5 * (t1 + t2)
     half = 0.5 * (t2 - t1)
     u, w = _oscillatory_rule(len(poly) - 1, float(np.max(np.abs(theta))), half)

@@ -36,11 +36,21 @@ from .measures import (
     ScheduleError,
     _finite,
     _floor_log2,
+    _integer,
     mass,
     support_interval,
 )
 from .phase import _half_turn, _ratio
-from .transform import _trapz, atom_weights, ft, ft_batch, ft_grid, phase_unit  # noqa: F401
+from .transform import (  # noqa: F401
+    _ft_values,
+    _grid_routed,
+    _trapz,
+    atom_weights,
+    ft,
+    ft_batch,
+    ft_grid,
+    phase_unit,
+)
 
 __all__ = [
     "WindowStat",
@@ -90,7 +100,7 @@ def decay_exponent(m: Measure, sched: FrequencySchedule) -> DecayReport:
     clamps it to [0, 1].
     """
     freqs = _decay_frequencies(sched)
-    return _decay_report(freqs, [ft(m, xi) for xi in freqs])
+    return _decay_report(freqs, _ft_values(m, freqs))
 
 
 def _decay_frequencies(sched: FrequencySchedule) -> tuple:
@@ -265,17 +275,17 @@ def energy_fourier(m: Measure, s: float, cutoff: float = 4096.0) -> EnergyResult
 def smooth_cut(m: Measure, window) -> Measure:
     """Multiply m by the bump ((radius^2 - (x-center)^2)_+ / radius^2)^order.
 
-    window is (center, radius, order).  The order must be at least 2; the
-    bump peaks at 1, so mass can only shrink and the measure is not
-    renormalised.  Atomic parts reweight exactly; density parts gain a
+    window is (center, radius, order): finite reals and an integer order of
+    at least 2; anything else raises MeasureError.  The bump peaks at 1, so
+    mass can only shrink and the measure is not renormalised.  Atomic parts reweight exactly; density parts gain a
     polynomial window factor, and a part without an explicit density is an
     error.  A window disjoint from the support leaves the zero measure and is
     an error too.
     """
     center, radius, order = window
-    center = float(center)
-    radius = float(radius)
-    order = int(order)
+    center = _finite(center, "window center")
+    radius = _finite(radius, "window radius")
+    order = _integer(order, "window order")
     if radius <= 0:
         raise MeasureError("window radius must be positive")
     if order < 2:  # ceil(3 d / 2) with d = 1
@@ -361,16 +371,17 @@ def stability_experiment(m1: Measure, m2: Measure,
 
     The sum's liminf proxy should not fall more than estimator tolerance
     below the smaller component proxy; the caller asserts the tolerance.
-    Each part is evaluated once per frequency and the sum's values are
-    combined from those by the mixture's own rule.  At a negative frequency
-    that sum can differ from ft(m1 + m2) in the sign of a zero imaginary
-    part; the reports read only moduli, so the three equal those of three
-    separate decay_exponent calls.
+    Each part is evaluated once per frequency, on the routes the sum would
+    take, and the sum's values are combined from those by the mixture's own
+    rule.  At a negative frequency that sum can differ from ft(m1 + m2) in
+    the sign of a zero imaginary part; the reports read only moduli, so the
+    three equal those of three separate decay_exponent calls.
     """
     both = Mixture((m1, m2), (1.0, 1.0))
     freqs = _decay_frequencies(sched)
-    v1 = [ft(m1, xi) for xi in freqs]
-    v2 = [ft(m2, xi) for xi in freqs]
+    routes = _grid_routed(both, freqs)
+    v1 = _ft_values(m1, freqs, routes)
+    v2 = _ft_values(m2, freqs, routes)
     v_sum = [both._combine(parts) for parts in zip(v1, v2)]
     return (_decay_report(freqs, v1), _decay_report(freqs, v2),
             _decay_report(freqs, v_sum))

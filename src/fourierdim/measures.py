@@ -30,14 +30,16 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import astuple, dataclass, fields, is_dataclass
+from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
 
 from .density import DensityPiece, cut_mass, piece_transform, window_poly, window_value
 from .errors import MeasureError, ScheduleError
-from .phase import (_eplus_frac, _eplus_turned, _eplus_vec, _half_turn, _phase_frac,
-                    _phase_vec, _ratio, phase_unit)
+from .phase import (_cos_sin_turns, _eplus_frac, _eplus_turned, _eplus_vec, _half_turn,
+                    _phase_frac, _phase_vec, _product_turns, _ratio, _split, _two_product,
+                    _two_sum, _unit, phase_unit)
 
 __all__ = [
     "MeasureError",
@@ -75,6 +77,12 @@ SELF_SIMILAR_TRUNCATION = 1e-8
 
 # Digit products with more admissible cylinders have no density pieces.
 _ENUM_LIMIT = 1 << 16
+
+# The grid guard: the largest |xi| at which the float grid rules of the
+# primitive variants are pinned against the mpmath oracle
+# (tests/test_oracle.py).  Every float past 2^52 is an integer, which the
+# batch route sends to the exact rule anyway.
+GRID_GUARD = 2.0 ** 60
 
 
 def _finite(value, what: str) -> float:
@@ -130,6 +138,18 @@ def _self_similar_depth(base: int, abs_xi) -> int:
         (math.log2(abs_xi) - math.log2(SELF_SIMILAR_TRUNCATION)) / math.log2(base)))
 
 
+def _self_similar_depths(base: int, abs_xs: np.ndarray) -> np.ndarray:
+    """_self_similar_depth at every point of abs_xs, as floats."""
+    v = (np.log2(np.maximum(abs_xs, SELF_SIMILAR_TRUNCATION))
+         - math.log2(SELF_SIMILAR_TRUNCATION)) / math.log2(base)
+    depths = np.maximum(np.ceil(v), 1.0)
+    # np.log2 and math.log2 may differ in the last bit, so the points whose
+    # ratio lies next to an integer take the scalar rule itself.
+    for i in np.flatnonzero(np.abs(v - np.rint(v)) < 1e-9):
+        depths.flat[i] = _self_similar_depth(base, float(abs_xs.flat[i]))
+    return depths
+
+
 class Measure:
     """Abstract base for all measure variants.  Instances are immutable.
 
@@ -154,12 +174,11 @@ class Measure:
         return self._ft(xi)
 
     def _grid_guard(self) -> float:
-        """Largest |xi| for which the float grid path keeps phases accurate."""
-        return 2.0 ** 40
-
-    def _factorized(self) -> bool:
-        """True when the transform is evaluated as a product over digits."""
-        return False
+        """Largest |xi| at which the float grid rule is pinned against the
+        mpmath oracle; ft_grid takes the scalar rule past it.  A window
+        cut's grid and scalar rules are the same piece sums, so its guard
+        changes no value."""
+        return GRID_GUARD
 
     def _atoms(self) -> dict:
         """Map position -> total point mass."""
@@ -225,10 +244,18 @@ class Atomic(Measure):
         return sum((w * phase_unit(xi, pos) for pos, w in self.atoms), 0.0 + 0.0j)
 
     def _grid(self, xs: np.ndarray) -> np.ndarray:
-        out = np.zeros(xs.shape, dtype=complex)
+        # xs is split once for every atom's exact product, and the real and
+        # imaginary parts accumulate in place.
+        parts = _split(xs)
+        re = np.zeros(xs.shape)
+        im = np.zeros(xs.shape)
         for pos, w in self.atoms:
-            out += w * _phase_vec(xs, pos)
-        return out
+            c, s = _cos_sin_turns(*_product_turns(xs, -pos, parts))
+            c *= w
+            s *= w
+            re += c
+            im += s
+        return _unit(re, im)
 
     def _atoms(self) -> dict:
         out = {}
@@ -280,20 +307,29 @@ class UniformOnIntervals(Measure):
         return self.intervals[0][0], self.intervals[-1][1]
 
     def _ft(self, xi) -> complex:
+        # The cell's length b - a is taken exactly from the ratios of a and
+        # b; only the weight uses the rounded float length.
         p, q = _ratio(xi)
         total = self.total_length
         out = 0.0 + 0.0j
         for a, b in self.intervals:
-            pl, ql = _ratio(b - a)
-            cell = _eplus_frac(-(p * pl), q * ql)
+            pa, qa = _ratio(a)
+            pb, qb = _ratio(b)
+            cell = _eplus_frac(-p * (pb * qa - pa * qb), q * qa * qb)
             out += ((b - a) / total) * phase_unit(xi, a) * cell
         return out
 
     def _grid(self, xs: np.ndarray) -> np.ndarray:
+        # xi (b - a) = t + e exactly, from the exact length (TwoSum) and
+        # the exact product with its high part (TwoProduct).
         total = self.total_length
+        parts = _split(xs)
         out = np.zeros(xs.shape, dtype=complex)
         for a, b in self.intervals:
-            out += ((b - a) / total) * _phase_vec(xs, a) * _eplus_vec(-xs * (b - a))
+            length, length_lo = _two_sum(b, -a)
+            t, e = _two_product(xs, length, parts)
+            e += xs * length_lo
+            out += (length / total) * _phase_vec(xs, a, parts) * _eplus_vec(-t, -e)
         return out
 
     def _density(self) -> tuple:
@@ -358,12 +394,31 @@ class TrigDensity(Measure):
         return out
 
     def _grid(self, xs: np.ndarray) -> np.ndarray:
-        out = _eplus_vec(-xs)
-        for c, f in self.terms:
-            if f >= 2 ** 53:
-                continue  # |term| <= 1/(pi(2^53 - 2^40)) under the guard
-            ff = float(f)
-            out += c * (_eplus_vec(ff - xs) - _eplus_vec(-ff - xs)) / 2j
+        # For every integer k, E(k - xi) = h / (pi (k - xi)) with the one
+        # half turn h = exp(-i pi xi) sin(-pi xi), so
+        #   ft = (h / pi) (-1/xi - (i/2) sum_k c_k (1/(f_k - xi) + 1/(f_k + xi))).
+        # h comes from -xi/2 turns, reduced exactly; f_k - xi only enters a
+        # denominator.  Terms past 2^1000 change the bracket by a relative
+        # 2^-900 or less and are left out.  At integer xi, h is 0 and each
+        # E is 1 or 0 (as in _ft).
+        c, s = _cos_sin_turns(-0.5 * xs)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            b_re = -1.0 / xs
+            b_im = np.zeros(xs.shape)
+            for amp, f in self.terms:
+                if f.bit_length() <= 1000:
+                    ff = float(f)
+                    b_im -= (0.5 * amp) * (1.0 / (ff - xs) + 1.0 / (ff + xs))
+            w = s / math.pi
+            out = _unit(w * (c * b_re - s * b_im), w * (c * b_im + s * b_re))
+        whole = xs == np.rint(xs)
+        if whole.any():
+            at = xs[whole]
+            vals = np.where(at == 0.0, 1.0 + 0.0j, 0.0j)
+            for amp, f in self.terms:
+                if f.bit_length() <= 1000:
+                    vals += (amp / 2j) * ((at == float(f)) - 1.0 * (at == -float(f)))
+            out[whole] = vals
         return out
 
     def _density(self) -> tuple:
@@ -428,23 +483,31 @@ class SelfSimilarDigit(Measure):
         return out
 
     def _grid(self, xs: np.ndarray) -> np.ndarray:
-        depth = _self_similar_depth(self.base, float(np.max(np.abs(xs))))
-        out = np.ones(xs.shape, dtype=complex)
+        # Each point keeps the scalar rule's depth, so its value does not
+        # depend on the rest of the array (products out of place, as in
+        # DigitProduct._grid).  The position d / base^n is a
+        # double-double, hi + lo, and the phase of xi * hi is reduced from
+        # the exact product.  Digit 0 contributes exactly 1.
+        depths = _self_similar_depths(self.base, np.abs(xs))
+        parts = _split(xs)
+        digits = [d for d in self.allowed_digits if d]
+        start = 1.0 if self.allowed_digits[0] == 0 else 0.0
         inv = 1.0 / len(self.allowed_digits)
-        scale = 1.0
-        for _ in range(depth):
-            scale /= self.base
-            s = np.zeros(xs.shape, dtype=complex)
-            for d in self.allowed_digits:
-                s += _phase_vec(xs, d * scale)
-            out *= s * inv
+        out = np.ones(xs.shape, dtype=complex)
+        den = 1
+        for n in range(1, int(depths.max()) + 1):
+            den *= self.base
+            re = np.full(xs.shape, start)
+            im = np.zeros(xs.shape)
+            for d in digits:
+                pos = Fraction(d, den)
+                hi = float(pos)
+                c, s = _cos_sin_turns(
+                    *_product_turns(xs, -hi, parts, -float(pos - Fraction(hi))))
+                re += c
+                im += s
+            out = out * np.where(depths >= n, _unit(re * inv, im * inv), 1.0)
         return out
-
-    def _grid_guard(self) -> float:
-        return 2.0 ** 24
-
-    def _factorized(self) -> bool:
-        return True
 
     def _atoms(self) -> dict:
         # a single digit leaves the point mass at digit/(base-1)
@@ -574,29 +637,29 @@ class DigitProduct(Measure):
         return pre * factors / count
 
     def _grid(self, xs: np.ndarray) -> np.ndarray:
-        # xi * 2^-i is an exact float scaling, so _phase_vec reduces it exactly.
+        # xi * 2^-i is an exact float scaling, so _phase_vec reduces it
+        # exactly.  Complex products are formed out of place: numpy rounds an
+        # in-place product of one-element arrays differently, which would
+        # make a value depend on the size of its batch.
         pre = _eplus_vec(-xs * 2.0 ** -self.depth)
         plan, count = self._factor_plan
         factors = np.ones(xs.shape, dtype=complex)
         for positions, v in plan:
             if v is None:
-                factors *= 1.0 + _phase_vec(xs, 2.0 ** -positions[0])
+                factors = factors * (1.0 + _phase_vec(xs, 2.0 ** -positions[0]))
                 continue
             # phases[i] is the character of digit positions[i]; the block
             # product and the forbidden pattern's character share them.
             phases = [_phase_vec(xs, 2.0 ** -pos) for pos in positions]
             block = np.ones(xs.shape, dtype=complex)
             for ph in phases:
-                block *= 1.0 + ph
+                block = block * (1.0 + ph)
             forb = np.ones(xs.shape, dtype=complex)
             for j in range(len(positions)):
                 if v >> j & 1:
-                    forb *= phases[-1 - j]
-            factors *= block - forb
+                    forb = forb * phases[-1 - j]
+            factors = factors * (block - forb)
         return pre * factors / count
-
-    def _factorized(self) -> bool:
-        return True
 
     def _density(self) -> tuple:
         count = self.cylinder_count()
@@ -695,9 +758,6 @@ class Mixture(Measure):
 
     def _grid_guard(self) -> float:
         return min(c._grid_guard() for c in self.components)
-
-    def _factorized(self) -> bool:
-        return any(c._factorized() for c in self.components)
 
     def _atoms(self) -> dict:
         out = {}
@@ -806,9 +866,6 @@ class AffineImage(Measure):
     def _grid_guard(self) -> float:
         return self.inner._grid_guard() / max(abs(self.scale), 1.0)
 
-    def _factorized(self) -> bool:
-        return self.inner._factorized()
-
     def _atoms(self) -> dict:
         out = {}
         for pos, v in self.inner._atoms().items():
@@ -867,9 +924,6 @@ class Convolution(Measure):
 
     def _grid_guard(self) -> float:
         return min(f._grid_guard() for f in self.factors)
-
-    def _factorized(self) -> bool:
-        return any(f._factorized() for f in self.factors)
 
     def _atoms(self) -> dict:
         # atomic only when every factor is

@@ -10,7 +10,12 @@ nonzero integer).
 
 The float route (grid rules, density pieces, Filon panels) forms every phase
 exp(-2 pi i xi x) of a frequency and a position through ``_phase_vec``, and
-every unit-interval integral through ``_eplus_vec``.
+every unit-interval integral through ``_eplus_vec``.  Both reduce their
+argument from exact parts: ``_phase_vec`` takes xi * x mod 1 from the
+error-free product of the two floats, and ``_eplus_vec`` takes g mod 2 from
+the parts its caller formed without rounding (TwoSum, TwoProduct).  Their
+phase error is therefore a few units of the last place whatever the size of
+xi * x, where reducing the rounded product would lose |xi x| units.
 """
 
 from __future__ import annotations
@@ -63,16 +68,23 @@ def _eplus_frac(num: int, den: int) -> complex:
 
 
 def _half_turn(num: int, den: int) -> tuple:
-    """(exp(i pi r), sin(pi r)) for r = num/den reduced mod 2 to (-1, 1].
+    """(exp(i pi r), sin(pi r)) for r = num/den, reduced mod 2 in exact
+    arithmetic.
 
-    It depends on num only through num mod 2*den, so callers whose numerators
-    share that residue compute it once.
+    The sine and cosine come from one pair at the nearer of r and +-1 - r,
+    an angle of at most pi/2, so sin(pi r) keeps its relative accuracy near
+    r = +-1 as well as near 0.  It depends on num only through num mod
+    2*den, so callers whose numerators share that residue compute it once.
     """
     rr = num % (2 * den)  # g mod 2, exact, in [0, 2*den)
     if rr > den:
-        rr -= 2 * den  # center to (-den, den]: sin keeps relative accuracy near 0
-    r = rr / den
-    return cmath.exp(1j * math.pi * r), math.sin(math.pi * r)
+        rr -= 2 * den  # (-den, den]
+    flip = 2 * abs(rr) > den
+    if flip:
+        rr = (den if rr > 0 else -den) - rr  # sin(pi r) = sin(pi (+-1 - r))
+    angle = math.pi * (rr / den)
+    c, s = math.cos(angle), math.sin(angle)
+    return complex(-c if flip else c, s), s
 
 
 def _eplus_turned(num: int, den: int, turn: tuple) -> complex:
@@ -87,20 +99,135 @@ def _eplus_turned(num: int, den: int, turn: tuple) -> complex:
     return rotation * (sine / (math.pi * (num / den)))
 
 
-def _phase_vec(xs, x) -> np.ndarray:
-    """Float counterpart of phase_unit: exp(-2 pi i xs x) over an array of xs,
-    with the float product t = xs * x reduced mod 1 before the exponential.
+# ---------------------------------------------------------------------------
+# float kernels
+#
+# numpy has no fused multiply-add, so the exact product of two floats comes
+# from Dekker's split (Dekker 1971): a = hi + lo with halves of at most 26
+# significant bits, whose pairwise products are exact.  The error of the
+# rounded product then follows in four exact steps (TwoProduct, as in Ogita,
+# Rump and Oishi 2005).  A phase in turns is reduced to the nearest quarter
+# turn exactly, so np.cos and np.sin only see angles of at most pi/4: their
+# fast range, and every multiple of a quarter turn comes out exact.
 
-    t - floor(t) rounds the same exact value once, so it equals np.mod(t, 1.0)
-    bit for bit, zeros included, and it is cheaper to evaluate.
+_SPLITTER = 134217729.0  # 2^27 + 1
+
+
+def _split(a):
+    """Dekker's split: (hi, lo) with a = hi + lo exactly, each of at most 26
+    significant bits.  Valid below 2^995 in modulus."""
+    c = _SPLITTER * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _two_sum(a: float, b: float) -> tuple:
+    """(s, e) with s = fl(a + b) and s + e = a + b exactly (Knuth's TwoSum)."""
+    s = a + b
+    bb = s - a
+    return s, (a - (s - bb)) + (b - bb)
+
+
+def _two_product(xs, y: float, parts=None) -> tuple:
+    """(t, e) with t = fl(xs * y) and t + e = xs * y exactly, for an array xs
+    (split once by the caller into parts, or here) and a float y.  Where a
+    split overflows (|xs| or |y| past 2^995) e is 0."""
+    t = xs * y
+    xh, xl = _split(xs) if parts is None else parts
+    yh, yl = _split(y)
+    with np.errstate(invalid="ignore", over="ignore"):
+        e = xh * yh - t
+        e += xh * yl
+        e += xl * yh
+        e += xl * yl
+    if not np.all(np.isfinite(e)):
+        e = np.where(np.isfinite(e), e, 0.0)
+    return t, e
+
+
+def _exact_in_floats(y: float) -> bool:
+    """True when every product with y is exact up to range: y is 0 or a
+    power of two."""
+    return y == 0.0 or abs(math.frexp(y)[0]) == 0.5
+
+
+def _frac(x):
+    """x minus its nearest integer, in [-1/2, 1/2]; exact."""
+    return x - np.rint(x)
+
+
+def _product_turns(xs, y: float, parts=None, y_lo: float = 0.0) -> tuple:
+    """(hi, lo) with hi + lo = xs * (y + y_lo) mod 1, from the exact product
+    xs * y: hi is the rounded product's offset from its nearest integer,
+    exact, and lo the rest.  y_lo is a small correction to y (the low half
+    of a double-double position), whose product with xs is formed in
+    floats."""
+    if _exact_in_floats(y):
+        hi, lo = _frac(xs * y), 0.0
+    else:
+        t, e = _two_product(xs, y, parts)
+        hi, lo = _frac(t), _frac(e)
+    if y_lo:
+        lo = lo + xs * y_lo
+    return hi, lo
+
+
+def _cos_sin_turns(hi, lo=0.0):
+    """(cos 2 pi r, sin 2 pi r) over an array of turns r = hi + lo, with lo
+    small against a turn.
+
+    hi is reduced exactly to its offset from the nearest quarter turn k/4;
+    lo is added to that offset, so the sum rounds at the size of the
+    offset, not of hi, and a value near a zero of the sine or cosine keeps
+    its relative accuracy.  The pair at the offset (at most about 1/8 turn)
+    is then rotated by k quarter turns, with cos(k pi/2) and sin(k pi/2)
+    formed exactly from k.
     """
-    t = xs * x
-    return np.exp(-2j * math.pi * (t - np.floor(t)))
+    r = _frac(hi)
+    k = np.rint(4.0 * (r + lo))
+    r -= 0.25 * k
+    r += lo
+    r *= 2.0 * math.pi
+    k -= 4.0 * np.rint(0.25 * k)  # -2 .. 2
+    c = np.cos(r)
+    s = np.sin(r)
+    kk = k * k
+    cq = 1.0 - kk + kk * (kk - 1.0) / 6.0  # 1, 0, -1 at k^2 = 0, 1, 4
+    sq = k * (4.0 - kk) / 3.0  # 0, +-1, 0 at k = 0, +-1, +-2
+    return cq * c - sq * s, cq * s + sq * c
 
 
-def _eplus_vec(g: np.ndarray) -> np.ndarray:
-    """Float counterpart of _eplus_frac over an array of g."""
-    return np.exp(1j * math.pi * g) * np.sinc(g)
+def _unit(c, s):
+    """The complex array c + i s (a 0-d input gives a numpy scalar)."""
+    out = np.empty(np.shape(c), dtype=complex)
+    out.real = c
+    out.imag = s
+    return out[()]
+
+
+def _phase_vec(xs, x, parts=None, x_lo: float = 0.0):
+    """Float counterpart of phase_unit: exp(-2 pi i xs x) over an array of xs
+    (or a scalar), with xs * x reduced mod 1 from the exact product.
+
+    No correction is made when x is a power of two, whose products are
+    exact.  parts is the split of xs, for callers that form several phases
+    of one frequency array; x_lo extends x to a double-double position.
+    """
+    return _unit(*_cos_sin_turns(*_product_turns(xs, -x, parts, -x_lo)))
+
+
+def _eplus_vec(hi, lo=0.0):
+    """Float counterpart of _eplus_frac: integral_0^1 exp(2 pi i g x) dx over
+    an array of g = hi + lo, given as parts formed without rounding, with lo
+    of the order of an ulp of hi.
+
+    g is reduced mod 2 from its parts exactly, and exp(i pi g) and
+    sin(pi g) come from one cos/sin pair; the value is exactly 1 at g = 0
+    and exactly 0 at every other integer.
+    """
+    c, s = _cos_sin_turns(0.5 * hi, 0.5 * lo)
+    q = np.divide(s, math.pi * hi, out=np.ones(np.shape(s)), where=hi != 0)
+    return _unit(c * q, s * q)
 
 
 def oscillatory_integral(alpha, beta) -> complex:

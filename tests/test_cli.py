@@ -278,6 +278,23 @@ BAD_CONFIGS = {
     "galois-decompositions-negative": {"experiment": "galois",
                                        "params": {"models": 2, "decompositions": -1}},
     "cantor-k-max-zero": {"experiment": "cantor", "params": {"k_max": 0}},
+    # claim thresholds: each used to exit 4 (a failed claim) or pass unchecked
+    "stability-slack-nan": {"experiment": "stability", "measure": LEB,
+                            "schedule": DYADIC_WIDE,
+                            "params": {"measure2": CANTOR, "slack": math.nan}},
+    "matrix-image-slack-negative": {"experiment": "matrix-image", "measure": LEB,
+                                    "schedule": DYADIC_WIDE,
+                                    "params": {"scale": 2.0, "slack": -0.1}},
+    "decay-min-capped-dim-nan": {"experiment": "decay", "measure": LEB,
+                                 "schedule": DYADIC_WIDE,
+                                 "params": {"min_capped_dim": math.nan}},
+    "decay-max-capped-dim-inf": {"experiment": "decay", "measure": LEB,
+                                 "schedule": DYADIC_WIDE,
+                                 "params": {"max_capped_dim": math.inf}},
+    "wiener-tol-negative": {"experiment": "wiener", "measure": TWO_ATOMS,
+                            "params": {"T": 2000.0, "tol": -1}},
+    "energy-tol-nan": {"experiment": "energy", "measure": LEB,
+                       "params": {"s": 0.5, "tol": math.nan}},
 }
 
 

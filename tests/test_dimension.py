@@ -241,6 +241,15 @@ def test_smooth_cut_requires_order():
         fd.smooth_cut(LEB, (0.5, 0.3, 1))
 
 
+@pytest.mark.parametrize("window", [(0.5, 0.4, 2.9), (0.5, 0.4, "2"), ("x", 0.4, 2),
+                                    (0.5, None, 2), (0.5, math.inf, 2), (math.nan, 0.4, 2)])
+def test_smooth_cut_checks_its_window(window):
+    # a float order used to be truncated (2.9 built an order-2 cut) and a
+    # non-numeric centre raised a bare ValueError
+    with pytest.raises(fd.MeasureError):
+        fd.smooth_cut(LEB, window)
+
+
 def test_smooth_cut_rejects_disjoint_window():
     with pytest.raises(fd.MeasureError):
         fd.smooth_cut(LEB, (5.0, 0.5, 2))

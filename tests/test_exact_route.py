@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fourierdim as fd
-from fourierdim import dimension
+from fourierdim import transform
 from fourierdim.density import DensityPiece, decompose_density, window_poly
 from fourierdim.measures import _self_similar_depth
 from fourierdim.phase import _ratio
@@ -49,9 +49,14 @@ def _ref_eplus_frac(num, den):
     rr = num % (2 * den)
     if rr > den:
         rr -= 2 * den
-    r = rr / den
+    # the sine and cosine at the nearer of r and +-1 - r
+    flip = 2 * abs(rr) > den
+    if flip:
+        rr = (den if rr > 0 else -den) - rr
+    angle = math.pi * (rr / den)
+    c, s = math.cos(angle), math.sin(angle)
     g = num / den
-    return cmath.exp(1j * math.pi * r) * (math.sin(math.pi * r) / (math.pi * g))
+    return complex(-c if flip else c, s) * (s / (math.pi * g))
 
 
 def _ref_trig(m, xi):
@@ -304,16 +309,29 @@ def test_decay_reads_the_schedule_once(monkeypatch):
 
 
 def test_stability_reads_the_schedule_once_and_each_part_once(monkeypatch):
-    n = len(SCHED.frequencies())
-    reads = _count_calls(monkeypatch, fd.DyadicWindows, "frequencies")
-    evals = _count_calls(monkeypatch, dimension, "ft")
-    fd.stability_experiment(LEB, fd.cantor_measure(), SCHED)
+    # every frequency is evaluated once per part, on one of the two routes:
+    # as a point of an ft_grid call or as an ft call (SIGNED has both
+    # non-integer floats and ints)
+    freqs = SIGNED.frequencies()
+    reads = _count_calls(monkeypatch, fd.ExplicitFrequencies, "frequencies")
+    scalar = _count_calls(monkeypatch, transform, "ft")
+    grid = _count_calls(monkeypatch, transform, "ft_grid")
+    fd.stability_experiment(LEB, fd.cantor_measure(), SIGNED)
     assert len(reads) == 1
-    assert len(evals) == 2 * n
+    per_part = {}
+    for m, xi in scalar:
+        per_part.setdefault(id(m), []).append(xi)
+    for m, xs in grid:
+        per_part.setdefault(id(m), []).extend(xs.tolist())
+    assert len(per_part) == 2
+    for got in per_part.values():
+        assert sorted(got) == sorted(freqs)
+    assert scalar and grid
 
 
 def test_short_schedule_still_raises_before_any_evaluation(monkeypatch):
-    evals = _count_calls(monkeypatch, dimension, "ft")
+    evals = _count_calls(monkeypatch, transform, "ft")
+    grid = _count_calls(monkeypatch, transform, "ft_grid")
     with pytest.raises(fd.ScheduleError, match="spans 6 dyadic windows"):
         fd.stability_experiment(LEB, LEB, fd.DyadicWindows(4, 9))
-    assert evals == []
+    assert evals == [] and grid == []

@@ -78,7 +78,7 @@ def test_digit_product_rejects_overlapping_blocks():
 def _digit_product_grid_per_digit(m, xs):
     """DigitProduct's grid rule with every digit character computed where used."""
     def char(pos):
-        return np.exp(-2j * math.pi * np.mod(xs * 2.0 ** -pos, 1.0))
+        return measures._phase_vec(xs, 2.0 ** -pos)
 
     blocked = {b.offset: b for b in m.blocks}
     factors = np.ones(xs.shape, dtype=complex)

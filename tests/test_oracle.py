@@ -153,11 +153,9 @@ def test_uniform_against_oracle(m):
     assert worst <= TRIG_UNIFORM_BOUND, worst / U
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "UniformOnIntervals._ft takes the interval length as the float b - a; when "
-    "that subtraction rounds, the far endpoint moves by up to half an ulp, so the "
-    "relative error grows like |xi| 2^-53 (absolute error stays near 2^-53)"))
 def test_uniform_with_rounded_length_against_oracle():
+    # the cell length comes from the exact ratios of a and b, not from the
+    # float b - a, which rounds here and used to cost |xi| 2^-53 relative
     m = fd.UniformOnIntervals(((0.1, 0.7),))  # 0.7 - 0.1 is not the float 0.6 exactly
     worst = max(relative_error(fd.ft(m, xi), oracle_uniform(m, xi)) for xi in _signed(FREQS))
     assert worst <= TRIG_UNIFORM_BOUND, worst / U
@@ -184,6 +182,82 @@ def test_self_similar_against_oracle(m):
         depth = _self_similar_depth(m.base, xi)
         worst = max(worst, relative_error(fd.ft(m, xi), oracle_self_similar(m, xi)) / depth)
     assert worst <= SELF_SIMILAR_BOUND_PER_LEVEL, worst / U
+
+
+# ---------------------------------------------------------------------------
+# ft_grid: the float rules against the same oracles, up to the grid guard
+#
+# The float rules reduce every phase from an error-free product (TwoProduct,
+# TwoSum, double-double digit positions), so their error does not grow with
+# |xi|; they are held to the scalar route's bounds at non-integer floats of
+# both signs from 2^-30 to 2^52 (past it every float is an integer), at
+# floats within 2^-20 of an integer, and at integer floats up to the guard.
+# The largest errors measured were 3.3 u (uniform and trig) and 16 u per
+# level (base 5, digits 1 and 3).
+
+GUARD = fd.measures.GRID_GUARD
+GRID_FLOATS = sorted({_RNG.uniform(1.0, 2.0) * 2.0 ** e for e in range(-30, 52)}
+                     | {2.0 ** e + 0.5 for e in (1, 13, 31, 51)} | {0.75, 1.5})
+NEAR_INTEGERS = [float(k) + d for k in (1, 7, 3 ** 10, 2 ** 33 + 1) for d in (-2.0 ** -20, 2.0 ** -20)]
+WHOLE_FLOATS = [float(k) for k in (1, 3, 2 ** 20 + 5, 3 ** 30)] + [2.0 ** e for e in (53, 59, 60)]
+
+
+def _grid_worst(m, oracle, freqs, per_level=False):
+    xs = _signed(freqs)
+    worst = 0.0
+    for xi, got in zip(xs, fd.ft_grid(m, np.array(xs)).tolist()):
+        err = relative_error(got, oracle(m, xi))
+        if per_level:
+            err /= _self_similar_depth(m.base, abs(xi))
+        worst = max(worst, err)
+    return worst
+
+
+def test_grid_guard_is_the_tested_range():
+    assert GUARD == 2.0 ** 60 and max(WHOLE_FLOATS) == GUARD
+    for m in UNIFORMS + [m for m, _ in TRIGS] + SELF_SIMILAR:
+        assert m._grid_guard() == GUARD
+
+
+@pytest.mark.parametrize("m", UNIFORMS + [fd.UniformOnIntervals(((0.1, 0.7),))],
+                         ids=lambda m: str(m.intervals))
+def test_uniform_grid_against_oracle(m):
+    freqs = GRID_FLOATS + WHOLE_FLOATS
+    if len(m.intervals) == 1:
+        # near a zero of one cell the relative error stays small; two cells
+        # that cancel lose it on both routes alike
+        freqs += NEAR_INTEGERS
+    worst = _grid_worst(m, oracle_uniform, freqs)
+    assert worst <= TRIG_UNIFORM_BOUND, worst / U
+
+
+@pytest.mark.parametrize("m,extra", TRIGS, ids=("lacunary36", "lacunary12-neg", "mixed"))
+def test_trig_grid_against_oracle(m, extra):
+    floats = [float(x) for x in extra if abs(x) <= GUARD]
+    worst = _grid_worst(m, oracle_trig, GRID_FLOATS + NEAR_INTEGERS + WHOLE_FLOATS + floats)
+    assert worst <= TRIG_UNIFORM_BOUND, worst / U
+
+
+@pytest.mark.parametrize("m", SELF_SIMILAR + [fd.SelfSimilarDigit(5, (1, 3))],
+                         ids=lambda m: f"base{m.base}{m.allowed_digits}")
+def test_self_similar_grid_against_oracle(m):
+    worst = _grid_worst(m, oracle_self_similar, GRID_FLOATS + NEAR_INTEGERS + WHOLE_FLOATS,
+                        per_level=True)
+    assert worst <= SELF_SIMILAR_BOUND_PER_LEVEL, worst / U
+
+
+def test_grid_keeps_exact_zeros_at_integer_products():
+    whole = np.array(_signed(WHOLE_FLOATS + [16.0, 2.0 ** 40]))
+    assert not fd.ft_grid(fd.UniformOnIntervals(((0.0, 1.0),)), whole).any()
+    # at multiples of 16, xi (b - a) is an integer for both cells
+    sixteenths = fd.UniformOnIntervals(((0.25, 0.375), (0.5, 0.8125)))
+    assert not fd.ft_grid(sixteenths, whole[whole % 16 == 0]).any()
+    trig = fd.TrigDensity(((0.3, 5), (-0.25, 40)))
+    assert not fd.ft_grid(trig, whole).any()
+    assert fd.ft_grid(trig, np.array([5.0, -40.0])).tolist() == [0.15 / 1j, 0.125 / 1j]
+    # the pre-factor of a depth-4 digit product vanishes at multiples of 16
+    digits = fd.DigitProduct(4, (fd.DigitBlock(1, 2, "01"),))
+    assert not fd.ft_grid(digits, 16.0 * np.array([1.0, -3.0, 2.0 ** 50])).any()
 
 
 def test_oracle_closed_forms_agree_with_known_values():

@@ -6,8 +6,10 @@ sample of the attractor; everything else against frozen analytic values and
 algebraic identities that the implementation does not use internally.
 """
 
+import cmath
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -231,16 +233,88 @@ def test_ft_grid_matches_scalar_across_variants():
         assert np.max(np.abs(grid - scalar)) < 1e-12, m.variant
 
 
+@pytest.mark.parametrize("m", [
+    LEB, fd.cantor_measure(), fd.SelfSimilarDigit(5, (1, 3)), DIGIT_CASES[2],
+    fd.TrigDensity(((0.5, 7), (0.25, 2 ** 70))), fd.Atomic(((0.3, 1.0), (0.71, 0.5))),
+    fd.smooth_cut(LEB, (0.45, 0.3, 3)), fd.Mixture((fd.cantor_measure(), LEB), (0.5, 0.5)),
+    fd.AffineImage(fd.cantor_measure(), 2.0 ** 50, 0.3),
+], ids=lambda m: m.variant)
+def test_grid_values_do_not_depend_on_the_batch(m):
+    # self-similar depths, Gauss-Legendre node counts and the guard fallback
+    # are chosen per point, so each value equals that of a one-point grid
+    xs = np.concatenate([np.linspace(-40.0, 40.0, 41), 2.0 ** np.linspace(-20.0, 40.0, 25),
+                         [2.0 ** 11 + 0.5, 3.0 ** 30 + 0.25]])
+    grid = fd.ft_grid(m, xs)
+    for x, v in zip(xs, grid):
+        assert v.tobytes() == fd.ft_grid(m, [x])[0].tobytes(), x
+
+
+def test_long_grids_are_evaluated_in_chunks_with_the_same_values():
+    from fourierdim.transform import GRID_CHUNK
+
+    xs = np.linspace(0.5, 900.0, 3 * (GRID_CHUNK // 2 + 1))
+    for m in (LEB, fd.cantor_measure()):
+        whole = fd.ft_grid(m, xs.reshape(3, -1))
+        assert whole.shape == (3, xs.size // 3)
+        parts = np.concatenate([fd.ft_grid(m, xs[i:i + 100]) for i in range(0, xs.size, 100)])
+        assert np.array_equal(whole.ravel(), parts)
+
+
 def test_ft_batch_order_and_methods():
-    sched = fd.ExplicitFrequencies((1.0, 4.0, 2.0))
+    # non-integer floats within the guard take the grid, everything else ft
+    sched = fd.ExplicitFrequencies((1.0, 4.0, 2.5, -0.75, 2 ** 70, 3, 2.0 ** 41 + 0.5))
     samples = fd.ft_batch(LEB, sched)
-    assert [s.xi for s in samples] == [1.0, 2.0, 4.0]
-    assert all(s.method == "closed_form" for s in samples)
-    digit_samples = fd.ft_batch(DIGIT_CASES[1], sched)
-    assert all(s.method == "factorized" for s in digit_samples)
-    # a window cut of a digit product is a sum over density pieces
+    assert [s.xi for s in samples] == [-0.75, 1.0, 2.5, 3, 4.0, 2.0 ** 41 + 0.5, 2 ** 70]
+    assert [s.method for s in samples] == ["grid", "exact", "grid", "exact", "exact",
+                                           "grid", "exact"]
+    for s in samples:
+        assert s.value == (fd.ft_grid(LEB, [s.xi])[0] if s.method == "grid"
+                           else fd.ft(LEB, s.xi))
+    # an image under x -> 2^30 x has guard 2^30: past it a float takes ft
+    image = fd.AffineImage(LEB, 2.0 ** 30)
+    assert [s.method for s in fd.ft_batch(image, sched)][-3:] == ["exact", "exact", "exact"]
+    # the route depends on the frequency and the guard, not on the variant
     cut = fd.smooth_cut(fd.DigitProduct(6, (fd.DigitBlock(1, 2, "01"),)), (0.5, 0.3, 2))
-    assert all(s.method == "closed_form" for s in fd.ft_batch(cut, sched))
+    for m in (DIGIT_CASES[1], cut):
+        assert [s.method for s in fd.ft_batch(m, sched)] == [s.method for s in samples]
+
+
+# One measure per family of the exact-probe benchmark, on the routes that
+# ft_batch, decay_exponent and stability_experiment take: every routed value
+# must equal ft's within 2^12 u relative.  The largest gaps measured were
+# 809 u (base 4, digits 0 and 3, 21 levels at 6.8e4) and 529 u on a mixture
+# whose parts nearly cancel; window cuts differ by at most 2 u, since both
+# routes sum the same pieces.
+ROUTE_BOUND = 2.0 ** 12 * 2.0 ** -53
+ROUTE_FREQS = fd.merge_schedules(
+    fd.DyadicWindows(-4, 16, 16),
+    fd.ExplicitFrequencies(tuple(-2.0 ** (e + 0.3) for e in range(-4, 17)) + (3 ** 9, 2 ** 80)),
+).frequencies()
+ROUTE_FAMILIES = [
+    fd.SelfSimilarDigit(3, (0, 2)), fd.SelfSimilarDigit(5, (1, 3)), fd.SelfSimilarDigit(4, (0, 3)),
+    fd.DigitProduct(14, (fd.DigitBlock(1, 2, "01"), fd.DigitBlock(4, 3, "110"))),
+    fd.smooth_cut(LEB, (0.4221, 0.4592, 3)),
+    fd.smooth_cut(fd.TrigDensity(((0.4, 31),)), (0.45, 0.35, 3)),
+    fd.lacunary_trig_measure(1, 8), fd.lacunary_trig_measure(-1, 36),
+    fd.TrigDensity(((0.3, 5), (-0.4, 17))),
+    fd.UniformOnIntervals(((0.1357, 0.3), (0.5, 0.8125))), fd.UniformOnIntervals(((0.1, 0.7),)),
+    fd.Mixture((fd.cantor_measure(), fd.UniformOnIntervals(((0.25, 0.5), (0.6, 0.9)))), (0.3, 0.7)),
+    fd.Mixture((fd.cantor_measure(), fd.TrigDensity(((0.3, 5), (0.2, 11)))), (0.6, 0.4)),
+]
+
+
+@pytest.mark.parametrize("m", ROUTE_FAMILIES, ids=lambda m: m.variant)
+def test_routed_values_match_the_exact_route(m):
+    from fourierdim.transform import _ft_values, _grid_routed
+
+    routes = _grid_routed(m, ROUTE_FREQS)
+    assert sum(routes) == 340  # every non-integer float; ints and 2^e stay exact
+    for xi, got, grid in zip(ROUTE_FREQS, _ft_values(m, ROUTE_FREQS), routes):
+        want = fd.ft(m, xi)
+        if grid:
+            assert abs(got - want) <= ROUTE_BOUND * abs(want), xi
+        else:
+            assert got == want, xi
 
 
 # oscillatory integrals ------------------------------------------------------
@@ -322,13 +396,19 @@ def test_phase_unit_rational_reduction():
     assert abs(fd.phase_unit(2 ** 60, 0.5) - 1.0) == 0.0
 
 
-def test_phase_vec_reduction_is_np_mod_bit_for_bit():
+def test_phase_vec_reduces_the_exact_product():
+    # the reference reduces xs * x mod 1 in exact rational arithmetic; a
+    # reduction of the rounded product misses by up to |xs x| 2^-53 turns
     from fourierdim.phase import _phase_vec
 
     rng = np.random.default_rng(1406)
     xs = np.concatenate([rng.uniform(-1.0, 1.0, 2000) * 2.0 ** rng.uniform(-40, 60, 2000),
                          [0.0, -0.0, 1.0, -1.0, -2.0, 2.0 ** 53, -(2.0 ** 60), -1e-20]])
-    for x in (0.3, -0.7, 1.0, 2.0 ** -12):
-        want = np.exp(-2j * math.pi * np.mod(xs * x, 1.0))
+    for x in (0.3, -0.7, 1.0, 2.0 ** -12, 0.1, 1e-3 / 3):
         got = _phase_vec(xs, x)
-        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        for xi, z in zip(xs.tolist(), got.tolist()):
+            turns = float((Fraction(xi) * Fraction(x) + Fraction(1, 2)) % 1 - Fraction(1, 2))
+            assert abs(z - cmath.exp(-2j * math.pi * turns)) <= 2.0 ** -50, (xi, x)
+    # exact products that are whole or quarter turns give exact units
+    assert np.array_equal(_phase_vec(np.array([2.0, -6.0, 2.0 ** 60]), 0.5), np.ones(3))
+    assert _phase_vec(np.array([0.5, 1.5, -0.5]), 0.5).tolist() == [-1j, 1j, 1j]
