@@ -192,8 +192,9 @@ def test_self_similar_against_oracle(m):
 # |xi|; they are held to the scalar route's bounds at non-integer floats of
 # both signs from 2^-30 to 2^52 (past it every float is an integer), at
 # floats within 2^-20 of an integer, and at integer floats up to the guard.
-# The largest errors measured were 3.3 u (uniform and trig) and 16 u per
-# level (base 5, digits 1 and 3).
+# The largest errors measured were 3.3 u (uniform and trig), 3.4 u (atoms)
+# and 16 u per level (base 5, digits 1 and 3); digit products have their
+# own bound below.
 
 GUARD = fd.measures.GRID_GUARD
 GRID_FLOATS = sorted({_RNG.uniform(1.0, 2.0) * 2.0 ** e for e in range(-30, 52)}
@@ -244,6 +245,44 @@ def test_self_similar_grid_against_oracle(m):
     worst = _grid_worst(m, oracle_self_similar, GRID_FLOATS + NEAR_INTEGERS + WHOLE_FLOATS,
                         per_level=True)
     assert worst <= SELF_SIMILAR_BOUND_PER_LEVEL, worst / U
+
+
+def oracle_atomic(m, xi):
+    x = Fraction(xi)
+    return sum(mpmath.mpf(w) * _e(-x * Fraction(p)) for p, w in m.atoms)
+
+
+def oracle_digit_product(m, xi):
+    # the mean of e(-xi v / 2^L) over the admissible cylinders v, times the
+    # transform of one cylinder; a sum that cancels to below 10^-40 is an
+    # exact zero of the product form
+    x = Fraction(xi)
+    unit = Fraction(1, 2 ** m.depth)
+    out = (_unit_integral(-x * unit) * sum(_e(-x * v * unit) for v in m._admissible_values())
+           / m.cylinder_count())
+    return 0 if abs(out) < mpmath.mpf(10) ** -40 else out
+
+
+def test_atomic_grid_against_oracle():
+    m = fd.Atomic(((0.3, 0.5), (0.71, 0.25), (-1.3, 0.25), (1e3 / 3, 0.1)))
+    worst = _grid_worst(m, oracle_atomic, GRID_FLOATS + NEAR_INTEGERS + WHOLE_FLOATS)
+    assert worst <= TRIG_UNIFORM_BOUND, worst / U
+
+
+# The product of digit factors loses relative accuracy where one factor
+# nearly vanishes, on both routes: next to the integer 7, 33 000 u on the
+# grid and 717 000 u on the exact route for the first measure below.  Away
+# from integers the grid measured 73 u.
+DIGIT_PRODUCT_BOUND = 2 ** 8 * U
+
+
+@pytest.mark.parametrize("m", [fd.DigitProduct(6, (fd.DigitBlock(1, 2, "01"),)),
+                               fd.DigitProduct(8, (fd.DigitBlock(0, 3, "000"),
+                                                   fd.DigitBlock(5, 2, "11")))],
+                         ids=("depth6", "depth8"))
+def test_digit_product_grid_against_oracle(m):
+    worst = _grid_worst(m, oracle_digit_product, GRID_FLOATS + WHOLE_FLOATS)
+    assert worst <= DIGIT_PRODUCT_BOUND, worst / U
 
 
 def test_grid_keeps_exact_zeros_at_integer_products():
