@@ -191,6 +191,134 @@ def test_criterion_05_energy_identity():
           f"agreement=30/30")
 
 
+# The exact s-energy (the double integral of |x - y|^-s) of each
+# ENERGY_MEASURES entry, in the same order, from densities written out here
+# without the package.
+
+
+def _flat_energy(pieces, s):
+    """Closed form for a piecewise-constant density, pieces (a, b, height).
+
+    F(w) = |w|^(2-s) / ((1-s)(2-s)) has F'' = |w|^-s, so each pair of pieces
+    contributes F(b1 - a2) - F(a1 - a2) - F(b1 - b2) + F(a1 - b2).
+    """
+    def F(w):
+        return abs(w) ** (2.0 - s) / ((1.0 - s) * (2.0 - s))
+
+    return math.fsum(h1 * h2 * (F(b1 - a2) - F(a1 - a2) - F(b1 - b2) + F(a1 - b2))
+                     for a1, b1, h1 in pieces for a2, b2, h2 in pieces)
+
+
+def _trig_energy(terms, s):
+    """Density 1 + sum c sin(2 pi f x) on [0, 1], terms (c, f), f integers.
+
+    With the density written as sum_k alpha_k e^(2 pi i nu_k x), the energy
+    is 2 int_0^1 t^-s A(t) dt, and the autocorrelation
+    A(t) = int_0^(1-t) f(x) f(x + t) dx is a sum of terms e^(i w t) times
+    (1 - t) or a constant.  mpmath integrates each against t^-s in closed
+    form: int_0^1 t^(a-1) e^(i w t) dt = 1F1(a; a + 1; i w) / a.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        s = mpmath.mpf(s)
+        two_pi = 2 * mpmath.pi
+        alpha = [(mpmath.mpf(1), 0)]
+        for c, f in terms:
+            alpha += [(mpmath.mpf(c) / 2j, f), (-mpmath.mpf(c) / 2j, -f)]
+
+        def moment(p, w):  # int_0^1 t^(p-s) e^(i w t) dt
+            a = p + 1 - s
+            return 1 / a if w == 0 else mpmath.hyp1f1(a, a + 1, 1j * w) / a
+
+        total = 0
+        for aj, nj in alpha:
+            for ak, nk in alpha:
+                n, w = nj + nk, two_pi * nk
+                if n == 0:
+                    part = moment(0, w) - moment(1, w)
+                else:  # int_0^(1-t) e^(2 pi i n x) dx = (e^(-2 pi i n t) - 1) / (2 pi i n)
+                    part = (moment(0, w - two_pi * n) - moment(0, w)) / (1j * two_pi * n)
+                total += aj * ak * part
+        return float(2 * total.real)
+
+
+def _cut_energy(center, radius, s):
+    """Density (1 - ((x - center) / radius)^2)^2 on [center -+ radius]: an
+    mpmath double integral, 2 int_0^L t^-s A(t) dt with the polynomial
+    autocorrelation A(t) by Gauss-Legendre and t = L v^(1/(1-s)) removing
+    the t^-s singularity."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(20):
+        c, r, s = mpmath.mpf(center), mpmath.mpf(radius), mpmath.mpf(s)
+        a, b = c - r, c + r
+
+        def p(x):
+            return (1 - ((x - c) / r) ** 2) ** 2
+
+        def A(t):
+            return mpmath.quad(lambda x: p(x) * p(x + t), [a, b - t],
+                               method="gauss-legendre")
+
+        L = b - a
+        return float(2 * L ** (1 - s) / (1 - s)
+                     * mpmath.quad(lambda v: A(L * v ** (1 / (1 - s))), [0, 1]))
+
+
+def _digit_pieces():
+    # depth 6, binary digits 2..3 of the cell index never "01"
+    kept = [v for v in range(64) if (v >> 3) & 3 != 0b01]
+    return [(v / 64, (v + 1) / 64, 64 / len(kept)) for v in kept]
+
+
+ENERGY_TRUTHS = (
+    lambda s: _flat_energy([(0.0, 1.0, 1.0)], s),
+    lambda s: _flat_energy([(0.0, 0.3, 1.25), (0.5, 1.0, 1.25)], s),
+    lambda s: _trig_energy(((0.5, 3),), s),
+    lambda s: _trig_energy(((0.3, 2), (-0.2, 5)), s),
+    lambda s: _trig_energy(tuple((2.0 ** -k, 2 ** (k * k)) for k in (1, 2, 3)), s),
+    lambda s: _trig_energy(tuple((-2.0 ** -k, 2 ** (k * k)) for k in (1, 2, 3)), s),
+    lambda s: _flat_energy(_digit_pieces(), s),
+    lambda s: _cut_energy(0.5, 0.4, s),
+    lambda s: _flat_energy([(0.25, 0.75, 2.0)], s),
+    # 0.4 * 1 + 0.6 * (1 + 0.25 sin(4 pi x))
+    lambda s: _trig_energy(((0.15, 2),), s),
+)
+
+
+@pytest.mark.parametrize("k", range(len(ENERGY_MEASURES)),
+                         ids=[type(m).__name__ for m in ENERGY_MEASURES])
+def test_energy_error_bars_bound_the_error(k):
+    for s in (0.25, 0.5, 0.75):
+        want = ENERGY_TRUTHS[k](s)
+        for res in (fd.energy_fourier(ENERGY_MEASURES[k], s),
+                    fd.energy_spatial(ENERGY_MEASURES[k], s)):
+            assert abs(res.value - want) <= res.err_estimate, (res.method, s)
+
+
+def test_energy_spatial_error_bar_covers_rounding():
+    # breakpoints on the cell grid: the spatial sum is exact but for rounding
+    cases = ((ENERGY_MEASURES[0], ENERGY_TRUTHS[0]),
+             (ENERGY_MEASURES[6], ENERGY_TRUTHS[6]),
+             (ENERGY_MEASURES[8], ENERGY_TRUTHS[8]))
+    for m, truth in cases:
+        for s in (0.25, 0.5, 0.75):
+            for resolution in (1 << 10, 1 << 14, 1 << 18):
+                res = fd.energy_spatial(m, s, resolution)
+                assert abs(res.value - truth(s)) <= res.err_estimate, (m, s, resolution)
+
+
+def test_energy_routes_agree_within_their_error_bars():
+    # criterion 5's agreement without its 2 %-of-value term
+    worst = 0.0
+    for m in ENERGY_MEASURES:
+        for s in (0.25, 0.5, 0.75):
+            a = fd.energy_spatial(m, s)
+            b = fd.energy_fourier(m, s)
+            worst = max(worst, abs(a.value - b.value) / (3.0 * (a.err_estimate + b.err_estimate)))
+    assert worst <= 1.0
+    print(f"\n  worst |spatial - fourier| / budget = {worst:.2f}")
+
+
 # ---------------------------------------------------------------------------
 # criterion 6: quadratic averages
 

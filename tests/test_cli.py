@@ -159,6 +159,8 @@ BAD_CONFIGS = {
                           "params": {"s": 0.5, "cutoff": math.inf}},
     "energy-cutoff-nan": {"experiment": "energy", "measure": LEB,
                           "params": {"s": 0.5, "cutoff": math.nan}},
+    "energy-cutoff-huge": {"experiment": "energy", "measure": LEB,
+                           "params": {"s": 0.5, "cutoff": 1e9}},
     "energy-resolution-huge": {"experiment": "energy", "measure": LEB,
                                "params": {"s": 0.5, "resolution": 10 ** 11}},
     "lacunary-exponents": {"experiment": "decay", "measure": LEB,

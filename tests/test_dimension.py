@@ -110,7 +110,7 @@ def test_energy_routes_agree_on_a_trig_density():
         assert abs(sp.value - fo.value) <= sp.err_estimate + fo.err_estimate + 1e-3
 
 
-def test_energy_fourier_samples_each_node_once(monkeypatch):
+def test_energy_fourier_points_per_call(monkeypatch):
     points = []
     real_grid = dimension.ft_grid
 
@@ -119,81 +119,16 @@ def test_energy_fourier_samples_each_node_once(monkeypatch):
         return real_grid(m, xs)
 
     monkeypatch.setattr(dimension, "ft_grid", spy)
+    # [1, 4096] in 4096 panels (4095 unit panels, rounded up to an even
+    # count): 8 nodes on each panel and 8 on each pair of panels, in one
+    # call after the 64- and 32-node rules on [0, 1]
     dimension.energy_fourier(LEB, 0.5)
-    # the [1, 4096] band at h = 0.02 (its 2h sum reads every other of those
-    # samples), the 513-point tail envelope, and the 64- and 32-node Gauss
-    # rules; a separately sampled 2h band would add 102 376 points
-    assert sum(points) == 204751 + 513 + 64 + 32 == 205360
-
-
-def _two_grid_energy_fourier(m, s, cutoff):
-    """The two-grid rule: each band sampled at step h and again at step 2h."""
-    c = fd.riesz_constant(1, s)
-
-    def low_part(n):
-        u, w = np.polynomial.legendre.leggauss(n)
-        u = 0.5 * (u + 1.0)
-        w = 0.5 * w
-        return float(np.dot(w, np.abs(fd.ft_grid(m, u ** (1.0 / s))) ** 2)) / s
-
-    def band(a, b, step):
-        n = max(8, int(math.ceil((b - a) / step)))
-        xs = np.linspace(a, b, n + 1)
-        ys = np.abs(fd.ft_grid(m, xs)) ** 2 * xs ** (s - 1.0)
-        return float(dimension._trapz(ys, xs))
-
-    low = low_part(64)
-    err = abs(low - low_part(32))
-    fine_top = min(cutoff, 4096.0)
-    mid = band(1.0, fine_top, 0.02)
-    err += abs(mid - band(1.0, fine_top, 0.04))
-    total = low + mid
-    a = fine_top
-    last_chunk_start = max(1.0, fine_top / 2.0)
-    while a < cutoff:
-        b = min(2.0 * a, cutoff)
-        step = (b - a) / 1024.0
-        chunk = band(a, b, step)
-        err += abs(chunk - band(a, b, 2.0 * step))
-        total += chunk
-        last_chunk_start = a
-        a = b
-    xs_tail = np.linspace(last_chunk_start, min(2.0 * last_chunk_start, cutoff), 513)
-    m_env = float(np.max(np.abs(fd.ft_grid(m, xs_tail)) ** 2 * xs_tail ** 2))
-    tail = m_env * cutoff ** (s - 2.0) / (2.0 - s)
-    return c * 2.0 * (total + tail), c * 2.0 * (err + tail) + 1e-12
-
-
-TWO_GRID_MEASURES = (
-    LEB,
-    fd.DigitProduct(6, (fd.DigitBlock(1, 2, "01"),)),
-    fd.TrigDensity(((0.5, 3),)),
-)
-
-
-@pytest.mark.parametrize("cutoff", [4096.0, 8192.0, 10000.0])
-def test_energy_fourier_matches_two_grid_rule_exactly(cutoff):
-    # Even fine counts: the 2h nodes are bit for bit every other h node, so
-    # reading them from the h samples changes nothing.
-    for m in TWO_GRID_MEASURES:
-        for s in (0.25, 0.75):
-            res = fd.energy_fourier(m, s, cutoff)
-            assert (res.value, res.err_estimate) == _two_grid_energy_fourier(m, s, cutoff)
-
-
-@pytest.mark.parametrize("cutoff", [3000.01, 1000.03])
-def test_energy_fourier_near_two_grid_rule_on_odd_counts(cutoff):
-    # These cutoffs give the two-grid rule an odd fine count on [1, cutoff];
-    # energy_fourier rounds it up to even, one node more.  The 2h sums agree,
-    # so value moves only by the fine sum's discretisation change (measured
-    # at most 1.1e-13 relative) and err_estimate by that change against a
-    # small difference (measured at most 9.5e-7 relative).
-    for m in TWO_GRID_MEASURES:
-        for s in (0.25, 0.75):
-            res = fd.energy_fourier(m, s, cutoff)
-            value, err = _two_grid_energy_fourier(m, s, cutoff)
-            assert math.isclose(res.value, value, rel_tol=1e-12, abs_tol=0.0)
-            assert math.isclose(res.err_estimate, err, rel_tol=1e-5, abs_tol=0.0)
+    assert points == [64, 32, 8 * 4096 + 4 * 4096]
+    assert sum(points) == 49248
+    # a support of diameter 2 halves the panel width
+    points.clear()
+    dimension.energy_fourier(fd.AffineImage(LEB, 2.0, 0.0), 0.5)
+    assert points == [64, 32, 8 * 8190 + 4 * 8190]
 
 
 def test_energy_atoms_flag_infinity():
@@ -217,6 +152,16 @@ def test_energy_validation():
     for cutoff in (math.inf, math.nan):
         with pytest.raises(fd.MeasureError):
             fd.energy_fourier(LEB, 0.5, cutoff=cutoff)
+    # 2^17 + 2 unit panels, one pair past the cap; a support of diameter 2
+    # halves the panel width, so half that cutoff reaches the cap
+    with pytest.raises(fd.MeasureError, match="cap"):
+        fd.energy_fourier(LEB, 0.5, cutoff=dimension.FOURIER_MAX_PANELS + 3.0)
+    with pytest.raises(fd.MeasureError, match="cap"):
+        fd.energy_fourier(fd.AffineImage(LEB, 2.0, 0.0), 0.5,
+                          cutoff=dimension.FOURIER_MAX_PANELS / 2 + 2.0)
+    # a panel count past the float range is refused, not overflowed
+    with pytest.raises(fd.MeasureError, match="cap"):
+        fd.energy_fourier(fd.AffineImage(LEB, 1e300, 0.0), 0.5, cutoff=1e10)
     with pytest.raises(fd.MeasureError):
         fd.energy_spatial(LEB, 0.5, resolution=dimension.SPATIAL_MAX_RESOLUTION + 1)
     # measures live on the line: a planar atom cannot even be built
