@@ -60,6 +60,8 @@ from .measures import (
     Mixture,
     ScheduleError,
     UniformOnIntervals,
+    _finite,
+    _integer,
     mass,
     measure_from_dict,
     merge_schedules,
@@ -104,21 +106,17 @@ def _clean(obj):
 _REQUIRED = object()
 
 
-def _param(section: dict, key: str, kind=None, default=_REQUIRED):
-    """section[key] converted by kind (int, float, or None for as-is), or
-    default when absent; a missing required or malformed value is a
+def _param(section: dict, key: str, check=None, default=_REQUIRED):
+    """section[key] checked by check (_integer, _finite, or None for as-is),
+    or default when absent; a missing required or malformed value is a
     MeasureError."""
     if key not in section:
         if default is _REQUIRED:
             raise MeasureError(f"config is missing the '{key}' field")
         return default
-    if kind is None:
+    if check is None:
         return section[key]
-    try:
-        return kind(section[key])
-    except (TypeError, ValueError, OverflowError):
-        raise MeasureError(f"config field '{key}' must be {kind.__name__}, "
-                           f"got {section[key]!r}") from None
+    return check(section[key], f"config field '{key}'")
 
 
 def _threshold(section: dict, key: str, default, ok=math.isfinite, need="finite"):
@@ -126,7 +124,7 @@ def _threshold(section: dict, key: str, default, ok=math.isfinite, need="finite"
     fails ok (NaN always does) is a MeasureError, not a failed claim."""
     if key not in section:
         return default
-    x = _param(section, key, float)
+    x = _param(section, key, _finite)
     if not ok(x):
         raise MeasureError(f"config field '{key}' must be {need}, got {x!r}")
     return x
@@ -144,7 +142,7 @@ def _tol(params: dict, default: float) -> float:
 
 def _count(section: dict, key: str, default: int) -> int:
     """A positive int param: a count of zero checks would pass any claim."""
-    n = _param(section, key, int, default)
+    n = _param(section, key, _integer, default)
     if n < 1:
         raise MeasureError(f"config field '{key}' must be at least 1, got {n}")
     return n
@@ -180,11 +178,11 @@ def _run_transform(cfg, params, rng):
              "log2_abs_value": math.log2(abs(s.value)) if s.value else "-inf",
              "method": s.method}
             for s in samples]
-    quad_count = _param(params, "quadrature_count", int, 0)
+    quad_count = _param(params, "quadrature_count", _integer, 0)
     quad_dev = 0.0
     if quad_count > 0:
-        tol = _param(params, "quadrature_tol", float, 1e-9)
-        panels = _param(params, "quadrature_max_panels", int, 1 << 17)
+        tol = _param(params, "quadrature_tol", _finite, 1e-9)
+        panels = _param(params, "quadrature_max_panels", _integer, 1 << 17)
         for s in samples[:quad_count]:
             q = ft_quadrature(m, s.xi, tol, panels)
             quad_dev = max(quad_dev, abs(q.value - s.value))
@@ -225,9 +223,9 @@ def _run_decay(cfg, params, rng):
 
 def _run_energy(cfg, params, rng):
     m = _measure(cfg)
-    s = _param(params, "s", float)
-    resolution = _param(params, "resolution", int, 4096)
-    cutoff = _param(params, "cutoff", float, 4096.0)
+    s = _param(params, "s", _finite)
+    resolution = _param(params, "resolution", _integer, 4096)
+    cutoff = _param(params, "cutoff", _finite, 4096.0)
     spa = energy_spatial(m, s, resolution)
     fou = energy_fourier(m, s, cutoff)
     if math.isinf(spa.value) or math.isinf(fou.value):
@@ -250,7 +248,7 @@ def _run_energy(cfg, params, rng):
 
 def _run_wiener(cfg, params, rng):
     m = _measure(cfg)
-    horizon = _param(params, "T", float, 1.0e4)
+    horizon = _param(params, "T", _finite, 1.0e4)
     value = wiener_average(m, horizon)
     limit = math.fsum(w * w for w in atom_weights(m).values())
     tol = _tol(params, 0.02)
@@ -267,8 +265,8 @@ def _run_wiener(cfg, params, rng):
 
 def _run_lowerbound(cfg, params, rng):
     m = _measure(cfg)
-    eps = _param(params, "eps", float)
-    j_max = _param(params, "j_max", int, 10 ** 6)
+    eps = _param(params, "eps", _finite)
+    j_max = _param(params, "j_max", _integer, 10 ** 6)
     wit = lower_bound_search(m, eps, j_max)
     summary = {
         "eps": eps,
@@ -321,9 +319,9 @@ def _run_matrix_image(cfg, params, rng):
 
 
 def _run_setex(cfg, params, rng):
-    n = _param(params, "n", int, 1)
-    top = _param(params, "K", int, 5)
-    j_max = _param(params, "j_max", int, 100000)
+    n = _param(params, "n", _integer, 1)
+    top = _param(params, "K", _integer, 5)
+    j_max = _param(params, "j_max", _integer, 100000)
     spec = DigitScheduleSpec.index_blocks(n, top)
     mu = digit_constraint_measure(spec)
     rows = []
@@ -349,10 +347,10 @@ def _run_setex(cfg, params, rng):
 
 
 def _run_setexc(cfg, params, rng):
-    n = _param(params, "n", int, 1)
-    top = _param(params, "K", int, 6)
-    s = _param(params, "s", float, 0.85)
-    b = _param(params, "b", float, 0.0)
+    n = _param(params, "n", _integer, 1)
+    top = _param(params, "K", _integer, 6)
+    s = _param(params, "s", _finite, 0.85)
+    b = _param(params, "b", _finite, 0.0)
     spec = DigitScheduleSpec.proportional_blocks(n, top, s, b)
     mu = digit_constraint_measure(spec)
     report = tail_report(spec)
@@ -376,8 +374,8 @@ def _run_setexc(cfg, params, rng):
 
 
 def _run_measex(cfg, params, rng):
-    id_depth = _param(params, "identity_depth", int, 6)
-    decay_depth = _param(params, "decay_depth", int, 48)
+    id_depth = _param(params, "identity_depth", _integer, 6)
+    decay_depth = _param(params, "decay_depth", _integer, 48)
     g = lacunary_trig_measure(1, id_depth)
     h = lacunary_trig_measure(-1, id_depth)
 
@@ -391,7 +389,7 @@ def _run_measex(cfg, params, rng):
     spikes_ok = spike_dev <= spike_tol
 
     both = Mixture((g, h), (1.0, 1.0))
-    rng_local = np.random.default_rng(_seed(_param(params, "seed", int, 7)))
+    rng_local = np.random.default_rng(_seed(_param(params, "seed", _integer, 7)))
     freqs = np.sort(rng_local.uniform(0.5, 4096.0, size=100))
     leb = UniformOnIntervals(((0.0, 1.0),))
     sum_dev = 0.0
@@ -453,8 +451,8 @@ def _run_cantor(cfg, params, rng):
 def _run_galois(cfg, params, rng):
     n_models = _count(params, "models", 200)
     trials = _count(params, "trials", 20)
-    nx = _param(params, "nx", int, 8)
-    ny = _param(params, "ny", int, 8)
+    nx = _param(params, "nx", _integer, 8)
+    ny = _param(params, "ny", _integer, 8)
     n_decomp = _count(params, "decompositions", 200)
 
     total_viol = 0
@@ -601,7 +599,7 @@ def main(argv=None) -> int:
     runner, _, claim = _EXPERIMENTS[name]
 
     try:
-        seed = _seed(args.seed if args.seed is not None else _param(cfg, "seed", int, 0))
+        seed = _seed(args.seed if args.seed is not None else _param(cfg, "seed", _integer, 0))
         summary, rows = runner(cfg, params, np.random.default_rng(seed))
     except QuadratureError as exc:
         print(f"error: quadrature failed to converge: {exc}", file=sys.stderr)

@@ -22,6 +22,7 @@ from .measures import (
     MeasureError,
     SelfSimilarDigit,
     TrigDensity,
+    _integer,
 )
 
 __all__ = [
@@ -58,8 +59,8 @@ class DigitScheduleSpec:
         if not (1 <= self.n <= self.K):
             raise MeasureError(f"need 1 <= n <= K, got n={self.n}, K={self.K}")
         count = self.K - self.n + 1
-        exps = tuple(int(e) for e in self.exponents)
-        lens = tuple(int(t) for t in self.lengths)
+        exps = tuple(_integer(e, "block position") for e in self.exponents)
+        lens = tuple(_integer(t, "block length") for t in self.lengths)
         if len(exps) != count or len(lens) != count:
             raise MeasureError(
                 f"schedule needs {count} exponents and lengths, got "

@@ -144,11 +144,14 @@ def window_value(center: float, radius: float, order: int, x) -> np.ndarray:
 def decompose_density(m) -> tuple:
     """Pieces of the density of m, when m has a tractable explicit density.
 
-    Raises MeasureError for purely atomic measures, self-similar measures,
-    convolutions, wrapped (mod-1) images, and digit products with too many
-    admissible cylinders to enumerate.
+    Raises MeasureError for measures with atoms, self-similar measures,
+    convolutions, wrapped (mod-1) images, digit products with too many
+    cylinders to enumerate, and window cuts that miss the support.
     """
-    return m._density()
+    pieces = m._density()
+    if m._atoms():
+        raise MeasureError(f"{m.variant} has atoms, so it has no density")
+    return pieces
 
 
 # ---------------------------------------------------------------------------
@@ -169,9 +172,10 @@ def poly_exp_integral(poly, gamma, t1: float, t2: float) -> np.ndarray:
 
     Vectorised over gamma, with theta = 2 pi gamma.  Where |theta| * max|t|
     is at most 12 + 2 deg, a Gauss-Legendre rule on [t1, t2] integrates the
-    piece (see _gauss_sum).  Elsewhere the integrals of t^r exp(i theta t)
-    follow the upward recurrence in r, which is stable once |theta| * max|t|
-    exceeds the degree.
+    piece, with the node count of |theta| = (12 + 2 deg) / max|t| for every
+    point, so no value depends on the others.  Elsewhere the integrals of
+    t^r exp(i theta t) follow the upward recurrence in r, which is stable
+    once |theta| * max|t| exceeds the degree.
     """
     g = np.atleast_1d(np.asarray(gamma, dtype=float))
     theta = 2.0 * math.pi * g
@@ -181,7 +185,7 @@ def poly_exp_integral(poly, gamma, t1: float, t2: float) -> np.ndarray:
     out = np.zeros(g.shape, dtype=complex)
     small = np.abs(theta) * tmax <= cutoff
     if small.any():
-        out[small] = _gauss_sum(poly, theta[small], t1, t2)
+        out[small] = _gauss_sum(poly, theta[small], t1, t2, cutoff / tmax)
     big = ~small
     if big.any():
         out[big] = _recurrence_sum(poly, theta[big], t1, t2)
@@ -210,26 +214,12 @@ def _oscillatory_rule(deg: int, theta_max: float, half: float) -> tuple:
     return _legendre_rule(-(-(deg + 1) // 2) + math.ceil(1.4 * theta_max * half) + 12)
 
 
-def _gauss_sum(poly, theta, t1, t2):
-    # Each point takes the node count of its own |theta|, so its value does
-    # not depend on the other points: the points are grouped by count.
-    # Nodes are summed one at a time, so memory stays linear in len(theta).
-    half = 0.5 * (t2 - t1)
-    counts = np.ceil(1.4 * np.abs(theta) * half)
-    groups = set(counts.tolist())
-    if len(groups) == 1:
-        return _gauss_group(poly, theta, t1, t2)
-    out = np.empty(theta.shape, dtype=complex)
-    for n in groups:
-        sel = counts == n
-        out[sel] = _gauss_group(poly, theta[sel], t1, t2)
-    return out
-
-
-def _gauss_group(poly, theta, t1, t2):
+def _gauss_sum(poly, theta, t1, t2, theta_max):
+    # Every |theta| <= theta_max takes the same nodes.  They are summed one
+    # at a time, so memory stays linear in len(theta).
     mid = 0.5 * (t1 + t2)
     half = 0.5 * (t2 - t1)
-    u, w = _oscillatory_rule(len(poly) - 1, float(np.max(np.abs(theta))), half)
+    u, w = _oscillatory_rule(len(poly) - 1, theta_max, half)
     t = mid + half * u
     p = np.zeros_like(t)
     for c in reversed(poly):

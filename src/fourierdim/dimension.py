@@ -291,10 +291,10 @@ def smooth_cut(m: Measure, window) -> Measure:
 
     window is (center, radius, order): finite reals and an integer order of
     at least 2; anything else raises MeasureError.  The bump peaks at 1, so
-    mass can only shrink and the measure is not renormalised.  Atomic parts reweight exactly; density parts gain a
-    polynomial window factor, and a part without an explicit density is an
-    error.  A window disjoint from the support leaves the zero measure and is
-    an error too.
+    mass can only shrink and the measure is not renormalised.  Atomic parts
+    reweight exactly; density parts gain a polynomial window factor, and a
+    part without an explicit density is an error.  A window disjoint from
+    the support leaves the zero measure and is an error too.
     """
     center, radius, order = window
     center = _finite(center, "window center")
@@ -304,7 +304,7 @@ def smooth_cut(m: Measure, window) -> Measure:
         raise MeasureError("window radius must be positive")
     if order < 2:  # ceil(3 d / 2) with d = 1
         raise MeasureError(f"window order {order} below required 2")
-    cut = m._cut(center, radius, order)
+    cut = m._windowed(center, radius, order)
     if cut is None:
         raise MeasureError("window is disjoint from the support (zero measure)")
     return cut

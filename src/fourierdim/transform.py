@@ -69,10 +69,6 @@ __all__ = [
     "phase_unit",
 ]
 
-# numpy < 2.0 has no trapezoid
-_trapz = getattr(np, "trapezoid", None) or np.trapz
-
-
 class QuadratureError(RuntimeError):
     """The quadrature did not reach the requested tolerance."""
 
@@ -222,7 +218,7 @@ def wiener_average(m: Measure, T: float) -> float:
     y = np.abs(ft_grid(m, xs)) ** 2
     # Normalizing by the quadrature of 1 (rather than by T) keeps the
     # average of a constant integrand exact.
-    return float(_trapz(y, xs) / _trapz(np.ones_like(y), xs))
+    return float(np.trapezoid(y, xs) / np.trapezoid(np.ones_like(y), xs))
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +269,8 @@ def ft_quadrature(m: Measure, xi, tol: float = 1e-9,
     integrated against the oscillatory kernel with exact moments, so only
     the density's own oscillation sets the panel count; |xi| can be large at
     no extra cost.  Panels are doubled until two successive refinements agree
-    within tol.  Atomic parts are summed exactly.  Raises QuadratureError
+    within tol.  The atoms of m are summed exactly, and the density pieces
+    of the rest are integrated.  Raises QuadratureError
     when the panel budget is exhausted before reaching tol, and MeasureError
     for a tol that is not positive and finite or a budget outside
     [8, QUADRATURE_MAX_PANELS] (the first refinement already takes 8 panels).
@@ -286,8 +283,8 @@ def ft_quadrature(m: Measure, xi, tol: float = 1e-9,
     if not 8 <= max_panels <= QUADRATURE_MAX_PANELS:
         raise MeasureError(f"quadrature panel budget must lie in [8, "
                            f"{QUADRATURE_MAX_PANELS}], got {max_panels}")
-    atoms, pieces = m._quad_parts(1.0)
-    value = sum((w * phase_unit(x, pos) for pos, w in atoms), 0.0 + 0.0j)
+    value = sum((w * phase_unit(x, pos) for pos, w in m._atoms().items()), 0.0 + 0.0j)
+    pieces = m._density()
     if not pieces:
         return QuadratureResult(value, 0.0, 0)
 

@@ -297,6 +297,43 @@ BAD_CONFIGS = {
                             "params": {"T": 2000.0, "tol": -1}},
     "energy-tol-nan": {"experiment": "energy", "measure": LEB,
                        "params": {"s": 0.5, "tol": math.nan}},
+    # bools, numeric strings and fractional counts: each used to run, as
+    # True = 1, as the parsed string, or truncated
+    "setex-K-fraction": {"experiment": "setex", "params": {"K": 3.7}},
+    "galois-models-string": {"experiment": "galois", "params": {"models": "3"}},
+    "galois-models-bool": {"experiment": "galois", "params": {"models": True}},
+    "digit-depth-bool": {"experiment": "decay",
+                         "measure": {"variant": "DigitProduct", "depth": True},
+                         "schedule": {"variant": "Lacunary", "exponents": list(range(4, 13)),
+                                      "multipliers": True}},
+    "lacunary-multipliers-bool": {"experiment": "decay", "measure": LEB,
+                                  "schedule": {"variant": "Lacunary",
+                                               "exponents": list(range(4, 13)),
+                                               "multipliers": True}},
+    "atom-position-string": {"experiment": "transform", "schedule": DYADIC,
+                             "measure": {"variant": "Atomic",
+                                         "atoms": [{"position": "0.5", "weight": 1.0}]}},
+    "energy-s-string": {"experiment": "energy", "measure": LEB, "params": {"s": "0.5"}},
+    "energy-resolution-fraction": {"experiment": "energy", "measure": LEB,
+                                   "params": {"s": 0.5, "resolution": 64.9}},
+    "affine-scale-bool": {"experiment": "transform", "schedule": DYADIC,
+                          "measure": {"variant": "AffineImage", "inner": LEB,
+                                      "scale": True}},
+    "cantor-k-max-fraction": {"experiment": "cantor", "params": {"k_max": 2.9}},
+    "cantor-seed-float": {"experiment": "cantor", "seed": 1.0},
+    # schedules past measures.MAX_FREQUENCIES, refused before any is built
+    "integer-range-huge": {"experiment": "transform", "measure": LEB,
+                           "schedule": {"variant": "IntegerRange", "j_max": 10 ** 12}},
+    "dyadic-windows-huge": {"experiment": "decay", "measure": LEB,
+                            "schedule": {"variant": "DyadicWindows", "min_exp": -10 ** 12,
+                                         "max_exp": 12}},
+    "dyadic-samples-huge": {"experiment": "decay", "measure": LEB,
+                            "schedule": {"variant": "DyadicWindows", "min_exp": 4,
+                                         "max_exp": 12, "samples_per_window": 10 ** 12}},
+    "lacunary-multipliers-huge": {"experiment": "decay", "measure": LEB,
+                                  "schedule": {"variant": "Lacunary",
+                                               "exponents": list(range(4, 13)),
+                                               "multipliers": 10 ** 12}},
 }
 
 

@@ -137,6 +137,29 @@ def test_decompose_rejects_atoms():
         decompose_density(fd.Atomic(((0.5, 1.0),)))
 
 
+ATOMS_AND_LEB = fd.Mixture((fd.Atomic(((0.2, 1.0), (0.7, 0.5))),
+                            fd.UniformOnIntervals(((0.0, 1.0),))), (0.4, 0.6))
+
+
+@pytest.mark.parametrize("m", [ATOMS_AND_LEB, fd.AffineImage(fd.Atomic(((0.25, 1.0),)), 2.0)],
+                         ids=["mixture", "affine"])
+def test_decompose_rejects_atoms_inside_mixtures_and_images(m):
+    with pytest.raises(fd.MeasureError):
+        decompose_density(m)
+
+
+def test_windows_over_atoms_without_a_density_raise_and_are_not_disjoint():
+    # the atoms must not be dropped and the window reported as missing them
+    cases = (lambda: fd.smooth_cut(fd.AffineImage(fd.Atomic(((0.25, 1.0),)), 2.0),
+                                   (0.5, 0.4, 2)),
+             lambda: fd.mass(fd.SmoothCutDensity(ATOMS_AND_LEB, 0.5, 0.4, 2)))
+    for case in cases:
+        with pytest.raises(fd.MeasureError) as exc:
+            case()
+        assert "disjoint" not in str(exc.value)
+        assert "does not meet" not in str(exc.value)
+
+
 def test_decompose_trig_rejects_huge_frequency():
     m = fd.TrigDensity(((0.5, 2 ** 60),))
     with pytest.raises(fd.MeasureError):

@@ -386,6 +386,22 @@ def test_lacunary_multipliers():
         fd.Lacunary((3,), multipliers=(1, 3))
 
 
+def test_schedules_past_the_frequency_cap_are_refused_before_building():
+    # make(k) holds per_k * k frequencies; the count comes from the fields,
+    # so a refused schedule allocates nothing
+    cap = measures.MAX_FREQUENCIES
+    assert cap == 2 ** 16
+    for make, per_k in ((lambda k: fd.IntegerRange(k), 1),
+                        (lambda k: fd.IntegerRange(k + 4, 5), 1),
+                        (lambda k: fd.DyadicWindows(0, 0, k), 1),
+                        (lambda k: fd.DyadicWindows(3, 6, k), 4),
+                        (lambda k: fd.Lacunary((0,), k), 1),
+                        (lambda k: fd.Lacunary((1, 40), k), 2)):
+        make(cap // per_k)
+        with pytest.raises(fd.ScheduleError, match="cap"):
+            make(cap // per_k + 1)
+
+
 def test_merge_schedules_dedupes_and_sorts():
     merged = fd.merge_schedules(fd.Lacunary((2, 3)), fd.Lacunary((3, 4)))
     assert merged.frequencies() == (4, 8, 16)

@@ -47,6 +47,21 @@ def test_mixture_with_atoms_splits_cleanly():
     assert abs(res.value - fd.ft(m, 2.5)) < 1e-9
 
 
+ATOMS_AND_LEB = fd.Mixture((fd.Atomic(((0.2, 1.0), (0.7, 0.5))), LEB), (0.4, 0.6))
+
+
+@pytest.mark.parametrize("m", [
+    fd.AffineImage(ATOMS_AND_LEB, -1.5, 0.3),
+    fd.Mixture((ATOMS_AND_LEB, fd.TrigDensity(((0.5, 3), (-0.25, 7)))), (0.7, 0.3)),
+], ids=["affine", "nested"])
+@pytest.mark.parametrize("xi", FREQS)
+def test_atoms_inside_images_and_nested_mixtures(m, xi):
+    # the atoms come from _atoms and the pieces from _density, through the
+    # image's map and both mixture weights
+    res = fd.ft_quadrature(m, xi, tol=1e-10)
+    assert abs(res.value - fd.ft(m, xi)) <= 1e-8 + 10.0 * res.error
+
+
 def test_tolerance_drives_refinement():
     m = fd.TrigDensity(((0.5, 40),))
     loose = fd.ft_quadrature(m, 7.3, tol=1e-4)

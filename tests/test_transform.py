@@ -240,8 +240,9 @@ def test_ft_grid_matches_scalar_across_variants():
     fd.AffineImage(fd.cantor_measure(), 2.0 ** 50, 0.3),
 ], ids=lambda m: m.variant)
 def test_grid_values_do_not_depend_on_the_batch(m):
-    # self-similar depths, Gauss-Legendre node counts and the guard fallback
-    # are chosen per point, so each value equals that of a one-point grid
+    # self-similar depths and the guard fallback are chosen per point and
+    # Gauss-Legendre node counts per piece, so each value equals that of a
+    # one-point grid
     xs = np.concatenate([np.linspace(-40.0, 40.0, 41), 2.0 ** np.linspace(-20.0, 40.0, 25),
                          [2.0 ** 11 + 0.5, 3.0 ** 30 + 0.25]])
     grid = fd.ft_grid(m, xs)
