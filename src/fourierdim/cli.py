@@ -56,6 +56,7 @@ from .measures import (
     DyadicWindows,
     ExplicitFrequencies,
     Lacunary,
+    MAX_ABS_FREQUENCY,
     MeasureError,
     Mixture,
     ScheduleError,
@@ -425,6 +426,9 @@ def _run_measex(cfg, params, rng):
 def _run_cantor(cfg, params, rng):
     mu = cantor_measure()
     k_max = _count(params, "k_max", 12)
+    if k_max >= MAX_ABS_FREQUENCY.bit_length() or 3 ** k_max > MAX_ABS_FREQUENCY:
+        raise MeasureError(f"config field 'k_max' = {k_max} puts 3^k_max past the "
+                           "frequency cap 2^4096")
     base = abs(ft(mu, 1))
     rows = []
     id_dev = 0.0
@@ -575,9 +579,9 @@ def main(argv=None) -> int:
         return 2
 
     try:
-        with open(args.config) as fh:
+        with open(args.config, encoding="utf-8") as fh:
             cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: bad UTF-8, JSON or int literal
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 2
 

@@ -36,7 +36,7 @@ from .measures import (
     ScheduleError,
     _finite,
     _floor_log2,
-    _integer,
+    _window,
     mass,
     support_interval,
 )
@@ -297,14 +297,7 @@ def smooth_cut(m: Measure, window) -> Measure:
     the support leaves the zero measure and is an error too.
     """
     center, radius, order = window
-    center = _finite(center, "window center")
-    radius = _finite(radius, "window radius")
-    order = _integer(order, "window order")
-    if radius <= 0:
-        raise MeasureError("window radius must be positive")
-    if order < 2:  # ceil(3 d / 2) with d = 1
-        raise MeasureError(f"window order {order} below required 2")
-    cut = m._windowed(center, radius, order)
+    cut = m._windowed(*_window(center, radius, order))
     if cut is None:
         raise MeasureError("window is disjoint from the support (zero measure)")
     return cut

@@ -40,8 +40,8 @@ from .density import (DensityPiece, cut_mass, decompose_density, piece_transform
                       window_value)
 from .errors import MeasureError, ScheduleError
 from .phase import (_cos_sin_turns, _eplus_frac, _eplus_turned, _eplus_vec, _half_turn,
-                    _phase_frac, _phase_vec, _product_turns, _ratio, _split, _two_product,
-                    _two_sum, _unit, phase_unit)
+                    _phase_at, _phase_frac, _phase_vec, _product_turns, _ratio, _split,
+                    _two_product, _two_sum, _unit)
 
 __all__ = [
     "MeasureError",
@@ -86,6 +86,13 @@ _ENUM_LIMIT = 1 << 16
 # batch route sends to the exact rule anyway.
 GRID_GUARD = 2.0 ** 60
 
+# The largest |xi| a schedule or a trig density may hold, checked from their
+# fields before anything is built: the largest frequency the mpmath oracle
+# pins (tests/test_oracle.py).  One Cantor transform there takes about 25 ms
+# on 2 vCPUs, and its 1234 decimal digits stay under Python's 4300-digit
+# limit for writing an int.  ft itself takes any frequency.
+MAX_ABS_FREQUENCY = 2 ** 4096
+
 
 def _finite(value, what: str) -> float:
     """value as a finite float; bools and strings are not numbers here."""
@@ -112,12 +119,6 @@ def _integer(value, what: str, error=MeasureError) -> int:
         raise error(f"{what} must be an integer, got {value!r}") from None
 
 
-def _is_integer_valued(x) -> bool:
-    if isinstance(x, int):
-        return True
-    return isinstance(x, float) and x.is_integer()
-
-
 def _require_measures(items, what: str) -> tuple:
     out = tuple(items)
     if not all(isinstance(m, Measure) for m in out):
@@ -125,27 +126,41 @@ def _require_measures(items, what: str) -> tuple:
     return out
 
 
-def _canonical_scalar(xi):
-    """A real frequency as an int when it is integer-valued, else a float."""
-    if isinstance(xi, (bool, np.bool_)):
-        raise MeasureError("frequency must be a number")
-    if isinstance(xi, (int, np.integer)):
-        return int(xi)
-    x = float(xi)
-    if not math.isfinite(x):
-        raise MeasureError(f"frequency must be finite, got {xi!r}")
-    if x.is_integer() and abs(x) < 2 ** 53:
-        return int(x)
-    return x
+def _window(center, radius, order) -> tuple:
+    """(center, radius, order) of a polynomial window: finite reals, a
+    positive radius and an integer order of at least 2; else MeasureError."""
+    center = _finite(center, "window center")
+    radius = _finite(radius, "window radius")
+    order = _integer(order, "window order")
+    if radius <= 0:
+        raise MeasureError("window radius must be positive")
+    if order < 2:  # ceil(3 d / 2) with d = 1
+        raise MeasureError(f"window order {order} below required 2")
+    return center, radius, order
 
 
-def _self_similar_depth(base: int, abs_xi) -> int:
+def _exact(xi) -> tuple:
+    """A real frequency as its exact ratio (p, q), q > 0: ints of any size
+    and Fractions as they are, anything else as a finite float."""
+    if isinstance(xi, (int, np.integer, Fraction)) and not isinstance(xi, bool):
+        return _ratio(xi)
+    return _finite(xi, "frequency").as_integer_ratio()
+
+
+def _self_similar_depth(base: int, p, q: int = 1) -> int:
+    """Levels kept at |xi| = p / q, for an int or float p and an int q > 0."""
     # math.log2 is exact enough for ints of any size, so huge frequencies
-    # keep every level whose factor differs from 1.
-    if abs_xi <= SELF_SIMILAR_TRUNCATION:
-        return 1
-    return max(1, math.ceil(
-        (math.log2(abs_xi) - math.log2(SELF_SIMILAR_TRUNCATION)) / math.log2(base)))
+    # keep every level whose factor differs from 1; p / q is a float
+    # frequency itself, and a ratio past the float range takes its parts.
+    try:
+        x = p / q if q != 1 else p
+    except OverflowError:
+        log = math.log2(p) - math.log2(q)
+    else:
+        if x <= SELF_SIMILAR_TRUNCATION:
+            return 1
+        log = math.log2(x)
+    return max(1, math.ceil((log - math.log2(SELF_SIMILAR_TRUNCATION)) / math.log2(base)))
 
 
 def _self_similar_depths(base: int, abs_xs: np.ndarray) -> np.ndarray:
@@ -163,11 +178,12 @@ def _self_similar_depths(base: int, abs_xs: np.ndarray) -> np.ndarray:
 class Measure:
     """Abstract base for all measure variants.  Instances are immutable.
 
-    Every variant implements ``_mass``, ``_support``, ``_ft`` (exact
-    transform at a positive int or positive non-integer float) and ``_grid``
-    (float transform over an array).  ``_atoms`` maps position to point mass
-    and ``_density`` lists the pieces of the part without atoms.  The other
-    rules default to no atoms, no explicit density and the widest guard.
+    Every variant implements ``_mass``, ``_support``, ``_ft(p, q)`` (exact
+    transform at the frequency p / q, for ints p > 0 and q > 0; the pair
+    need not be reduced) and ``_grid`` (float transform over an array).
+    ``_atoms`` maps position to point mass and ``_density`` lists the pieces
+    of the part without atoms.  The other rules default to no atoms, no
+    explicit density and the widest guard.
     """
 
     __slots__ = ()
@@ -176,13 +192,13 @@ class Measure:
     def variant(self) -> str:
         return type(self).__name__
 
-    def _ft_signed(self, xi) -> complex:
-        """Transform at a canonical scalar (see _canonical_scalar) of any sign."""
-        if xi == 0:
+    def _ft_signed(self, p: int, q: int) -> complex:
+        """Transform at p / q, for ints p of any sign and q > 0 (see _exact)."""
+        if p == 0:
             return complex(self._mass())
-        if xi < 0:
-            return self._ft(-xi).conjugate()
-        return self._ft(xi)
+        if p < 0:
+            return self._ft(-p, q).conjugate()
+        return self._ft(p, q)
 
     def _grid_guard(self) -> float:
         """Largest |xi| at which the float grid rule is pinned against the
@@ -241,8 +257,8 @@ class Atomic(Measure):
         xs = [p for p, _ in self.atoms]
         return min(xs), max(xs)
 
-    def _ft(self, xi) -> complex:
-        return sum((w * phase_unit(xi, pos) for pos, w in self.atoms), 0.0 + 0.0j)
+    def _ft(self, p, q) -> complex:
+        return sum((w * _phase_at(p, q, pos) for pos, w in self.atoms), 0.0 + 0.0j)
 
     def _grid(self, xs: np.ndarray) -> np.ndarray:
         # xs is split once for every atom's exact product, and the real and
@@ -307,17 +323,16 @@ class UniformOnIntervals(Measure):
     def _support(self) -> tuple:
         return self.intervals[0][0], self.intervals[-1][1]
 
-    def _ft(self, xi) -> complex:
+    def _ft(self, p, q) -> complex:
         # The cell's length b - a is taken exactly from the ratios of a and
         # b; only the weight uses the rounded float length.
-        p, q = _ratio(xi)
         total = self.total_length
         out = 0.0 + 0.0j
         for a, b in self.intervals:
             pa, qa = _ratio(a)
             pb, qb = _ratio(b)
             cell = _eplus_frac(-p * (pb * qa - pa * qb), q * qa * qb)
-            out += ((b - a) / total) * phase_unit(xi, a) * cell
+            out += ((b - a) / total) * _phase_frac(p * pa, q * qa) * cell
         return out
 
     def _grid(self, xs: np.ndarray) -> np.ndarray:
@@ -362,6 +377,8 @@ class TrigDensity(Measure):
             f = _integer(frequency, "trig frequency")
             if f <= 0:
                 raise MeasureError(f"trig frequency must be a positive integer, got {frequency!r}")
+            if f > MAX_ABS_FREQUENCY:
+                raise MeasureError("trig frequency past the cap 2^4096")
             canon.append((c, f))
         if math.fsum(abs(c) for c, _ in canon) > 1.0 + _EPS:
             raise MeasureError("sum of |amplitudes| exceeds 1; density could go negative")
@@ -373,13 +390,12 @@ class TrigDensity(Measure):
     def _support(self) -> tuple:
         return 0.0, 1.0
 
-    def _ft(self, xi) -> complex:
+    def _ft(self, p, q) -> complex:
         # Term f needs E(f - xi) and E(-f - xi), E = _eplus_frac.  At
         # xi = p/q both numerators, f q - p and -(f q + p), are congruent to
         # (f mod 2) q - p mod 2q, so one half turn per parity of f serves
         # every term.  At an integer xi, E is 1 where its argument is 0 and
         # 0 at every other integer.
-        p, q = _ratio(xi)
         out = _eplus_frac(-p, q)
         whole = p % q == 0
         turns = {}
@@ -464,12 +480,11 @@ class SelfSimilarDigit(Measure):
     def _support(self) -> tuple:
         return 0.0, 1.0
 
-    def _ft(self, xi) -> complex:
+    def _ft(self, p, q) -> complex:
         # Level n sums exp(-2 pi i p d / den) over the digits, den = q base^n:
         # p is reduced mod den once per level and each digit's residue comes
         # from that.  Digit 0 contributes exactly 1.
-        p, q = _ratio(xi)
-        depth = _self_similar_depth(self.base, xi)
+        depth = _self_similar_depth(self.base, p, q)
         digits = self.allowed_digits
         start = 0.0 + 0.0j
         if digits[0] == 0:
@@ -623,8 +638,7 @@ class DigitProduct(Measure):
             pos += b.length
         return tuple(factors), self.cylinder_count()
 
-    def _ft(self, xi) -> complex:
-        p, q = _ratio(xi)
+    def _ft(self, p, q) -> complex:
         pre = _eplus_frac(-p, q << self.depth)
         p %= q << self.depth  # every phase below has a modulus dividing this one
         plan, count = self._factor_plan
@@ -749,8 +763,8 @@ class Mixture(Measure):
         spans = [c._support() for c in self.components]
         return min(a for a, _ in spans), max(b for _, b in spans)
 
-    def _ft(self, xi) -> complex:
-        return self._combine(c._ft(xi) for c in self.components)
+    def _ft(self, p, q) -> complex:
+        return self._combine(c._ft(p, q) for c in self.components)
 
     def _combine(self, parts) -> complex:
         """The transform from the components' transforms (scalars at one
@@ -807,7 +821,7 @@ class AffineImage(Measure):
         if not isinstance(self.mod1, bool):
             raise MeasureError(f"mod1 must be true or false, got {self.mod1!r}")
         if self.mod1:
-            if not _is_integer_valued(s):
+            if _ratio(s)[1] != 1:
                 raise MeasureError("mod-1 images need an integer scalar scale")
             s = int(s)
             lo, hi = self.inner._support()
@@ -829,23 +843,14 @@ class AffineImage(Measure):
         hi = self.scale * b + self.offset
         return (hi, lo) if self.scale < 0 else (lo, hi)
 
-    def _ft(self, xi) -> complex:
-        if self.mod1:
-            if not isinstance(xi, int):
-                raise MeasureError(
-                    "transform of a wrapped (mod 1) image is defined at integer "
-                    f"frequencies only, got {xi!r}")
-            inner_xi = self.scale * xi
-        else:
-            try:
-                inner_xi = self.scale * xi
-                if isinstance(inner_xi, float) and not math.isfinite(inner_xi):
-                    raise OverflowError
-            except OverflowError:
-                raise MeasureError(
-                    "scaled frequency exceeds float range; use an integer scale")
-        offset_phase = phase_unit(xi, self.offset) if self.offset != 0 else 1.0 + 0.0j
-        return offset_phase * self.inner._ft_signed(_canonical_scalar(inner_xi))
+    def _ft(self, p, q) -> complex:
+        if self.mod1 and p % q:
+            raise MeasureError(
+                "transform of a wrapped (mod 1) image is defined at integer "
+                "frequencies only")
+        ps, qs = _ratio(self.scale)
+        offset_phase = _phase_at(p, q, self.offset) if self.offset != 0 else 1.0 + 0.0j
+        return offset_phase * self.inner._ft_signed(p * ps, q * qs)
 
     def _grid(self, xs: np.ndarray) -> np.ndarray:
         if self.mod1 and not np.all(xs == np.round(xs)):
@@ -902,8 +907,8 @@ class Convolution(Measure):
             hi += b
         return lo, hi
 
-    def _ft(self, xi) -> complex:
-        return math.prod((f._ft(xi) for f in self.factors), start=1.0 + 0.0j)
+    def _ft(self, p, q) -> complex:
+        return math.prod((f._ft(p, q) for f in self.factors), start=1.0 + 0.0j)
 
     def _grid(self, xs: np.ndarray) -> np.ndarray:
         return math.prod((f._grid(xs) for f in self.factors), start=1.0 + 0.0j)
@@ -946,13 +951,9 @@ class SmoothCutDensity(Measure):
 
     def __post_init__(self):
         _require_measures((self.inner,), "the inner measure")
-        object.__setattr__(self, "center", _finite(self.center, "window center"))
-        r = _finite(self.radius, "window radius")
-        if r <= 0:
-            raise MeasureError("window radius must be positive")
-        object.__setattr__(self, "radius", r)
-        if _integer(self.order, "window order") < 1:
-            raise MeasureError("window order must be a positive integer")
+        window = _window(self.center, self.radius, self.order)
+        for name, value in zip(("center", "radius", "order"), window):
+            object.__setattr__(self, name, value)
 
     def _mass(self) -> float:
         return cut_mass(self)
@@ -965,11 +966,11 @@ class SmoothCutDensity(Measure):
             raise MeasureError("window does not meet the support of the inner measure")
         return lo, hi
 
-    def _ft(self, xi) -> complex:
-        if isinstance(xi, int) and xi.bit_length() > 1020:
+    def _ft(self, p, q) -> complex:
+        if p.bit_length() - q.bit_length() > 1020:
             return 0.0j  # piece transforms decay like 1/xi; below underflow
-        x = float(xi)
-        return complex(sum(piece_transform(p, x) for p in self._density()))
+        x = p / q
+        return complex(sum(piece_transform(piece, x) for piece in self._density()))
 
     def _grid(self, xs: np.ndarray) -> np.ndarray:
         out = np.zeros(xs.shape, dtype=complex)
@@ -990,7 +991,7 @@ class SmoothCutDensity(Measure):
         wpiece = DensityPiece(self.center - self.radius, self.center + self.radius,
                               self.center, window_poly(self.radius, self.order),
                               1.0 + 0.0j, 0.0)
-        products = (p.multiply(wpiece) for p in decompose_density(self.inner))
+        products = (wpiece.multiply(p) for p in decompose_density(self.inner))
         return tuple(q for q in products if q is not None)
 
 
@@ -1208,6 +1209,11 @@ class Lacunary(FrequencySchedule):
         if _integer(self.multipliers, "multipliers", ScheduleError) < 1:
             raise ScheduleError("multipliers is a count and must be an int >= 1")
         _require_count(len(exps) * self.multipliers)
+        # 2^top is formed only where top is below the cap's bit length
+        top = max(exps)
+        if (top >= MAX_ABS_FREQUENCY.bit_length()
+                or (self.multipliers << top) > MAX_ABS_FREQUENCY):
+            raise ScheduleError("a Lacunary frequency 2^e * j exceeds the cap 2^4096")
         object.__setattr__(self, "exponents", exps)
 
     def frequencies(self) -> tuple:
@@ -1223,7 +1229,10 @@ class ExplicitFrequencies(FrequencySchedule):
     frequencies_list: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "frequencies_list", _sorted_by_modulus(self.frequencies_list))
+        freqs = _sorted_by_modulus(self.frequencies_list)
+        if freqs and abs(freqs[-1]) > MAX_ABS_FREQUENCY:
+            raise ScheduleError("an explicit frequency exceeds the cap 2^4096")
+        object.__setattr__(self, "frequencies_list", freqs)
 
     def frequencies(self) -> tuple:
         return self.frequencies_list

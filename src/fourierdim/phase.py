@@ -1,6 +1,6 @@
 """Phase kernels: exact rational phase arithmetic and its float counterparts.
 
-A float is a dyadic rational p/q and an integer frequency is p/1, so
+A float is a dyadic rational p/q, a Fraction is p/q and an integer is p/1, so
 exp(-2 pi i xi x) equals exp(-2 pi i ((p1 p2) mod (q1 q2)) / (q1 q2)) with
 the modulus taken in exact integer arithmetic.  That makes lacunary probes
 such as xi = 2**2304 evaluable with correctly rounded phases, far beyond
@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -32,6 +33,8 @@ def _ratio(x) -> tuple:
     """x as an exact integer pair (p, q) with x = p / q, q > 0."""
     if isinstance(x, (int, np.integer)):
         return int(x), 1
+    if isinstance(x, Fraction):
+        return x.numerator, x.denominator
     return float(x).as_integer_ratio()
 
 
@@ -48,9 +51,13 @@ def phase_unit(xi, x) -> complex:
     correctly rounded unit complex number even when xi*x is astronomically
     large.
     """
-    p1, q1 = _ratio(xi)
-    p2, q2 = _ratio(x)
-    return _phase_frac(p1 * p2, q1 * q2)
+    return _phase_at(*_ratio(xi), x)
+
+
+def _phase_at(p: int, q: int, x) -> complex:
+    """exp(-2 pi i (p/q) x) for the exact frequency p/q and a position x."""
+    px, qx = _ratio(x)
+    return _phase_frac(p * px, q * qx)
 
 
 def _eplus_frac(num: int, den: int) -> complex:

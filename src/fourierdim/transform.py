@@ -5,9 +5,10 @@ The transform convention throughout is
 
     ft(m, xi) = integral exp(-2 pi i xi x) dm(x).
 
-``ft`` takes a real scalar frequency and evaluates the variant's closed form
-with exact rational phase reduction (see :mod:`fourierdim.phase`): Python ints
-of any size are exact, so lacunary probes such as xi = 2**2304 keep
+``ft`` turns a real scalar frequency once into its exact ratio p/q (ints of
+any size and Fractions as given, a float as its binary value) and evaluates
+the variant's closed form there with exact rational phase reduction (see
+:mod:`fourierdim.phase`), so lacunary probes such as xi = 2**2304 keep
 correctly rounded phases.  ``ft_grid`` evaluates the variant's float rule
 over an array, with every phase reduced from an error-free product, and
 takes ``ft`` for each point past the variant's guard: the largest |xi| at
@@ -15,8 +16,8 @@ which the float rule is pinned against the mpmath oracle.  That is 2^60 for
 every primitive variant, where tests/test_oracle.py holds the grid to 16 u
 relative (256 u per level for self-similar measures); a mixture or
 convolution takes its parts' least guard, an affine image its inner guard
-over |scale|.  The rules themselves live on the measure classes in
-:mod:`fourierdim.measures`.
+over |scale| (its grid rule still rounds xs * scale).  The rules themselves
+live on the measure classes in :mod:`fourierdim.measures`.
 
 Route rule: ``ft_batch``, ``decay_exponent`` and ``stability_experiment``
 evaluate a schedule through ``_ft_values``.  Its non-integer floats within
@@ -49,7 +50,7 @@ from .measures import (  # noqa: F401
     FrequencySchedule,
     Measure,
     MeasureError,
-    _canonical_scalar,
+    _exact,
     mass,
     support_interval,
 )
@@ -80,12 +81,12 @@ class QuadratureError(RuntimeError):
 def ft(m: Measure, xi) -> complex:
     """Transform of m at the real scalar frequency xi.
 
-    Python ints of any size are evaluated exactly.  Measures containing a
-    wrapped (mod-1) image require integer xi at that node.
+    Ints of any size, Fractions and floats are evaluated exactly.  Measures
+    containing a wrapped (mod-1) image require integer xi at that node.
     """
     if isinstance(xi, (tuple, list, np.ndarray)):
         raise MeasureError("ft takes a real scalar frequency; use ft_grid for arrays")
-    return m._ft_signed(_canonical_scalar(xi))
+    return m._ft_signed(*_exact(xi))
 
 
 # Points per call of a variant's float rule.  The rules make a few dozen

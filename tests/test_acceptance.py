@@ -8,6 +8,7 @@ summary.  Tolerances are fixed here and nowhere else.
 import cmath
 import math
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -450,7 +451,7 @@ def test_criterion_08_transform_algebra():
         a = float(rng.uniform(0.3, 3.0)) * (1 if rng.random() < 0.5 else -1)
         c = float(rng.uniform(-1.0, 1.0))
         img = fd.AffineImage(m1, a, c)
-        want = fd.phase_unit(xi, c) * fd.ft(m1, a * xi)
+        want = fd.phase_unit(xi, c) * fd.ft(m1, Fraction(a) * Fraction(xi))
         if abs(fd.ft(img, xi) - want) > 1e-13 * max(1.0, fd.mass(m1)):
             failures += 1  # affine covariance
     assert failures == 0

@@ -61,6 +61,21 @@ def test_unreadable_config(tmp_path, capsys):
     assert main(["--config", str(arr)]) == 2
 
 
+def test_config_that_is_not_utf8_exits_2(tmp_path, capsys):
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes(b'{"experiment": "cantor", "output": "caf\xe9"}')
+    assert main(["--config", str(bad)]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot read config")
+
+
+def test_config_with_an_int_past_the_digit_limit_exits_2(tmp_path, capsys):
+    # Python refuses to parse an int literal of more than 4300 digits
+    bad = tmp_path / "long.json"
+    bad.write_text('{"experiment": "cantor", "seed": 1' + "0" * 5000 + "}")
+    assert main(["--config", str(bad)]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot read config")
+
+
 def test_unknown_experiment(tmp_path, monkeypatch, capsys):
     rc = _run(tmp_path, monkeypatch, {"experiment": "nope"})
     assert rc == 2
@@ -334,6 +349,26 @@ BAD_CONFIGS = {
                                   "schedule": {"variant": "Lacunary",
                                                "exponents": list(range(4, 13)),
                                                "multipliers": 10 ** 12}},
+    # frequencies past measures.MAX_ABS_FREQUENCY = 2^4096, refused from the
+    # fields before any is built
+    "lacunary-exponent-huge": {"experiment": "transform", "measure": LEB,
+                               "schedule": {"variant": "Lacunary", "exponents": [15000]}},
+    "lacunary-exponent-past-cap": {"experiment": "transform", "measure": LEB,
+                                   "schedule": {"variant": "Lacunary", "exponents": [4096],
+                                                "multipliers": 2}},
+    "explicit-frequency-past-cap": {"experiment": "transform", "measure": LEB,
+                                    "schedule": {"variant": "Explicit",
+                                                 "frequencies": [3, -(2 ** 4096 + 1)]}},
+    "trig-frequency-past-cap": {"experiment": "transform", "schedule": DYADIC,
+                                "measure": {"variant": "TrigDensity",
+                                            "terms": [{"amplitude": 0.5,
+                                                       "frequency": 2 ** 4096 + 1}]}},
+    "cantor-k-max-past-cap": {"experiment": "cantor", "params": {"k_max": 2585}},
+    "measex-depth-past-cap": {"experiment": "measex", "params": {"decay_depth": 65}},
+    # a description of a window cut of order 1, which smooth_cut refuses
+    "cut-order-one": {"experiment": "transform", "schedule": DYADIC,
+                      "measure": {"variant": "SmoothCutDensity", "inner": LEB,
+                                  "center": 0.5, "radius": 0.3, "order": 1}},
 }
 
 

@@ -197,6 +197,21 @@ def test_affine_covariance():
             assert abs(fd.ft(m, xi) - want) < 1e-15
 
 
+def test_ratios_past_the_float_range():
+    # the inner frequency 0.75 * 4 * 3^1300 = 3^1301 is formed exactly, where
+    # the rounded product used to overflow; a Fraction is read as its parts
+    cantor = fd.cantor_measure()
+    img = fd.AffineImage(cantor, 0.75)
+    assert abs(fd.ft(img, 4 * 3 ** 1300)) == abs(fd.ft(cantor, 1))
+    assert cmath.isfinite(fd.ft(cantor, Fraction(2 * 3 ** 1400 + 1, 2)))
+
+
+@pytest.mark.parametrize("xi", ["0.5", True, np.bool_(True), b"1", math.nan, -math.inf])
+def test_frequencies_that_are_not_finite_numbers_raise(xi):
+    with pytest.raises(fd.MeasureError):
+        fd.ft(LEB, xi)
+
+
 def test_affine_mod1_wraps_to_integer_dilation():
     m = fd.DigitProduct(6, (fd.DigitBlock(0, 2, "00"),))
     dil = fd.AffineImage(m, 4, 0.0, True)
