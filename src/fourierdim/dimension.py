@@ -361,7 +361,7 @@ def translation_pair_transform(m: Measure, t: float, xi) -> float:
     base = ft(m, xi)
     shifted_phase = phase_unit(xi, t) if t != 0 else 1.0 + 0.0j
     value = abs(base + shifted_phase * base)
-    p1, q1 = _ratio(t)
+    p1, q1 = _ratio(t, "translation")
     p2, q2 = _ratio(xi)
     # cos(pi t xi) with the angle reduced mod 2 in exact rational arithmetic
     cos = _half_turn(p1 * p2, q1 * q2)[0].real

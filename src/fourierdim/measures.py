@@ -39,9 +39,9 @@ import numpy as np
 from .density import (DensityPiece, cut_mass, decompose_density, piece_transform, window_poly,
                       window_value)
 from .errors import MeasureError, ScheduleError
-from .phase import (_cos_sin_turns, _eplus_frac, _eplus_turned, _eplus_vec, _half_turn,
-                    _phase_at, _phase_frac, _phase_vec, _product_turns, _ratio, _split,
-                    _two_product, _two_sum, _unit)
+from .phase import (_cos_sin_turns, _eplus_frac, _eplus_turned, _eplus_vec, _finite,
+                    _half_turn, _phase_at, _phase_frac, _phase_vec, _product_turns, _ratio,
+                    _split, _two_product, _two_sum, _unit)
 
 __all__ = [
     "MeasureError",
@@ -94,21 +94,6 @@ GRID_GUARD = 2.0 ** 60
 MAX_ABS_FREQUENCY = 2 ** 4096
 
 
-def _finite(value, what: str) -> float:
-    """value as a finite float; bools and strings are not numbers here."""
-    try:
-        # a plain float skips the isinstance test, which would double the
-        # cost of building an Atomic
-        if type(value) is not float and isinstance(value, (bool, np.bool_, str, bytes)):
-            raise TypeError
-        v = float(value)
-    except (TypeError, ValueError, OverflowError):
-        raise MeasureError(f"{what} must be a finite real number, got {value!r}") from None
-    if not math.isfinite(v):
-        raise MeasureError(f"{what} must be finite, got {value!r}")
-    return v
-
-
 def _integer(value, what: str, error=MeasureError) -> int:
     """value as an int; bools, floats and strings are not integers here."""
     try:
@@ -137,14 +122,6 @@ def _window(center, radius, order) -> tuple:
     if order < 2:  # ceil(3 d / 2) with d = 1
         raise MeasureError(f"window order {order} below required 2")
     return center, radius, order
-
-
-def _exact(xi) -> tuple:
-    """A real frequency as its exact ratio (p, q), q > 0: ints of any size
-    and Fractions as they are, anything else as a finite float."""
-    if isinstance(xi, (int, np.integer, Fraction)) and not isinstance(xi, bool):
-        return _ratio(xi)
-    return _finite(xi, "frequency").as_integer_ratio()
 
 
 def _self_similar_depth(base: int, p, q: int = 1) -> int:
@@ -193,7 +170,7 @@ class Measure:
         return type(self).__name__
 
     def _ft_signed(self, p: int, q: int) -> complex:
-        """Transform at p / q, for ints p of any sign and q > 0 (see _exact)."""
+        """Transform at p / q, for ints p of any sign and q > 0 (see phase._ratio)."""
         if p == 0:
             return complex(self._mass())
         if p < 0:
@@ -1239,16 +1216,10 @@ class ExplicitFrequencies(FrequencySchedule):
 
 
 def merge_schedules(*schedules: FrequencySchedule) -> ExplicitFrequencies:
-    """Union of the given schedules as one explicit schedule (duplicates dropped)."""
-    seen = []
-    for s in schedules:
-        seen.extend(s.frequencies())
-    seen.sort(key=abs)
-    out = []
-    for x in seen:
-        if not out or x != out[-1]:
-            out.append(x)
-    return ExplicitFrequencies(tuple(out))
+    """Union of the given schedules as one explicit schedule, sorted by
+    modulus, with duplicates dropped (the first of equal values kept)."""
+    freqs = sorted((x for s in schedules for x in s.frequencies()), key=abs)
+    return ExplicitFrequencies(tuple(dict.fromkeys(freqs)))
 
 
 _SCHEDULES = {

@@ -16,6 +16,11 @@ error-free product of the two floats, and ``_eplus_vec`` takes g mod 2 from
 the parts its caller formed without rounding (TwoSum, TwoProduct).  Their
 phase error is therefore a few units of the last place whatever the size of
 xi * x, where reducing the rounded product would lose |xi x| units.
+
+``_ratio`` is the package's one reader of a scalar frequency: ints of any
+size and Fractions stay exact, and anything else must be a finite real
+number (``_finite``), so a bool, a string or a NaN is a MeasureError at
+every entry point.
 """
 
 from __future__ import annotations
@@ -26,16 +31,33 @@ from fractions import Fraction
 
 import numpy as np
 
+from .errors import MeasureError
+
 __all__ = ["phase_unit", "oscillatory_integral"]
 
 
-def _ratio(x) -> tuple:
-    """x as an exact integer pair (p, q) with x = p / q, q > 0."""
-    if isinstance(x, (int, np.integer)):
+def _finite(value, what: str) -> float:
+    """value as a finite float; bools and strings are not numbers here."""
+    try:
+        # a plain float skips the isinstance test, which would double the
+        # cost of building an Atomic
+        if type(value) is not float and isinstance(value, (bool, np.bool_, str, bytes)):
+            raise TypeError
+        v = float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise MeasureError(f"{what} must be a finite real number, got {value!r}") from None
+    if not math.isfinite(v):
+        raise MeasureError(f"{what} must be finite, got {value!r}")
+    return v
+
+
+def _ratio(x, what: str = "frequency") -> tuple:
+    """(p, q) with x = p / q exactly, q > 0; anything but an int or a Fraction via _finite."""
+    if isinstance(x, (int, np.integer)) and not isinstance(x, bool):
         return int(x), 1
     if isinstance(x, Fraction):
         return x.numerator, x.denominator
-    return float(x).as_integer_ratio()
+    return _finite(x, what).as_integer_ratio()
 
 
 def _phase_frac(num: int, den: int) -> complex:
@@ -46,17 +68,17 @@ def _phase_frac(num: int, den: int) -> complex:
 def phase_unit(xi, x) -> complex:
     """exp(-2 pi i xi x) with the phase reduced exactly.
 
-    Both arguments may be ints of any size or floats; the product xi*x is
-    formed as an exact rational before reduction mod 1, so the result is a
-    correctly rounded unit complex number even when xi*x is astronomically
-    large.
+    Both arguments may be ints of any size, Fractions or finite floats; the
+    product xi*x is formed as an exact rational before reduction mod 1, so
+    the result is a correctly rounded unit complex number even when xi*x is
+    astronomically large.
     """
     return _phase_at(*_ratio(xi), x)
 
 
 def _phase_at(p: int, q: int, x) -> complex:
     """exp(-2 pi i (p/q) x) for the exact frequency p/q and a position x."""
-    px, qx = _ratio(x)
+    px, qx = _ratio(x, "position")
     return _phase_frac(p * px, q * qx)
 
 
@@ -212,15 +234,15 @@ def _unit(c, s):
     return out[()]
 
 
-def _phase_vec(xs, x, parts=None, x_lo: float = 0.0):
+def _phase_vec(xs, x, parts=None):
     """Float counterpart of phase_unit: exp(-2 pi i xs x) over an array of xs
     (or a scalar), with xs * x reduced mod 1 from the exact product.
 
     No correction is made when x is a power of two, whose products are
     exact.  parts is the split of xs, for callers that form several phases
-    of one frequency array; x_lo extends x to a double-double position.
+    of one frequency array.
     """
-    return _unit(*_cos_sin_turns(*_product_turns(xs, -x, parts, -x_lo)))
+    return _unit(*_cos_sin_turns(*_product_turns(xs, -x, parts)))
 
 
 def _eplus_vec(hi, lo=0.0):

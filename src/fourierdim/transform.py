@@ -5,12 +5,14 @@ The transform convention throughout is
 
     ft(m, xi) = integral exp(-2 pi i xi x) dm(x).
 
-``ft`` turns a real scalar frequency once into its exact ratio p/q (ints of
-any size and Fractions as given, a float as its binary value) and evaluates
-the variant's closed form there with exact rational phase reduction (see
-:mod:`fourierdim.phase`), so lacunary probes such as xi = 2**2304 keep
-correctly rounded phases.  ``ft_grid`` evaluates the variant's float rule
-over an array, with every phase reduced from an error-free product, and
+``ft`` turns a real scalar frequency once into its exact ratio p/q with
+``phase._ratio`` (ints of any size and Fractions as given, a float as its
+binary value) and evaluates the variant's closed form there with exact
+rational phase reduction (see :mod:`fourierdim.phase`), so lacunary probes
+such as xi = 2**2304 keep correctly rounded phases.  ``ft_grid`` evaluates
+the variant's float rule over an array of floats (any array but an int or
+float one is read element by element through ``phase._finite``), with
+every phase reduced from an error-free product, and
 takes ``ft`` for each point past the variant's guard: the largest |xi| at
 which the float rule is pinned against the mpmath oracle.  That is 2^60 for
 every primitive variant, where tests/test_oracle.py holds the grid to 16 u
@@ -27,7 +29,8 @@ integer-valued floats and everything past the guard go through ``ft``.
 
 ``ft_quadrature`` is the independent Filon route: degree-4 panels whose
 moments take density's Gauss-Legendre node rule for small |theta| and an
-upward recurrence beyond.
+upward recurrence beyond.  It reads its frequency through ``_ratio`` too:
+its atoms take exact phases, and its panels the nearest float.
 
 ``ft`` evaluates negative frequencies by conjugation, ft(m, -xi) =
 conj(ft(m, xi)), which is valid because every representable measure is real
@@ -50,11 +53,10 @@ from .measures import (  # noqa: F401
     FrequencySchedule,
     Measure,
     MeasureError,
-    _exact,
     mass,
     support_interval,
 )
-from .phase import _phase_vec, oscillatory_integral, phase_unit
+from .phase import _finite, _phase_at, _phase_vec, _ratio, oscillatory_integral, phase_unit
 
 __all__ = [
     "ft",
@@ -86,7 +88,7 @@ def ft(m: Measure, xi) -> complex:
     """
     if isinstance(xi, (tuple, list, np.ndarray)):
         raise MeasureError("ft takes a real scalar frequency; use ft_grid for arrays")
-    return m._ft_signed(*_exact(xi))
+    return m._ft_signed(*_ratio(xi))
 
 
 # Points per call of a variant's float rule.  The rules make a few dozen
@@ -102,7 +104,10 @@ def ft_grid(m: Measure, xis) -> np.ndarray:
     Uses the float rule up to the variant's guard and the exact scalar rule
     for each point past it, so no value depends on the rest of the array.
     """
-    xs = np.asarray(xis, dtype=float)
+    xs = np.asarray(xis)
+    if xs.dtype.kind not in "iuf":
+        xs = np.array([_finite(x, "frequency") for x in xs.flat]).reshape(xs.shape)
+    xs = xs.astype(float, copy=False)
     if xs.size == 0:
         return np.zeros(0, dtype=complex)
     if not np.all(np.isfinite(xs)):
@@ -114,7 +119,7 @@ def ft_grid(m: Measure, xis) -> np.ndarray:
     near = ~far
     if near.any():
         out[near] = _grid_chunks(m, xs[near])
-    out[far] = [ft(m, float(x)) for x in xs[far]]
+    out[far] = [ft(m, x) for x in xs[far].tolist()]
     return out
 
 
@@ -270,24 +275,26 @@ def ft_quadrature(m: Measure, xi, tol: float = 1e-9,
     integrated against the oscillatory kernel with exact moments, so only
     the density's own oscillation sets the panel count; |xi| can be large at
     no extra cost.  Panels are doubled until two successive refinements agree
-    within tol.  The atoms of m are summed exactly, and the density pieces
-    of the rest are integrated.  Raises QuadratureError
-    when the panel budget is exhausted before reaching tol, and MeasureError
-    for a tol that is not positive and finite or a budget outside
-    [8, QUADRATURE_MAX_PANELS] (the first refinement already takes 8 panels).
+    within tol.  Atoms take exact phases at xi, and the density pieces of the
+    rest are integrated at the float nearest xi.  Raises QuadratureError when
+    the panel budget is exhausted before reaching tol, and MeasureError for
+    pieces at |xi| >= 2^1024, a tol that is not positive and finite or a
+    budget outside [8, QUADRATURE_MAX_PANELS] (the first refinement: 8 panels).
     """
-    x = float(xi)
-    if not math.isfinite(x):
-        raise MeasureError("frequency must be finite")
+    p, q = _ratio(xi)
     if not 0.0 < tol < math.inf:
         raise MeasureError(f"quadrature tol must be positive and finite, got {tol}")
     if not 8 <= max_panels <= QUADRATURE_MAX_PANELS:
         raise MeasureError(f"quadrature panel budget must lie in [8, "
                            f"{QUADRATURE_MAX_PANELS}], got {max_panels}")
-    value = sum((w * phase_unit(x, pos) for pos, w in m._atoms().items()), 0.0 + 0.0j)
+    value = sum((w * _phase_at(p, q, pos) for pos, w in m._atoms().items()), 0.0 + 0.0j)
     pieces = m._density()
     if not pieces:
         return QuadratureResult(value, 0.0, 0)
+    try:
+        x = p / q
+    except OverflowError:
+        raise MeasureError("quadrature panels need a float frequency, |xi| < 2^1024") from None
 
     breaks = sorted({p.a for p in pieces} | {p.b for p in pieces})
     f_max = max(abs(p.frequency) for p in pieces)

@@ -147,6 +147,17 @@ def test_failed_claim_exits_4_but_writes(tmp_path, monkeypatch, capsys):
     assert summary["passed"] is False
 
 
+def test_quadrature_check_of_a_point_mass_at_a_big_int_is_exact(tmp_path, monkeypatch):
+    # 3^40 is not a float: its atom phase used to be taken at the rounded
+    # frequency, and the check failed with exit 3
+    cfg = {"experiment": "transform",
+           "measure": {"variant": "Atomic", "atoms": [{"position": 0.3, "weight": 1.0}]},
+           "schedule": {"variant": "Explicit", "frequencies": [3 ** 40]},
+           "params": {"quadrature_count": 1}, "output": "atom"}
+    assert _run(tmp_path, monkeypatch, cfg) == 0
+    assert json.loads((tmp_path / "atom.json").read_text())["quadrature_max_dev"] == 0.0
+
+
 def test_quadrature_blowup_exits_3(tmp_path, monkeypatch, capsys):
     cfg = {"experiment": "transform",
            "measure": {"variant": "TrigDensity", "ambient_dim": 1,
@@ -365,6 +376,12 @@ BAD_CONFIGS = {
                                                        "frequency": 2 ** 4096 + 1}]}},
     "cantor-k-max-past-cap": {"experiment": "cantor", "params": {"k_max": 2585}},
     "measex-depth-past-cap": {"experiment": "measex", "params": {"decay_depth": 65}},
+    # a quadrature check at 2^1100, past the float range its panels need:
+    # used to end in an OverflowError traceback
+    "quadrature-frequency-past-float-range": {
+        "experiment": "transform", "measure": LEB,
+        "schedule": {"variant": "Lacunary", "exponents": [1100]},
+        "params": {"quadrature_count": 1}},
     # a description of a window cut of order 1, which smooth_cut refuses
     "cut-order-one": {"experiment": "transform", "schedule": DYADIC,
                       "measure": {"variant": "SmoothCutDensity", "inner": LEB,

@@ -407,6 +407,13 @@ def test_merge_schedules_dedupes_and_sorts():
     assert merged.frequencies() == (4, 8, 16)
 
 
+def test_merge_schedules_drops_duplicates_that_sorting_leaves_apart():
+    # sorted by modulus, 1.5, -1.5, 1.5: the two 1.5 are not neighbours
+    merged = fd.merge_schedules(fd.ExplicitFrequencies((1.5, -1.5)),
+                                fd.ExplicitFrequencies((1.5,)))
+    assert merged.frequencies() == (1.5, -1.5)
+
+
 def test_schedule_round_trip():
     for s in (fd.IntegerRange(50), fd.DyadicWindows(2, 12, 8),
               fd.Lacunary((1, 4, 9), 3), fd.ExplicitFrequencies((1.5, 2, 7))):

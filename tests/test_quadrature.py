@@ -98,6 +98,16 @@ def test_non_finite_frequency_rejected():
         fd.ft_quadrature(LEB, math.inf)
 
 
+def test_atoms_take_exact_phases():
+    # 3^40 rounds to a float whose phase at 0.3 is far off
+    atom = fd.Atomic(((0.3, 1.0),))
+    assert fd.ft_quadrature(atom, 3 ** 40).value == fd.ft(atom, 3 ** 40)
+    # atoms need no float frequency; density pieces do
+    assert fd.ft_quadrature(atom, 3 ** 700).value == fd.ft(atom, 3 ** 700)
+    with pytest.raises(fd.MeasureError, match="2\\^1024"):
+        fd.ft_quadrature(LEB, 2 ** 1100)
+
+
 def test_unsupported_measures_raise():
     wrapped = fd.AffineImage(LEB, 4, 0.0, mod1=True)
     with pytest.raises(fd.MeasureError):

@@ -206,10 +206,41 @@ def test_ratios_past_the_float_range():
     assert cmath.isfinite(fd.ft(cantor, Fraction(2 * 3 ** 1400 + 1, 2)))
 
 
-@pytest.mark.parametrize("xi", ["0.5", True, np.bool_(True), b"1", math.nan, -math.inf])
+NOT_FINITE_NUMBERS = ["0.5", True, np.bool_(True), b"1", math.nan, -math.inf]
+
+
+@pytest.mark.parametrize("xi", NOT_FINITE_NUMBERS)
 def test_frequencies_that_are_not_finite_numbers_raise(xi):
     with pytest.raises(fd.MeasureError):
         fd.ft(LEB, xi)
+
+
+# every scalar entry point reads its frequency (and phase_unit its position)
+# the way ft does
+SCALAR_ENTRY_POINTS = {
+    "phase_unit-xi": lambda v: fd.phase_unit(v, 0.5),
+    "phase_unit-x": lambda v: fd.phase_unit(3, v),
+    "oscillatory_integral-alpha": lambda v: fd.oscillatory_integral(v, 2),
+    "oscillatory_integral-beta": lambda v: fd.oscillatory_integral(1.5, v),
+    "ft_quadrature": lambda v: fd.ft_quadrature(LEB, v),
+    "translation_pair_transform-t": lambda v: fd.translation_pair_transform(LEB, v, 0.25),
+}
+
+
+@pytest.mark.parametrize("value", NOT_FINITE_NUMBERS,
+                         ids=("str", "bool", "np-bool", "bytes", "nan", "-inf"))
+@pytest.mark.parametrize("entry", sorted(SCALAR_ENTRY_POINTS))
+def test_scalar_entry_points_refuse_what_is_not_a_finite_number(entry, value):
+    with pytest.raises(fd.MeasureError):
+        SCALAR_ENTRY_POINTS[entry](value)
+
+
+@pytest.mark.parametrize("xis", [["0.5", "1"], np.array([True, False]),
+                                 np.array([0.5, True], dtype=object)],
+                         ids=("strings", "bools", "object-bool"))
+def test_grid_refuses_frequencies_that_are_not_numbers(xis):
+    with pytest.raises(fd.MeasureError):
+        fd.ft_grid(LEB, xis)
 
 
 def test_affine_mod1_wraps_to_integer_dilation():
