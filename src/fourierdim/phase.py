@@ -201,6 +201,12 @@ def _product_turns(xs, y: float, parts=None, y_lo: float = 0.0) -> tuple:
     return hi, lo
 
 
+# cos(k pi/2) and sin(k pi/2) at index k + 2, for k = -2 .. 2; the zero sine
+# at k = -2 is -0.0.
+_QUARTER_COS = np.array([-1.0, 0.0, 1.0, 0.0, -1.0])
+_QUARTER_SIN = np.array([-0.0, -1.0, 0.0, 1.0, 0.0])
+
+
 def _cos_sin_turns(hi, lo=0.0):
     """(cos 2 pi r, sin 2 pi r) over an array of turns r = hi + lo, with lo
     small against a turn.
@@ -210,7 +216,7 @@ def _cos_sin_turns(hi, lo=0.0):
     offset, not of hi, and a value near a zero of the sine or cosine keeps
     its relative accuracy.  The pair at the offset (at most about 1/8 turn)
     is then rotated by k quarter turns, with cos(k pi/2) and sin(k pi/2)
-    formed exactly from k.
+    read exactly from a table.
     """
     r = _frac(hi)
     k = np.rint(4.0 * (r + lo))
@@ -220,9 +226,9 @@ def _cos_sin_turns(hi, lo=0.0):
     k -= 4.0 * np.rint(0.25 * k)  # -2 .. 2
     c = np.cos(r)
     s = np.sin(r)
-    kk = k * k
-    cq = 1.0 - kk + kk * (kk - 1.0) / 6.0  # 1, 0, -1 at k^2 = 0, 1, 4
-    sq = k * (4.0 - kk) / 3.0  # 0, +-1, 0 at k = 0, +-1, +-2
+    i = (k + 2.0).astype(np.intp)
+    cq = _QUARTER_COS.take(i)
+    sq = _QUARTER_SIN.take(i)
     return cq * c - sq * s, cq * s + sq * c
 
 

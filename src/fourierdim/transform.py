@@ -10,9 +10,9 @@ The transform convention throughout is
 binary value) and evaluates the variant's closed form there with exact
 rational phase reduction (see :mod:`fourierdim.phase`), so lacunary probes
 such as xi = 2**2304 keep correctly rounded phases.  ``ft_grid`` evaluates
-the variant's float rule over an array of floats (any array but an int or
-float one is read element by element through ``phase._finite``), with
-every phase reduced from an error-free product, and
+the variant's float rule over an array of floats (any input but an int or
+float ndarray, a Python list included, is read element by element through
+``phase._finite``), with every phase reduced from an error-free product, and
 takes ``ft`` for each point past the variant's guard: the largest |xi| at
 which the float rule is pinned against the mpmath oracle.  That is 2^60 for
 every primitive variant, where tests/test_oracle.py holds the grid to 16 u
@@ -104,7 +104,7 @@ def ft_grid(m: Measure, xis) -> np.ndarray:
     Uses the float rule up to the variant's guard and the exact scalar rule
     for each point past it, so no value depends on the rest of the array.
     """
-    xs = np.asarray(xis)
+    xs = xis if isinstance(xis, np.ndarray) else np.array(xis, dtype=object)
     if xs.dtype.kind not in "iuf":
         xs = np.array([_finite(x, "frequency") for x in xs.flat]).reshape(xs.shape)
     xs = xs.astype(float, copy=False)

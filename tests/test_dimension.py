@@ -301,6 +301,51 @@ def test_lower_bound_miss_is_reported_honestly():
     assert asdict(wit)["found"] is False
 
 
+def test_lower_bound_stops_at_the_first_chunk_with_a_witness(monkeypatch):
+    sizes = []
+    real = dimension.ft_grid
+
+    def counted(m, xis):
+        sizes.append(np.size(xis))
+        return real(m, xis)
+
+    monkeypatch.setattr(dimension, "ft_grid", counted)
+    wit = fd.lower_bound_search(fd.Atomic(((1.0, 1.0),)), 1.0, 10 ** 6)
+    assert wit.found and wit.j == 1
+    assert sum(sizes) <= 16
+
+
+def _brute_force_witness(m, eps, j_max):
+    bound = math.pi * eps / (8.0 + 2.0 * math.pi * eps)
+    vals = np.abs(fd.ft_grid(m, np.arange(1, j_max + 1, dtype=float)))
+    hit = int(np.nonzero(vals >= bound)[0][0])
+    return hit + 1, float(vals[hit])
+
+
+@pytest.mark.parametrize("n", [16, 17, 48, 49, 200])
+def test_lower_bound_equals_one_brute_force_grid_across_chunk_edges(n):
+    # equal atoms at k/n cancel at every j below n and add up at j = n
+    m = fd.Atomic(tuple((k / n, 1.0 / n) for k in range(1, n + 1)))
+    wit = fd.lower_bound_search(m, 1.0 / n, 500)
+    assert wit.found and wit.j == n == wit.searched_up_to
+    j, value = _brute_force_witness(m, 1.0 / n, 500)
+    assert (wit.j, np.float64(wit.value).tobytes()) == (j, np.float64(value).tobytes())
+
+
+def test_lower_bound_miss_between_chunk_edges():
+    m = fd.Atomic(tuple((k / 64, 1.0 / 64) for k in range(1, 65)))
+    wit = fd.lower_bound_search(m, 1.0 / 64, 30)
+    assert not wit.found
+    assert wit.searched_up_to == 30
+
+
+@pytest.mark.parametrize("eps, j_max", [(True, 100), ("0.5", 100),
+                                        (1.0, True), (1.0, 10.5), (1.0, "10")])
+def test_lower_bound_refuses_what_is_not_a_number(eps, j_max):
+    with pytest.raises(fd.MeasureError):
+        fd.lower_bound_search(fd.Atomic(((1.0, 1.0),)), eps, j_max)
+
+
 def test_lower_bound_uniform_on_upper_half():
     half = fd.AffineImage(LEB, 0.5, 0.5)  # uniform on [1/2, 1]
     wit = fd.lower_bound_search(half, 0.5, 100)

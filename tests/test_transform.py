@@ -236,8 +236,9 @@ def test_scalar_entry_points_refuse_what_is_not_a_finite_number(entry, value):
 
 
 @pytest.mark.parametrize("xis", [["0.5", "1"], np.array([True, False]),
-                                 np.array([0.5, True], dtype=object)],
-                         ids=("strings", "bools", "object-bool"))
+                                 np.array([0.5, True], dtype=object), [0.5, True],
+                                 [[0.5], [np.bool_(False)]]],
+                         ids=("strings", "bools", "object-bool", "list-bool", "nested-bool"))
 def test_grid_refuses_frequencies_that_are_not_numbers(xis):
     with pytest.raises(fd.MeasureError):
         fd.ft_grid(LEB, xis)
@@ -459,3 +460,52 @@ def test_phase_vec_reduces_the_exact_product():
     # exact products that are whole or quarter turns give exact units
     assert np.array_equal(_phase_vec(np.array([2.0, -6.0, 2.0 ** 60]), 0.5), np.ones(3))
     assert _phase_vec(np.array([0.5, 1.5, -0.5]), 0.5).tolist() == [-1j, 1j, 1j]
+
+
+def _quarter_turn_by_polynomial(k):
+    # cos(k pi/2) and sin(k pi/2) formed from k = -2 .. 2 by polynomials, the
+    # reference for the table lookup (signed zeros included)
+    kk = k * k
+    return 1.0 - kk + kk * (kk - 1.0) / 6.0, k * (4.0 - kk) / 3.0
+
+
+def _cos_sin_turns_by_polynomial(hi, lo=0.0):
+    from fourierdim.phase import _frac
+
+    r = _frac(hi)
+    k = np.rint(4.0 * (r + lo))
+    r -= 0.25 * k
+    r += lo
+    r *= 2.0 * math.pi
+    k -= 4.0 * np.rint(0.25 * k)
+    c = np.cos(r)
+    s = np.sin(r)
+    cq, sq = _quarter_turn_by_polynomial(k)
+    return cq * c - sq * s, cq * s + sq * c
+
+
+def test_quarter_turn_table_matches_the_polynomial_rotation_bit_for_bit():
+    from fourierdim.phase import _QUARTER_COS, _QUARTER_SIN, _cos_sin_turns
+
+    want_cq, want_sq = _quarter_turn_by_polynomial(np.arange(-2.0, 3.0))
+    assert _QUARTER_COS.tobytes() == want_cq.tobytes()
+    assert _QUARTER_SIN.tobytes() == want_sq.tobytes()  # -0.0 at k = -2
+
+    rng = np.random.default_rng(1480)
+    n = 8192
+    edges = [0.0, -0.0, 0.125, 0.25, 0.375, 0.5, 5e-324, 2.2e-308]
+    his = [rng.uniform(-1e6, 1e6, n),
+           np.rint(rng.uniform(-8e6, 8e6, n)) / 8.0,
+           np.rint(rng.uniform(-4e6, 4e6, n)) / 4.0,
+           np.array(edges + [-e for e in edges])]
+    for hi in his:
+        los = [0.0, rng.uniform(-3.0, 3.0, hi.size), rng.uniform(-1e-9, 1e-9, hi.size)]
+        for lo in los:
+            got = _cos_sin_turns(hi, lo)
+            want = _cos_sin_turns_by_polynomial(hi, lo)
+            for g, w in zip(got, want):
+                assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
+    # a scalar turn gives the same bits as the polynomial rule too
+    for hi in edges + [-e for e in edges] + [0.75, -0.75, 1e6 + 0.25]:
+        for g, w in zip(_cos_sin_turns(hi), _cos_sin_turns_by_polynomial(hi)):
+            assert np.asarray(g).tobytes() == np.asarray(w).tobytes(), hi
