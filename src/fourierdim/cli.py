@@ -599,7 +599,11 @@ def main(argv=None) -> int:
     if not isinstance(params, dict):
         print("error: params must be a JSON object", file=sys.stderr)
         return 2
-    prefix = args.out or cfg.get("output") or name
+    output = cfg.get("output", "")
+    if not isinstance(output, str) or "\0" in output:
+        print(f"error: output must be a file name prefix, got {output!r}", file=sys.stderr)
+        return 2
+    prefix = args.out or output or name
     runner, _, claim = _EXPERIMENTS[name]
 
     try:
@@ -614,7 +618,11 @@ def main(argv=None) -> int:
 
     summary.update(experiment=name, claim=claim, seed=seed)
     passed = summary["passed"]
-    _write_outputs(prefix, summary, rows)
+    try:
+        _write_outputs(prefix, summary, rows)
+    except OSError as exc:
+        print(f"error: cannot write outputs: {exc}", file=sys.stderr)
+        return 2
     print(f"{name}: {'ok' if passed else 'FAILED CLAIM'} -> {prefix}.json")
     return 0 if passed else 4
 

@@ -152,11 +152,6 @@ def riesz_constant(d: int, s: float) -> float:
     return math.pi ** (s - d / 2) * math.gamma((d - s) / 2) / math.gamma(s / 2)
 
 
-def _require_energy_order(s: float) -> None:
-    if not 0 < s < 1:
-        raise MeasureError(f"need 0 < s < 1, got s={s}")
-
-
 # Largest cell count energy_spatial accepts: 256 times the default 4096.  Its
 # FFT autocorrelation peaks at about 110 MB of numpy arrays there.
 SPATIAL_MAX_RESOLUTION = 1 << 20
@@ -176,13 +171,14 @@ def energy_spatial(m: Measure, s: float, resolution: int = 4096) -> EnergyResult
     term of eps R^1.5 |value| on R cells.  Any atom makes the energy
     infinite and is flagged.
     """
-    _require_energy_order(s)
+    s = _finite(s, "s")
+    c = riesz_constant(1, s)
+    resolution = _integer(resolution, "resolution")
     if resolution < 16:
         raise MeasureError("resolution too small")
     if resolution > SPATIAL_MAX_RESOLUTION:
         raise MeasureError(f"resolution {resolution} exceeds the cap of "
                            f"{SPATIAL_MAX_RESOLUTION}")
-    c = riesz_constant(1, s)
     if atom_weights(m):
         return EnergyResult(s, math.inf, "spatial", c, 0.0)
     pieces = decompose_density(m)
@@ -238,9 +234,9 @@ def energy_fourier(m: Measure, s: float, cutoff: float = 4096.0) -> EnergyResult
     sets the value and its maximum there sets the tail's error term.  More
     than FOURIER_MAX_PANELS panels raise MeasureError.
     """
-    _require_energy_order(s)
-    if not math.isfinite(cutoff):
-        raise MeasureError(f"cutoff must be finite, got {cutoff}")
+    s = _finite(s, "s")
+    c = riesz_constant(1, s)
+    cutoff = _finite(cutoff, "cutoff")
     if cutoff < 4.0:
         raise MeasureError("cutoff too small")
     lo, hi = support_interval(m)
@@ -250,7 +246,6 @@ def energy_fourier(m: Measure, s: float, cutoff: float = 4096.0) -> EnergyResult
         raise MeasureError(f"cutoff {cutoff} on a support of diameter {hi - lo} "
                            f"needs more than the cap of {FOURIER_MAX_PANELS} panels")
     panels = 2 * math.ceil(pairs)
-    c = riesz_constant(1, s)
     if atom_weights(m):
         return EnergyResult(s, math.inf, "fourier", c, 0.0)
 
@@ -298,7 +293,10 @@ def smooth_cut(m: Measure, window) -> Measure:
     part without an explicit density is an error.  A window disjoint from
     the support leaves the zero measure and is an error too.
     """
-    center, radius, order = window
+    try:
+        center, radius, order = window
+    except (TypeError, ValueError):
+        raise MeasureError(f"window must be (center, radius, order), got {window!r}") from None
     cut = m._windowed(*_window(center, radius, order))
     if cut is None:
         raise MeasureError("window is disjoint from the support (zero measure)")

@@ -39,9 +39,9 @@ import numpy as np
 from .density import (DensityPiece, cut_mass, decompose_density, piece_transform, window_poly,
                       window_value)
 from .errors import MeasureError, ScheduleError
-from .phase import (_cos_sin_turns, _eplus_frac, _eplus_turned, _eplus_vec, _finite,
-                    _half_turn, _phase_at, _phase_frac, _phase_vec, _product_turns, _ratio,
-                    _split, _two_product, _two_sum, _unit)
+from .phase import (_cos_sin_turns, _eplus_frac, _eplus_vec, _finite, _half_turn, _phase_at,
+                    _phase_frac, _phase_vec, _product_turns, _ratio, _split, _two_product,
+                    _two_sum, _unit)
 
 __all__ = [
     "MeasureError",
@@ -180,8 +180,10 @@ class Measure:
     def _grid_guard(self) -> float:
         """Largest |xi| at which the float grid rule is pinned against the
         mpmath oracle; ft_grid takes the scalar rule past it.  A window
-        cut's grid and scalar rules are the same piece sums, so its guard
-        changes no value."""
+        cut's grid and scalar rules are the same piece sums, one per array
+        and one per point, so they agree to rounding only: at about a third
+        of sampled points with |xi| up to 2^20 they differ, by at most 4e-14
+        relative."""
         return GRID_GUARD
 
     def _atoms(self) -> dict:
@@ -385,8 +387,8 @@ class TrigDensity(Measure):
                 turn = turns.get(f & 1)
                 if turn is None:
                     turn = turns[f & 1] = _half_turn((f & 1) * q - p, q)
-                plus = _eplus_turned(fq - p, q, turn)
-                minus = _eplus_turned(-(fq + p), q, turn)
+                plus = _eplus_frac(fq - p, q, turn)
+                minus = _eplus_frac(-(fq + p), q, turn)
             out += c * (plus - minus) / 2j
         return out
 
@@ -577,31 +579,38 @@ class DigitProduct(Measure):
         return 1.0
 
     def _support(self) -> tuple:
-        return _plan_support(self._factor_plan[0], self.depth)
+        lo = hi = 0.0
+        for positions, v in self._factor_plan:
+            unit = 2.0 ** -positions[-1]
+            if v is None:
+                hi += unit
+                continue
+            top = (1 << len(positions)) - 1
+            if v == 0:
+                lo += unit
+            hi += (top - 1 if v == top else top) * unit
+        return lo, min(1.0, hi + 2.0 ** -self.depth)
 
     def _wrapped_support(self, scale: int) -> tuple:
-        # A block-aligned dilation by 2^l shifts the digits left by l places;
-        # blocks entirely inside the first l digits only rescale cylinder
+        # A block-aligned dilation by 2^l shifts the digits left by l places:
+        # the image is the digit product of the digits past l.  Blocks
+        # entirely inside the first l digits only rescale cylinder
         # multiplicities uniformly (block constraints are independent across
         # disjoint ranges), so they drop out.
         if scale <= 0 or scale & (scale - 1):
             return 0.0, 1.0
         l = scale.bit_length() - 1
-        if l >= self.depth:
+        if l >= self.depth or any(b.offset < l < b.offset + b.length for b in self.blocks):
             return 0.0, 1.0
-        kept = []
-        for positions, v in self._factor_plan[0]:
-            if positions[0] > l:
-                kept.append((tuple(pos - l for pos in positions), v))
-            elif positions[-1] > l:
-                return 0.0, 1.0
-        return _plan_support(kept, self.depth - l)
+        kept = tuple(DigitBlock(b.offset - l, b.length, b.forbidden_pattern)
+                     for b in self.blocks if b.offset >= l)
+        return DigitProduct(self.depth - l, kept)._support()
 
     @cached_property
     def _factor_plan(self) -> tuple:
-        """(factors, cylinder count); factors lists a free digit at position
-        pos as ((pos,), None) and a block as (its digit positions, the
-        forbidden pattern as an int)."""
+        """The factors in digit order: a free digit at position pos as
+        ((pos,), None) and a block as (its digit positions, the forbidden
+        pattern as an int)."""
         blocked = {b.offset: b for b in self.blocks}
         factors = []
         pos = 1
@@ -613,14 +622,13 @@ class DigitProduct(Measure):
                 continue
             factors.append((tuple(range(pos, pos + b.length)), int(b.forbidden_pattern, 2)))
             pos += b.length
-        return tuple(factors), self.cylinder_count()
+        return tuple(factors)
 
     def _ft(self, p, q) -> complex:
         pre = _eplus_frac(-p, q << self.depth)
         p %= q << self.depth  # every phase below has a modulus dividing this one
-        plan, count = self._factor_plan
         factors = 1.0 + 0.0j
-        for positions, v in plan:
+        for positions, v in self._factor_plan:
             if v is None:
                 factors *= 1.0 + _phase_frac(p, q << positions[0])
                 continue
@@ -629,7 +637,7 @@ class DigitProduct(Measure):
                 block_prod *= 1.0 + _phase_frac(p, q << pos)
             block_prod -= _phase_frac(p * v, q << positions[-1])
             factors *= block_prod
-        return pre * factors / count
+        return pre * factors / self.cylinder_count()
 
     def _grid(self, xs: np.ndarray) -> np.ndarray:
         # xi * 2^-i is an exact float scaling, so _phase_vec reduces it
@@ -637,9 +645,8 @@ class DigitProduct(Measure):
         # in-place product of one-element arrays differently, which would
         # make a value depend on the size of its batch.
         pre = _eplus_vec(-xs * 2.0 ** -self.depth)
-        plan, count = self._factor_plan
         factors = np.ones(xs.shape, dtype=complex)
-        for positions, v in plan:
+        for positions, v in self._factor_plan:
             if v is None:
                 factors = factors * (1.0 + _phase_vec(xs, 2.0 ** -positions[0]))
                 continue
@@ -654,7 +661,7 @@ class DigitProduct(Measure):
                 if v >> j & 1:
                     forb = forb * phases[-1 - j]
             factors = factors * (block - forb)
-        return pre * factors / count
+        return pre * factors / self.cylinder_count()
 
     def _density(self) -> tuple:
         count = self.cylinder_count()
@@ -686,28 +693,11 @@ class DigitProduct(Measure):
         The plan runs from the leading digit down and each factor's offsets
         ascend, so the values come out in order."""
         values = [0]
-        for positions, v in self._factor_plan[0]:
+        for positions, v in self._factor_plan:
             shift = self.depth - positions[-1]
             offsets = [c << shift for c in range(1 << len(positions)) if c != v]
             values = [x + o for x in values for o in offsets]
         return values
-
-
-def _plan_support(plan, depth: int) -> tuple:
-    """Support interval of the digit product laid out by plan (see
-    DigitProduct._factor_plan) over depth digits."""
-    lo = 0.0
-    hi = 0.0
-    for positions, v in plan:
-        unit = 2.0 ** -positions[-1]
-        if v is None:
-            hi += unit
-            continue
-        top = (1 << len(positions)) - 1
-        if v == 0:
-            lo += unit
-        hi += (top - 1 if v == top else top) * unit
-    return lo, min(1.0, hi + 2.0 ** -depth)
 
 
 def _flat_piece(v0: int, v1: int, width: float, height: float) -> DensityPiece:
@@ -860,7 +850,12 @@ class AffineImage(Measure):
 
 @dataclass(frozen=True)
 class Convolution(Measure):
-    """Convolution of the factor measures; transform is the product of factors."""
+    """Convolution of the factor measures; transform is the product of factors.
+
+    It has atoms when every factor has some, not only when every factor is
+    atomic: they are the atoms of the convolution of the factors' atomic
+    parts, since an atom convolved with a part without atoms has none.
+    """
 
     factors: tuple
 
@@ -894,7 +889,6 @@ class Convolution(Measure):
         return min(f._grid_guard() for f in self.factors)
 
     def _atoms(self) -> dict:
-        # atomic only when every factor is
         maps = [f._atoms() for f in self.factors]
         if any(not d for d in maps):
             return {}
@@ -1162,6 +1156,8 @@ class DyadicWindows(FrequencySchedule):
         if self.samples_per_window < 1:
             raise ScheduleError("need at least one sample per window")
         _require_count((self.max_exp - self.min_exp + 1) * self.samples_per_window)
+        if self.min_exp < -1074:
+            raise ScheduleError("dyadic window exponents below -1074 round to 0.0")
 
     def frequencies(self) -> tuple:
         spw = self.samples_per_window

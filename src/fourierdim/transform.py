@@ -53,6 +53,7 @@ from .measures import (  # noqa: F401
     FrequencySchedule,
     Measure,
     MeasureError,
+    _integer,
     mass,
     support_interval,
 )
@@ -187,8 +188,9 @@ def atom_weights(m: Measure) -> dict:
     """Map position -> total point mass, empty when m has no atoms.
 
     Continuous variants contribute nothing; a single-digit self-similar
-    measure is the point mass at digit/(base-1).  Convolutions are atomic
-    only when every factor is.
+    measure is the point mass at digit/(base-1).  A convolution has atoms
+    when every factor has some: the convolution of the factors' atomic
+    parts.
     """
     return m._atoms()
 
@@ -210,8 +212,9 @@ def wiener_average(m: Measure, T: float) -> float:
     so the step resolves ten points per fastest period.  The value
     tends to the sum of squared atom masses as T grows.
     """
-    if not (T > 0 and math.isfinite(T)):
-        raise MeasureError("T must be positive and finite")
+    T = _finite(T, "T")
+    if T <= 0:
+        raise MeasureError("T must be positive")
     lo, hi = support_interval(m)
     diam = hi - lo
     step = min(0.01, 1.0 / (10.0 * diam)) if diam > 0 else 0.01
@@ -282,8 +285,10 @@ def ft_quadrature(m: Measure, xi, tol: float = 1e-9,
     budget outside [8, QUADRATURE_MAX_PANELS] (the first refinement: 8 panels).
     """
     p, q = _ratio(xi)
-    if not 0.0 < tol < math.inf:
-        raise MeasureError(f"quadrature tol must be positive and finite, got {tol}")
+    tol = _finite(tol, "quadrature tol")
+    max_panels = _integer(max_panels, "quadrature panel budget")
+    if tol <= 0.0:
+        raise MeasureError(f"quadrature tol must be positive, got {tol}")
     if not 8 <= max_panels <= QUADRATURE_MAX_PANELS:
         raise MeasureError(f"quadrature panel budget must lie in [8, "
                            f"{QUADRATURE_MAX_PANELS}], got {max_panels}")

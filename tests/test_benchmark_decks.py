@@ -1,0 +1,40 @@
+"""One cycle of each benchmark deck through the runner, judged by the
+benchmark's own output checks.
+
+``perfbench`` is only read here: its generator deals the configs (seed 1)
+and its ``Checker`` compares every op's exit code and written JSON/CSV with
+independent references, so an op that the benchmark would count as failed
+fails this test too.
+"""
+
+import contextlib
+import io
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from fourierdim import bandlattice, cli
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+from check import Checker  # noqa: E402
+from workloads import Generator  # noqa: E402
+
+WORKLOADS = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_one_deck_cycle_passes_the_benchmark_checks(workload, tmp_path):
+    gen = Generator(workload, 1)
+    checker = Checker(bandlattice)
+    for i in range(len(gen.deck)):
+        op = next(gen)
+        prefix = str(tmp_path / f"op{i}")
+        with open(prefix + ".cfg.json", "w") as fh:
+            json.dump(op["config"], fh)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            rc = cli.main(["--config", prefix + ".cfg.json", "--out", prefix])
+        checker.check(op, rc, prefix)

@@ -227,6 +227,13 @@ BAD_CONFIGS = {
                                "schedule": {"variant": "Lacunary",
                                             "exponents": list(range(4, 13)),
                                             "multiplier": 4}},
+    # output prefixes that are not strings, or whose files cannot be written:
+    # each used to end in a traceback after the run
+    "output-int": {"experiment": "cantor", "output": 5},
+    "output-bool": {"experiment": "cantor", "output": True},
+    "output-list": {"experiment": "cantor", "output": ["a"]},
+    "output-missing-dir": {"experiment": "cantor", "output": "nodir/x"},
+    "output-nul": {"experiment": "cantor", "output": "a\0b"},
     "wiener-T-huge": {"experiment": "wiener", "measure": TWO_ATOMS,
                       "params": {"T": 1e30}},
     "wiener-T-inf": {"experiment": "wiener", "measure": TWO_ATOMS,
@@ -395,6 +402,12 @@ def test_bad_config_exits_2_without_traceback(name, tmp_path, monkeypatch, capsy
     assert _run(tmp_path, monkeypatch, BAD_CONFIGS[name]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_unwritable_out_exits_2(tmp_path, monkeypatch, capsys):
+    cfg = {"experiment": "cantor"}
+    assert _run(tmp_path, monkeypatch, cfg, ["--out", "nodir/x"]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot write outputs: ")
 
 
 EXPERIMENT_CONFIGS = {

@@ -187,10 +187,12 @@ def test_smooth_cut_requires_order():
 
 
 @pytest.mark.parametrize("window", [(0.5, 0.4, 2.9), (0.5, 0.4, "2"), ("x", 0.4, 2),
-                                    (0.5, None, 2), (0.5, math.inf, 2), (math.nan, 0.4, 2)])
+                                    (0.5, None, 2), (0.5, math.inf, 2), (math.nan, 0.4, 2),
+                                    (0.5, 0.3), 5, None])
 def test_smooth_cut_checks_its_window(window):
-    # a float order used to be truncated (2.9 built an order-2 cut) and a
-    # non-numeric centre raised a bare ValueError
+    # a float order used to be truncated (2.9 built an order-2 cut), a
+    # non-numeric centre raised a bare ValueError, and a window that is not
+    # three values raised a ValueError or a TypeError
     with pytest.raises(fd.MeasureError):
         fd.smooth_cut(LEB, window)
 

@@ -370,6 +370,14 @@ def test_dyadic_windows_exponent_cap():
         fd.DyadicWindows(4, 2000)
 
 
+def test_dyadic_windows_exponent_floor():
+    # 2^-1074 is the least positive float; below it the first frequencies
+    # used to round to 0.0
+    assert min(fd.DyadicWindows(-1074, -1070, 4).frequencies()) == 2.0 ** -1074
+    with pytest.raises(fd.ScheduleError):
+        fd.DyadicWindows(-1075, -1070)
+
+
 def test_lacunary_schedule_is_exact_ints():
     s = fd.Lacunary((2, 4, 6))
     assert s.frequencies() == (4, 16, 64)

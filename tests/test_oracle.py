@@ -368,11 +368,12 @@ def test_oracle_closed_forms_agree_with_known_values():
 # phase_unit and oscillatory_integral
 #
 # phase_unit measured at most 8.7 u (at a 4096-bit int times 0.3), and
-# oscillatory_integral at most 5.2 u where its two terms do not cancel; both
-# are pinned at 16 u.  oscillatory_integral is (E(a + b) - E(a - b)) / 2i,
-# and where |a| >> |b| and 2b is near an integer the two terms nearly
-# cancel: at a = 3^30, b = 2.5 each is about 1.5e-15 and the value is
-# -1.877e-29, which the package gets 6.0e-3 relative off (ROADMAP item 4).
+# oscillatory_integral at most 3.2 u; both are pinned at 16 u.
+# oscillatory_integral is (E(a + b) - E(a - b)) / 2i, and where |a| >> |b|
+# and 2b is near an integer the two terms nearly cancel: at a = 3^30,
+# b = 2.5 each is about 1.5e-15 and the value is -1.877e-29.  The package
+# factors e(a) out of both terms there; their plain difference, which it
+# keeps where a is close to +-b, reads 5.4e13 u at that point.
 
 POSITIONS = [0.3, -1.3, 1e3 / 3, 0.71, 2.0 ** -20 + 0.125, 12345.678, 0.5, 3,
              Fraction(1, 3), Fraction(-7, 5)]
@@ -395,7 +396,10 @@ OSCILLATORY_PAIRS = (
     [(a, b) for a in _signed(INTS[::4] + [3 ** k for k in (1, 5, 30, 40)] + FLOATS[::2] + FRACTIONS)
      for b in (0.3, -1.7, 1e3 / 3, 2.0 ** 20 + 0.375, Fraction(1, 3), Fraction(-7, 5),
                2.0 ** 40 + 0.3)]
-    + [(a, b) for a in _signed(INTS[::4] + [3 ** 30]) for b in (1, 3, 3 ** 40, 2 ** 300 + 1)])
+    + [(a, b) for a in _signed(INTS[::4] + [3 ** 30]) for b in (1, 3, 3 ** 40, 2 ** 300 + 1)]
+    # a next to +-b, where the factored form would cancel
+    + [(0.3, 0.3 + 2.0 ** -50), (2.0 ** 20 + 0.5, -(2.0 ** 20 + 0.5 - 2.0 ** -30)),
+       (1 + 2.0 ** -40, 1)])
 
 
 def test_oscillatory_integral_against_oracle():
@@ -404,9 +408,9 @@ def test_oscillatory_integral_against_oracle():
     assert worst <= TRIG_UNIFORM_BOUND, worst / U
 
 
-@pytest.mark.xfail(strict=True, reason="E(a + b) and E(a - b) cancel (ROADMAP item 4)")
-def test_oscillatory_integral_where_its_terms_cancel_against_oracle():
-    err = relative_error(fd.oscillatory_integral(3 ** 30, 2.5), oracle_oscillatory(3 ** 30, 2.5))
+@pytest.mark.parametrize("a, b", [(3 ** 30, 2.5), (2.0 ** 40 + 0.3, 1)])
+def test_oscillatory_integral_where_its_terms_cancel_against_oracle(a, b):
+    err = relative_error(fd.oscillatory_integral(a, b), oracle_oscillatory(a, b))
     assert err <= TRIG_UNIFORM_BOUND, err / U
 
 

@@ -216,7 +216,7 @@ def test_frequencies_that_are_not_finite_numbers_raise(xi):
 
 
 # every scalar entry point reads its frequency (and phase_unit its position)
-# the way ft does
+# the way ft does, and its other numbers through the same checks
 SCALAR_ENTRY_POINTS = {
     "phase_unit-xi": lambda v: fd.phase_unit(v, 0.5),
     "phase_unit-x": lambda v: fd.phase_unit(3, v),
@@ -224,6 +224,13 @@ SCALAR_ENTRY_POINTS = {
     "oscillatory_integral-beta": lambda v: fd.oscillatory_integral(1.5, v),
     "ft_quadrature": lambda v: fd.ft_quadrature(LEB, v),
     "translation_pair_transform-t": lambda v: fd.translation_pair_transform(LEB, v, 0.25),
+    "ft_quadrature-tol": lambda v: fd.ft_quadrature(LEB, 0.5, v),
+    "ft_quadrature-max_panels": lambda v: fd.ft_quadrature(LEB, 0.5, 1e-9, v),
+    "wiener_average-T": lambda v: fd.wiener_average(LEB, v),
+    "energy_spatial-s": lambda v: fd.energy_spatial(LEB, v),
+    "energy_spatial-resolution": lambda v: fd.energy_spatial(LEB, 0.5, v),
+    "energy_fourier-s": lambda v: fd.energy_fourier(LEB, v),
+    "energy_fourier-cutoff": lambda v: fd.energy_fourier(LEB, 0.5, v),
 }
 
 
@@ -231,6 +238,15 @@ SCALAR_ENTRY_POINTS = {
                          ids=("str", "bool", "np-bool", "bytes", "nan", "-inf"))
 @pytest.mark.parametrize("entry", sorted(SCALAR_ENTRY_POINTS))
 def test_scalar_entry_points_refuse_what_is_not_a_finite_number(entry, value):
+    with pytest.raises(fd.MeasureError):
+        SCALAR_ENTRY_POINTS[entry](value)
+
+
+# integer arguments refuse floats and bools: 4096.5 cells raised a bare
+# TypeError, and a budget of 1024.0 panels ran
+@pytest.mark.parametrize("value", [4096.5, 1024.0, True])
+@pytest.mark.parametrize("entry", ["ft_quadrature-max_panels", "energy_spatial-resolution"])
+def test_integer_arguments_refuse_floats_and_bools(entry, value):
     with pytest.raises(fd.MeasureError):
         SCALAR_ENTRY_POINTS[entry](value)
 
@@ -426,6 +442,40 @@ def test_wiener_mixture_limit_is_atomic_part():
     m = fd.Mixture((LEB, fd.Atomic(((0.5, 1.0),))), (0.5, 0.5))
     # atomic part has weight 1/2: limit is (1/2)^2
     assert abs(fd.wiener_average(m, 1.0e4) - 0.25) < 0.02
+
+
+# convolutions -----------------------------------------------------------
+
+HALVES = fd.Atomic(((0.0, 0.5), (0.5, 0.5)))
+
+
+def test_convolution_grid_matches_ft_across_its_guard():
+    # the dilated factor's guard, 2^60 / 2^50, is the convolution's: points
+    # past 2^10 take ft itself, the others the product of the factor grids
+    m = fd.Convolution((LEB, fd.AffineImage(fd.cantor_measure(), 2 ** 50)))
+    assert m._grid_guard() == 2.0 ** 10
+    xs = np.array([0.3, -7.25, 100.7, 1000.5, 2000.5, -3e5 - 0.25])
+    got = fd.ft_grid(m, xs)
+    want = np.array([fd.ft(m, x) for x in xs])
+    far = np.abs(xs) > 2.0 ** 10
+    assert np.array_equal(got[far], want[far])
+    assert np.allclose(got[~far], want[~far], rtol=1e-12, atol=0.0)
+
+
+def test_convolution_atoms_add_positions_and_multiply_weights():
+    assert fd.atom_weights(fd.Convolution((HALVES, HALVES))) == {0.0: 0.25, 0.5: 0.5, 1.0: 0.25}
+
+
+def test_convolution_keeps_only_the_atomic_parts():
+    # an atom convolved with a continuous part spreads out
+    atom_and_leb = fd.Mixture((fd.Atomic(((0.5, 1.0),)), LEB), (0.5, 0.5))
+    assert fd.atom_weights(fd.Convolution((HALVES, atom_and_leb))) == {0.5: 0.25, 1.0: 0.25}
+    assert fd.atom_weights(fd.Convolution((HALVES, LEB))) == {}
+
+
+def test_wiener_convolution_limit_is_its_squared_atoms():
+    m = fd.Convolution((HALVES, HALVES))
+    assert abs(fd.wiener_average(m, 1.0e3) - (0.25 ** 2 + 0.5 ** 2 + 0.25 ** 2)) < 0.01
 
 
 def test_atom_weights_collects_through_algebra():
