@@ -32,7 +32,7 @@ import math
 import operator
 from dataclasses import astuple, dataclass, fields, is_dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -74,8 +74,12 @@ __all__ = [
 # Tolerance used when checking analytic side conditions on float data.
 _EPS = 1e-12
 
-# Truncation rule for self-similar products: stop once |xi| / base**n < this.
-SELF_SIMILAR_TRUNCATION = 1e-8
+# Self-similar products keep level n while |xi| / base**(n - 1) >= 2**-27,
+# and level 1 always.  The levels past the last kept one, N, enter as their
+# mean phase e(-xi mu / base**N), mu = (mean digit) / (base - 1); what that
+# leaves out, 2 pi^2 t^2 var (t < 2^-27 / base, digit variance var), is at
+# most 2.5 u.
+_SELF_SIMILAR_CUTOFF_BITS = 27
 
 # Digit products with more admissible cylinders have no density pieces.
 _ENUM_LIMIT = 1 << 16
@@ -124,32 +128,20 @@ def _window(center, radius, order) -> tuple:
     return center, radius, order
 
 
-def _self_similar_depth(base: int, p, q: int = 1) -> int:
-    """Levels kept at |xi| = p / q, for an int or float p and an int q > 0."""
-    # math.log2 is exact enough for ints of any size, so huge frequencies
-    # keep every level whose factor differs from 1; p / q is a float
-    # frequency itself, and a ratio past the float range takes its parts.
-    try:
-        x = p / q if q != 1 else p
-    except OverflowError:
-        log = math.log2(p) - math.log2(q)
-    else:
-        if x <= SELF_SIMILAR_TRUNCATION:
-            return 1
-        log = math.log2(x)
-    return max(1, math.ceil((log - math.log2(SELF_SIMILAR_TRUNCATION)) / math.log2(base)))
-
-
-def _self_similar_depths(base: int, abs_xs: np.ndarray) -> np.ndarray:
-    """_self_similar_depth at every point of abs_xs, as floats."""
-    v = (np.log2(np.maximum(abs_xs, SELF_SIMILAR_TRUNCATION))
-         - math.log2(SELF_SIMILAR_TRUNCATION)) / math.log2(base)
-    depths = np.maximum(np.ceil(v), 1.0)
-    # np.log2 and math.log2 may differ in the last bit, so the points whose
-    # ratio lies next to an integer take the scalar rule itself.
-    for i in np.flatnonzero(np.abs(v - np.rint(v)) < 1e-9):
-        depths.flat[i] = _self_similar_depth(base, float(abs_xs.flat[i]))
-    return depths
+@cache
+def _level_powers(base: int) -> np.ndarray:
+    """base^m rounded up to a float, for every m >= 1 with base^m <= 2^88: at
+    a float x below 2^88 (x = |xi| 2^27 with |xi| <= GRID_GUARD), right-side
+    searchsorted counts the m >= 1 with base^m <= x exactly."""
+    out = []
+    power = base
+    while power <= 1 << 88:
+        f = float(power)
+        out.append(f if f >= power else math.nextafter(f, math.inf))
+        power *= base
+    out = np.array(out)
+    out.flags.writeable = False  # one array shared by every call
+    return out
 
 
 class Measure:
@@ -463,37 +455,42 @@ class SelfSimilarDigit(Measure):
         # Level n sums exp(-2 pi i p d / den) over the digits, den = q base^n:
         # p is reduced mod den once per level and each digit's residue comes
         # from that.  Digit 0 contributes exactly 1.
-        depth = _self_similar_depth(self.base, p, q)
         digits = self.allowed_digits
         start = 0.0 + 0.0j
         if digits[0] == 0:
             start, digits = 1.0 + 0.0j, digits[1:]
+        inv = 1.0 / len(self.allowed_digits)
         out = 1.0 + 0.0j
         den = q
-        inv = 1.0 / len(self.allowed_digits)
-        for _ in range(depth):
+        stop = p << _SELF_SIMILAR_CUTOFF_BITS
+        while True:
             den *= self.base
             r = p % den
             s = start
             for d in digits:
                 s += _phase_frac(r * d, den)
             out *= s * inv
-        return out
+            if den > stop:
+                break
+        return out * _phase_frac(p * sum(digits), den * len(self.allowed_digits) * (self.base - 1))
 
     def _grid(self, xs: np.ndarray) -> np.ndarray:
-        # Each point keeps the scalar rule's depth, so its value does not
+        # Each point keeps the scalar rule's levels, so its value does not
         # depend on the rest of the array (products out of place, as in
-        # DigitProduct._grid).  The position d / base^n is a
-        # double-double, hi + lo, and the phase of xi * hi is reduced from
-        # the exact product.  Digit 0 contributes exactly 1.
-        depths = _self_similar_depths(self.base, np.abs(xs))
+        # DigitProduct._grid).  The position d / base^n is a double-double,
+        # hi + lo, and the phase of xi * hi is reduced from the exact
+        # product.  Digit 0 contributes exactly 1.  The tail turns by less
+        # than 2^-27, so its phase is xi times mu / base^n (steps[n]) in floats.
+        depths = 1 + np.searchsorted(_level_powers(self.base),
+                                     np.abs(xs) * 2.0 ** _SELF_SIMILAR_CUTOFF_BITS, side="right")
+        deepest = int(depths.max())
         parts = _split(xs)
         digits = [d for d in self.allowed_digits if d]
         start = 1.0 if self.allowed_digits[0] == 0 else 0.0
         inv = 1.0 / len(self.allowed_digits)
         out = np.ones(xs.shape, dtype=complex)
         den = 1
-        for n in range(1, int(depths.max()) + 1):
+        for n in range(1, deepest + 1):
             den *= self.base
             re = np.full(xs.shape, start)
             im = np.zeros(xs.shape)
@@ -505,7 +502,9 @@ class SelfSimilarDigit(Measure):
                 re += c
                 im += s
             out = out * np.where(depths >= n, _unit(re * inv, im * inv), 1.0)
-        return out
+        mu = Fraction(sum(digits), len(self.allowed_digits) * (self.base - 1))
+        steps = [float(mu / self.base ** n) for n in range(deepest + 1)]
+        return out * _unit(*_cos_sin_turns(-xs * np.take(steps, depths)))
 
     def _atoms(self) -> dict:
         # a single digit leaves the point mass at digit/(base-1)
@@ -580,15 +579,11 @@ class DigitProduct(Measure):
 
     def _support(self) -> tuple:
         lo = hi = 0.0
-        for positions, v in self._factor_plan:
+        for positions, forbidden in self._factor_plan:
             unit = 2.0 ** -positions[-1]
-            if v is None:
-                hi += unit
-                continue
             top = (1 << len(positions)) - 1
-            if v == 0:
-                lo += unit
-            hi += (top - 1 if v == top else top) * unit
+            lo += (0 in forbidden) * unit
+            hi += (top - (top in forbidden)) * unit
         return lo, min(1.0, hi + 2.0 ** -self.depth)
 
     def _wrapped_support(self, scale: int) -> tuple:
@@ -608,34 +603,29 @@ class DigitProduct(Measure):
 
     @cached_property
     def _factor_plan(self) -> tuple:
-        """The factors in digit order: a free digit at position pos as
-        ((pos,), None) and a block as (its digit positions, the forbidden
-        pattern as an int)."""
+        """The factors in digit order, each as (its digit positions, the
+        patterns it forbids as ints): a block forbids its one pattern, and a
+        free digit at position pos is the block ((pos,), ()) that forbids
+        none."""
         blocked = {b.offset: b for b in self.blocks}
         factors = []
         pos = 1
         while pos <= self.depth:
             b = blocked.get(pos - 1)
-            if b is None:
-                factors.append(((pos,), None))
-                pos += 1
-                continue
-            factors.append((tuple(range(pos, pos + b.length)), int(b.forbidden_pattern, 2)))
-            pos += b.length
+            length, forbidden = (1, ()) if b is None else (b.length, (int(b.forbidden_pattern, 2),))
+            factors.append((tuple(range(pos, pos + length)), forbidden))
+            pos += length
         return tuple(factors)
 
     def _ft(self, p, q) -> complex:
         pre = _eplus_frac(-p, q << self.depth)
         p %= q << self.depth  # every phase below has a modulus dividing this one
         factors = 1.0 + 0.0j
-        for positions, v in self._factor_plan:
-            if v is None:
-                factors *= 1.0 + _phase_frac(p, q << positions[0])
-                continue
-            block_prod = 1.0 + 0.0j
-            for pos in positions:
-                block_prod *= 1.0 + _phase_frac(p, q << pos)
-            block_prod -= _phase_frac(p * v, q << positions[-1])
+        for positions, forbidden in self._factor_plan:
+            block_prod = math.prod((1.0 + _phase_frac(p, q << pos) for pos in positions),
+                                   start=1.0 + 0.0j)
+            for v in forbidden:
+                block_prod -= _phase_frac(p * v, q << positions[-1])
             factors *= block_prod
         return pre * factors / self.cylinder_count()
 
@@ -646,21 +636,18 @@ class DigitProduct(Measure):
         # make a value depend on the size of its batch.
         pre = _eplus_vec(-xs * 2.0 ** -self.depth)
         factors = np.ones(xs.shape, dtype=complex)
-        for positions, v in self._factor_plan:
-            if v is None:
-                factors = factors * (1.0 + _phase_vec(xs, 2.0 ** -positions[0]))
-                continue
+        for positions, forbidden in self._factor_plan:
             # phases[i] is the character of digit positions[i]; the block
             # product and the forbidden pattern's character share them.
             phases = [_phase_vec(xs, 2.0 ** -pos) for pos in positions]
-            block = np.ones(xs.shape, dtype=complex)
-            for ph in phases:
-                block = block * (1.0 + ph)
-            forb = np.ones(xs.shape, dtype=complex)
-            for j in range(len(positions)):
-                if v >> j & 1:
-                    forb = forb * phases[-1 - j]
-            factors = factors * (block - forb)
+            block = math.prod((1.0 + ph for ph in phases[1:]), start=1.0 + phases[0])
+            for v in forbidden:
+                forb = np.ones(xs.shape, dtype=complex)
+                for j in range(len(positions)):
+                    if v >> j & 1:
+                        forb = forb * phases[-1 - j]
+                block = block - forb
+            factors = factors * block
         return pre * factors / self.cylinder_count()
 
     def _density(self) -> tuple:
@@ -693,9 +680,9 @@ class DigitProduct(Measure):
         The plan runs from the leading digit down and each factor's offsets
         ascend, so the values come out in order."""
         values = [0]
-        for positions, v in self._factor_plan:
+        for positions, forbidden in self._factor_plan:
             shift = self.depth - positions[-1]
-            offsets = [c << shift for c in range(1 << len(positions)) if c != v]
+            offsets = [c << shift for c in range(1 << len(positions)) if c not in forbidden]
             values = [x + o for x in values for o in offsets]
         return values
 

@@ -110,7 +110,7 @@ def ft_grid(m: Measure, xis) -> np.ndarray:
         xs = np.array([_finite(x, "frequency") for x in xs.flat]).reshape(xs.shape)
     xs = xs.astype(float, copy=False)
     if xs.size == 0:
-        return np.zeros(0, dtype=complex)
+        return np.zeros(xs.shape, dtype=complex)
     if not np.all(np.isfinite(xs)):
         raise MeasureError("grid frequencies must be finite")
     far = np.abs(xs) > m._grid_guard()

@@ -1,10 +1,11 @@
 """One cycle of each benchmark deck through the runner, judged by the
 benchmark's own output checks.
 
-``perfbench`` is only read here: its generator deals the configs (seed 1)
-and its ``Checker`` compares every op's exit code and written JSON/CSV with
-independent references, so an op that the benchmark would count as failed
-fails this test too.
+``perfbench`` is only read here: its generator deals the configs (seeds 1
+and 5, which draw different measures and frequencies) and its ``Checker``
+compares every op's exit code and written JSON/CSV with independent
+references, so an op that the benchmark would count as failed fails this
+test too.
 """
 
 import contextlib
@@ -26,9 +27,10 @@ from workloads import Generator  # noqa: E402
 WORKLOADS = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
 
 
+@pytest.mark.parametrize("seed", [1, 5])
 @pytest.mark.parametrize("workload", WORKLOADS)
-def test_one_deck_cycle_passes_the_benchmark_checks(workload, tmp_path):
-    gen = Generator(workload, 1)
+def test_one_deck_cycle_passes_the_benchmark_checks(workload, seed, tmp_path):
+    gen = Generator(workload, seed)
     checker = Checker(bandlattice)
     for i in range(len(gen.deck)):
         op = next(gen)

@@ -176,6 +176,7 @@ BAD_CONFIGS = {
     "missing-schedule": {"experiment": "transform", "measure": LEB},
     "experiment-not-string": {"experiment": ["decay"]},
     "seed-not-int": {"experiment": "cantor", "seed": "x"},
+    "seed-negative": {"experiment": "cantor", "seed": -1},
     "setex-n": {"experiment": "setex", "params": {"n": "x"}},
     "lowerbound-j-max": {"experiment": "lowerbound", "measure": LEB,
                          "params": {"eps": 0.5, "j_max": "x"}},
@@ -408,6 +409,12 @@ def test_unwritable_out_exits_2(tmp_path, monkeypatch, capsys):
     cfg = {"experiment": "cantor"}
     assert _run(tmp_path, monkeypatch, cfg, ["--out", "nodir/x"]) == 2
     assert capsys.readouterr().err.startswith("error: cannot write outputs: ")
+
+
+def test_negative_seed_override_exits_2(tmp_path, monkeypatch, capsys):
+    assert _run(tmp_path, monkeypatch, {"experiment": "cantor"}, ["--seed", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 EXPERIMENT_CONFIGS = {

@@ -73,6 +73,42 @@ def test_decay_cantor_plateau():
     assert rep.capped_dim <= 0.05
 
 
+# Known answers for the estimator itself: each entry reads the local
+# exponents and the liminf proxy, which capped_dim's clamp to [0, 1] hides.
+
+@pytest.mark.parametrize("k", [12, 30])
+def test_decay_known_answer_lacunary_spikes(k):
+    # |ft| at the spike 2^(j^2) is exactly 2^-(j+1), one sample per window
+    rep = fd.decay_exponent(fd.lacunary_trig_measure(1, k),
+                            fd.Lacunary(tuple(j * j for j in range(1, k + 1))))
+    assert [w.exp_lo for w in rep.windows] == [j * j for j in range(1, k + 1)]
+    assert [w.local_exponent for w in rep.windows] == [2 * (j + 1) / (j * j + 0.5)
+                                                       for j in range(1, k + 1)]
+    assert rep.liminf_proxy == 2 * (k + 1) / (k * k + 0.5)
+
+
+def test_decay_known_answer_cantor_along_powers_of_three():
+    # ft(cantor, 3^k) = ft(cantor, 1): the first k levels are exact ones
+    cantor = fd.cantor_measure()
+    rep = fd.decay_exponent(cantor, fd.ExplicitFrequencies(tuple(3 ** k for k in range(1, 41))))
+    top = abs(fd.ft(cantor, 1))
+    assert [w.exp_lo for w in rep.windows] == [(3 ** k).bit_length() - 1 for k in range(1, 41)]
+    assert {w.max_abs for w in rep.windows} == {top}
+    for w in rep.windows:
+        assert w.local_exponent == -2.0 * math.log2(top) / (w.exp_lo + 0.5)
+    assert rep.liminf_proxy == rep.windows[-1].local_exponent
+
+
+def test_decay_known_answer_lebesgue():
+    # |ft| <= 1 / (pi xi) < 2^-(e + 0.5) on window e puts every local
+    # exponent above 2; the largest excess measured is 3.65 / (e + 0.5)
+    rep = fd.decay_exponent(LEB, fd.DyadicWindows(4, 40))
+    assert len(rep.windows) == 37
+    for w in rep.windows:
+        assert 2.0 < w.local_exponent <= 2.0 + 4.0 / (w.exp_lo + 0.5), w
+    assert rep.liminf_proxy == min(w.local_exponent for w in rep.windows[18:])
+
+
 # ---------------------------------------------------------------------------
 # energies
 
@@ -341,8 +377,10 @@ def test_lower_bound_miss_between_chunk_edges():
     assert wit.searched_up_to == 30
 
 
+# the last three are numbers out of range: eps must lie in (0, 1], j_max >= 1
 @pytest.mark.parametrize("eps, j_max", [(True, 100), ("0.5", 100),
-                                        (1.0, True), (1.0, 10.5), (1.0, "10")])
+                                        (1.0, True), (1.0, 10.5), (1.0, "10"),
+                                        (0.0, 100), (1.5, 100), (1.0, 0)])
 def test_lower_bound_refuses_what_is_not_a_number(eps, j_max):
     with pytest.raises(fd.MeasureError):
         fd.lower_bound_search(fd.Atomic(((1.0, 1.0),)), eps, j_max)

@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 import fourierdim as fd
 from fourierdim import transform
 from fourierdim.density import DensityPiece, decompose_density, window_poly
-from fourierdim.measures import _self_similar_depth
 from fourierdim.phase import _ratio
 
 
@@ -70,18 +69,22 @@ def _ref_trig(m, xi):
 
 
 def _ref_self_similar(m, xi):
-    p, q = _ratio(xi)
-    depth = _self_similar_depth(m.base, xi)
+    # level n is kept while |xi| / base^(n - 1) >= 2^-27, and level 1
+    # always; the levels past the last kept one, N, become their mean phase
+    # e(-|xi| mu / base^N) with mu = (mean digit) / (base - 1)
+    p, q = _ratio(abs(xi))
     out = 1.0 + 0.0j
     den = q
     inv = 1.0 / len(m.allowed_digits)
-    for _ in range(depth):
+    while den == q or p * 2 ** 27 >= den:
         den *= m.base
         s = 0.0 + 0.0j
         for d in m.allowed_digits:
             s += _ref_phase_frac(p * d, den)
         out *= s * inv
-    return out
+    out *= _ref_phase_frac(p * sum(m.allowed_digits),
+                           den * len(m.allowed_digits) * (m.base - 1))
+    return out.conjugate() if xi < 0 else out
 
 
 def _ref_digit_product(m, xi):
@@ -184,14 +187,14 @@ def test_trig_shared_half_turns_match_per_term_rule(m, xi):
        st.one_of(FLOATS, st.integers(-(2 ** 1200), 2 ** 1200), LACUNARY_INTS))
 @settings(max_examples=150, deadline=None)
 def test_self_similar_level_residues_match_per_digit_rule(m, xi):
-    assert _bits(m._ft(*_ratio(xi))) == _bits(_ref_self_similar(m, xi))
+    assert _bits(m._ft_signed(*_ratio(xi))) == _bits(_ref_self_similar(m, xi))
 
 
 @pytest.mark.parametrize("digits", [(0, 2), (1, 2), (0,), (2,), (0, 1, 3, 4)])
 def test_self_similar_level_residues_at_4096_bits(digits):
     m = fd.SelfSimilarDigit(5, digits)
     for xi in (2 ** 4096, -(3 ** 2500), 2 ** 4095 + 12345, 5 ** 1700):
-        assert _bits(m._ft(*_ratio(xi))) == _bits(_ref_self_similar(m, xi)), xi
+        assert _bits(m._ft_signed(*_ratio(xi))) == _bits(_ref_self_similar(m, xi)), xi
 
 
 @given(digit_products(), FREQS)

@@ -5,10 +5,12 @@ The oracle evaluates each closed form in its textbook shape, not in the
 shape the package uses: e(t) = exp(2 pi i t) after an exact reduction of t
 mod 1, and integral_0^1 e(g x) dx = (e(g) - 1) / (2 pi i g).  Frequencies
 run over ints from 2^0 to 2^4096 and floats from 2^-30 to 2^60, of both
-signs.  For the self-similar measures the oracle multiplies the same number
-of levels as the package, so the comparison measures rounding, not
-truncation.  ``phase_unit`` and ``oscillatory_integral`` are checked on the
-same frequencies.
+signs.  For the self-similar measures the oracle multiplies levels until
+|xi| / base^n < 2^-64, so the comparison measures the package's truncation
+(its tail phase included) as well as its rounding; the per-level bound
+divides by the levels the package keeps, counted here from the documented
+rule.  ``phase_unit`` and ``oscillatory_integral`` are checked on the same
+frequencies.
 
 The pinned bounds are the largest errors measured on these frequencies,
 rounded up to a power of two, in units of u = 2^-53:
@@ -16,11 +18,13 @@ rounded up to a power of two, in units of u = 2^-53:
 * relative error at most 16 u for TrigDensity (lacunary spikes, frequencies
   next to a spike) and for UniformOnIntervals whose interval lengths are
   floats;
-* relative error at most 256 u per level for SelfSimilarDigit (bases 3-5).
-  Every frequency but one stays under 6 u per level.  The exception is
-  2^896 in base 3 (224 u per level): at level 299 of 583 the digit sum
-  has modulus 5.6e-6 of its maximum, so its rounding, a few u in absolute
-  terms, is large relative to the value.
+* relative error at most 256 u per level for SelfSimilarDigit (bases 3-5,
+  and single digits, whose measure is a point mass).  Every frequency but
+  one stays under 6 u per level.  The exception is 2^896 in base 3 (224 u
+  per level): at level 299 of 583 the digit sum has modulus 5.6e-6 of its
+  maximum, so its rounding, a few u in absolute terms, is large relative to
+  the value.  Truncating at the old float threshold 1e-8 without the tail
+  phase was about 1e7 to 2e8 u per level off.
 
 An exact zero of the closed form (the Cantor measure at 3/4, say) is
 compared in absolute terms, and values below 2^-1000 against 2^-1000: the
@@ -36,7 +40,7 @@ import pytest
 
 import fourierdim as fd
 from fourierdim.density import poly_exp_integral
-from fourierdim.measures import _self_similar_depth
+from fourierdim.measures import _level_powers
 from fourierdim.transform import _filon_moments
 
 mpmath = pytest.importorskip("mpmath")
@@ -92,14 +96,26 @@ def oracle_trig(m, xi):
 
 
 def oracle_self_similar(m, xi):
-    # prod over levels n of the mean over digits d of e(-xi d / base^n)
+    # prod over levels n of the mean over digits d of e(-xi d / base^n), until
+    # |xi| / base^n < 2^-64: the factors left out differ from 1 by less than 2^-60
     p, q = Fraction(xi).as_integer_ratio()
+    stop = abs(p) << 64
     out = mpmath.mpc(1)
     den = q
-    for _ in range(_self_similar_depth(m.base, abs(xi))):
+    while den <= stop:
         den *= m.base
         out *= sum(_e_ratio(-p * d, den) for d in m.allowed_digits) / len(m.allowed_digits)
     return out
+
+
+def documented_levels(base, xi):
+    """The levels the package keeps at xi: level n while |xi| / base^(n - 1)
+    >= 2^-27, and level 1 always."""
+    x = abs(Fraction(xi))
+    n = 1
+    while x * 2 ** 27 >= base ** n:
+        n += 1
+    return n
 
 
 def relative_error(got: complex, want) -> float:
@@ -180,8 +196,8 @@ def test_lacunary_spikes_are_exact():
 def test_self_similar_against_oracle(m):
     worst = 0.0
     for xi in SELF_SIMILAR_FREQS:
-        depth = _self_similar_depth(m.base, xi)
-        worst = max(worst, relative_error(fd.ft(m, xi), oracle_self_similar(m, xi)) / depth)
+        err = relative_error(fd.ft(m, xi), oracle_self_similar(m, xi))
+        worst = max(worst, err / documented_levels(m.base, xi))
     assert worst <= SELF_SIMILAR_BOUND_PER_LEVEL, worst / U
 
 
@@ -194,7 +210,7 @@ def test_self_similar_against_oracle(m):
 # both signs from 2^-30 to 2^52 (past it every float is an integer), at
 # floats within 2^-20 of an integer, and at integer floats up to the guard.
 # The largest errors measured were 3.3 u (uniform and trig), 3.4 u (atoms)
-# and 16 u per level (base 5, digits 1 and 3); digit products have their
+# and 4.5 u per level (base 5, digits 1 and 3); digit products have their
 # own bound below.
 
 GUARD = fd.measures.GRID_GUARD
@@ -210,7 +226,7 @@ def _grid_worst(m, oracle, freqs, per_level=False):
     for xi, got in zip(xs, fd.ft_grid(m, np.array(xs)).tolist()):
         err = relative_error(got, oracle(m, xi))
         if per_level:
-            err /= _self_similar_depth(m.base, abs(xi))
+            err /= documented_levels(m.base, xi)
         worst = max(worst, err)
     return worst
 
@@ -246,6 +262,37 @@ def test_self_similar_grid_against_oracle(m):
     worst = _grid_worst(m, oracle_self_similar, GRID_FLOATS + NEAR_INTEGERS + WHOLE_FLOATS,
                         per_level=True)
     assert worst <= SELF_SIMILAR_BOUND_PER_LEVEL, worst / U
+
+
+@pytest.mark.parametrize("base,digit", [(7, 4), (3, 2), (10, 9), (2, 1)])
+def test_single_digit_is_its_point_mass_on_both_routes(base, digit):
+    # every level is one exact phase, and the tail's mean phase is the rest
+    m = fd.SelfSimilarDigit(base, (digit,))
+    assert fd.atom_weights(m) == {digit / (base - 1): 1.0}
+
+    def point_mass(m, xi):
+        return _e(-Fraction(xi) * Fraction(digit, base - 1))
+
+    worst = max(relative_error(fd.ft(m, xi), point_mass(m, xi)) / documented_levels(base, xi)
+                for xi in _signed(SELF_SIMILAR_FREQS))
+    assert worst <= SELF_SIMILAR_BOUND_PER_LEVEL, worst / U
+    worst = _grid_worst(m, point_mass, GRID_FLOATS + NEAR_INTEGERS + WHOLE_FLOATS,
+                        per_level=True)
+    assert worst <= SELF_SIMILAR_BOUND_PER_LEVEL, worst / U
+
+
+@pytest.mark.parametrize("base", [2, 3, 5, 4096])
+def test_grid_level_count_is_the_documented_rule(base):
+    # ft_grid counts the levels as 1 plus the m >= 1 with base^m <= |xi| 2^27,
+    # searched in base^m rounded up to floats; checked at |xi| = base^m 2^-27
+    # rounded and at its float neighbours, where a rounding would show
+    powers = _level_powers(base)
+    assert powers[-1] <= 2.0 ** 88 < base * powers[-1]
+    for m in range(1, len(powers) + 1):
+        near = float(Fraction(base ** m, 2 ** 27))
+        xs = np.array([math.nextafter(near, 0.0), near, math.nextafter(near, math.inf)])
+        got = 1 + np.searchsorted(powers, xs * 2.0 ** 27, side="right")
+        assert got.tolist() == [documented_levels(base, x) for x in xs.tolist()], m
 
 
 def oracle_atomic(m, xi):
@@ -337,7 +384,7 @@ def test_fractions_against_oracle(m, oracle, bound):
     for xi in _signed(FRACTIONS):
         err = relative_error(fd.ft(m, xi), oracle(m, xi))
         if oracle is oracle_self_similar:
-            err /= _self_similar_depth(m.base, abs(xi))
+            err /= documented_levels(m.base, xi)
         worst = max(worst, err)
     assert worst <= bound, worst / U
 
@@ -373,7 +420,10 @@ def test_oracle_closed_forms_agree_with_known_values():
 # and 2b is near an integer the two terms nearly cancel: at a = 3^30,
 # b = 2.5 each is about 1.5e-15 and the value is -1.877e-29.  The package
 # factors e(a) out of both terms there; their plain difference, which it
-# keeps where a is close to +-b, reads 5.4e13 u at that point.
+# keeps where a is close to +-b, reads 5.4e13 u at that point.  With |a|
+# and |b| both at most 1/8 both forms lost about u / |b| (3.5e7 u at
+# (2^-30, 2^-31), and 0j at (2^-70, 2^-71), where the value is 1.33e-21);
+# the package sums the power series there, measured at most 3.1 u.
 
 POSITIONS = [0.3, -1.3, 1e3 / 3, 0.71, 2.0 ** -20 + 0.125, 12345.678, 0.5, 3,
              Fraction(1, 3), Fraction(-7, 5)]
@@ -399,7 +449,13 @@ OSCILLATORY_PAIRS = (
     + [(a, b) for a in _signed(INTS[::4] + [3 ** 30]) for b in (1, 3, 3 ** 40, 2 ** 300 + 1)]
     # a next to +-b, where the factored form would cancel
     + [(0.3, 0.3 + 2.0 ** -50), (2.0 ** 20 + 0.5, -(2.0 ** 20 + 0.5 - 2.0 ** -30)),
-       (1 + 2.0 ** -40, 1)])
+       (1 + 2.0 ** -40, 1)]
+    # |a| and |b| both at most 1/8, where the power series is summed, and
+    # pairs just past 1/8 on either side
+    + [(2.0 ** -70, 2.0 ** -71), (2.0 ** -30, 2.0 ** -31), (1e-5, 3e-5)]
+    + [(sa * 0.125, sb * 0.125) for sa in (1, -1) for sb in (1, -1)]
+    + [(0.125 + 2.0 ** -40, 0.1), (0.1, 0.125 + 2.0 ** -40), (0.13, 0.12), (0.126, 1e-9),
+       (1e-9, 0.126), (Fraction(-1, 9), Fraction(1, 8))])
 
 
 def test_oscillatory_integral_against_oracle():

@@ -206,7 +206,7 @@ def test_ratios_past_the_float_range():
     assert cmath.isfinite(fd.ft(cantor, Fraction(2 * 3 ** 1400 + 1, 2)))
 
 
-NOT_FINITE_NUMBERS = ["0.5", True, np.bool_(True), b"1", math.nan, -math.inf]
+NOT_FINITE_NUMBERS = ["0.5", True, np.bool_(True), b"1", math.nan, -math.inf, [1.0]]
 
 
 @pytest.mark.parametrize("xi", NOT_FINITE_NUMBERS)
@@ -235,7 +235,7 @@ SCALAR_ENTRY_POINTS = {
 
 
 @pytest.mark.parametrize("value", NOT_FINITE_NUMBERS,
-                         ids=("str", "bool", "np-bool", "bytes", "nan", "-inf"))
+                         ids=("str", "bool", "np-bool", "bytes", "nan", "-inf", "list"))
 @pytest.mark.parametrize("entry", sorted(SCALAR_ENTRY_POINTS))
 def test_scalar_entry_points_refuse_what_is_not_a_finite_number(entry, value):
     with pytest.raises(fd.MeasureError):
@@ -251,10 +251,17 @@ def test_integer_arguments_refuse_floats_and_bools(entry, value):
         SCALAR_ENTRY_POINTS[entry](value)
 
 
+@pytest.mark.parametrize("entry,value", [("wiener_average-T", 0.0), ("wiener_average-T", -1.0)])
+def test_scalar_entry_points_refuse_values_out_of_range(entry, value):
+    with pytest.raises(fd.MeasureError):
+        SCALAR_ENTRY_POINTS[entry](value)
+
+
 @pytest.mark.parametrize("xis", [["0.5", "1"], np.array([True, False]),
                                  np.array([0.5, True], dtype=object), [0.5, True],
-                                 [[0.5], [np.bool_(False)]]],
-                         ids=("strings", "bools", "object-bool", "list-bool", "nested-bool"))
+                                 [[0.5], [np.bool_(False)]], np.array([0.5, np.inf])],
+                         ids=("strings", "bools", "object-bool", "list-bool", "nested-bool",
+                              "inf"))
 def test_grid_refuses_frequencies_that_are_not_numbers(xis):
     with pytest.raises(fd.MeasureError):
         fd.ft_grid(LEB, xis)
@@ -268,6 +275,16 @@ def test_affine_mod1_wraps_to_integer_dilation():
         assert fd.ft(dil, j) == fd.ft(m, 4 * j)
     with pytest.raises(fd.MeasureError):
         fd.ft(dil, 0.5)  # non-integer frequency has no closed form
+    with pytest.raises(fd.MeasureError):
+        fd.ft_grid(dil, np.array([0.5]))
+    # atoms wrap mod 1; an offset, or an inner measure that is not a digit
+    # product, leaves the whole unit interval as the support
+    atoms = fd.AffineImage(fd.Atomic(((0.75, 1.0), (0.25, 0.5))), 2, 0.0, True)
+    assert fd.atom_weights(atoms) == {0.5: 1.5}
+    shifted = fd.DigitProduct(6, (fd.DigitBlock(2, 2, "00"),))
+    assert fd.support_interval(fd.AffineImage(shifted, 4, 0.0, True)) == (0.25, 1.0)
+    assert fd.support_interval(fd.AffineImage(shifted, 4, 0.25, True)) == (0.0, 1.0)
+    assert fd.support_interval(fd.AffineImage(LEB, 4, 0.0, True)) == (0.0, 1.0)
 
 
 def test_convolution_multiplies_transforms():
@@ -322,6 +339,10 @@ def test_long_grids_are_evaluated_in_chunks_with_the_same_values():
         assert whole.shape == (3, xs.size // 3)
         parts = np.concatenate([fd.ft_grid(m, xs[i:i + 100]) for i in range(0, xs.size, 100)])
         assert np.array_equal(whole.ravel(), parts)
+    # an empty array keeps its shape, as every other array does
+    assert fd.ft_grid(LEB, []).dtype == complex
+    assert fd.ft_grid(LEB, []).shape == (0,)
+    assert fd.ft_grid(LEB, np.zeros((0, 3))).shape == (0, 3)
 
 
 def test_ft_batch_order_and_methods():
@@ -401,6 +422,7 @@ def test_oscillatory_integral_matched_pair_is_exact():
 
 def test_oscillatory_integral_integer_cases():
     assert fd.oscillatory_integral(0, 1) == 0.0j
+    assert fd.oscillatory_integral(0, 0) == 0.0j  # raised ZeroDivisionError
     assert fd.oscillatory_integral(2, 5) == 0.0j
 
 
