@@ -59,14 +59,21 @@ class DensityPiece:
             raise MeasureError("piece polynomial is empty")
 
     def evaluate(self, x: np.ndarray) -> np.ndarray:
-        """Piece values at the points x (zero outside [a, b])."""
+        """Piece values at the points x (zero outside [a, b]); only the
+        points inside are evaluated, and a piece of frequency 0 forms no
+        phase."""
         x = np.asarray(x, dtype=float)
-        t = x - self.center
+        inside = (x >= self.a) & (x <= self.b)
+        out = np.zeros(x.shape, dtype=complex)
+        t = x[inside] - self.center
         p = np.zeros_like(t)
         for c in reversed(self.poly):
             p = p * t + c
-        out = self.amplitude * p * _phase_vec(t, -self.frequency)
-        return np.where((x >= self.a) & (x <= self.b), out, 0.0)
+        vals = self.amplitude * p
+        if self.frequency:
+            vals = vals * _phase_vec(t, -self.frequency)
+        out[inside] = vals
+        return out
 
     def map_affine(self, scale: float, offset: float) -> "DensityPiece":
         """Piece of the pushforward density under x -> scale * x + offset."""

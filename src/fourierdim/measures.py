@@ -39,9 +39,9 @@ import numpy as np
 from .density import (DensityPiece, cut_mass, decompose_density, piece_transform, window_poly,
                       window_value)
 from .errors import MeasureError, ScheduleError
-from .phase import (_cos_sin_turns, _eplus_frac, _eplus_vec, _finite, _half_turn, _phase_at,
-                    _phase_frac, _phase_vec, _product_turns, _ratio, _split, _two_product,
-                    _two_sum, _unit)
+from .phase import (_eplus_frac, _eplus_vec, _finite, _half_turn, _phase_at, _phase_frac,
+                    _phase_vec, _product_turns, _ratio, _split, _two_product, _two_sum,
+                    _unit_turns)
 
 __all__ = [
     "MeasureError",
@@ -89,6 +89,15 @@ _ENUM_LIMIT = 1 << 16
 # (tests/test_oracle.py).  Every float past 2^52 is an integer, which the
 # batch route sends to the exact rule anyway.
 GRID_GUARD = 2.0 ** 60
+
+
+def _position_guard(reach: float) -> float:
+    """The grid guard of a rule whose positions lie within reach of 0: the
+    least of GRID_GUARD and 2^1000 / reach, so that no product of a grid
+    frequency and a position overflows.  Past it the exact rule takes the
+    point."""
+    return min(GRID_GUARD, 2.0 ** 1000 / max(1.0, reach))
+
 
 # The largest |xi| a schedule or a trig density may hold, checked from their
 # fields before anything is built: the largest frequency the mpmath oracle
@@ -175,8 +184,10 @@ class Measure:
         cut's grid and scalar rules are the same piece sums, one per array
         and one per point, so they agree to rounding only: at about a third
         of sampled points with |xi| up to 2^20 they differ, by at most 4e-14
-        relative."""
-        return GRID_GUARD
+        relative.  It is also at most 2^1000 over the farthest point of the
+        support from 0 (_position_guard)."""
+        lo, hi = self._support()
+        return _position_guard(max(-lo, hi))
 
     def _atoms(self) -> dict:
         """Map position -> total point mass."""
@@ -231,19 +242,21 @@ class Atomic(Measure):
     def _ft(self, p, q) -> complex:
         return sum((w * _phase_at(p, q, pos) for pos, w in self.atoms), 0.0 + 0.0j)
 
+    def _grid_guard(self) -> float:
+        # the zero measure has no support, and its grid rule no position
+        return _position_guard(max((abs(pos) for pos, _ in self.atoms), default=0.0))
+
     def _grid(self, xs: np.ndarray) -> np.ndarray:
-        # xs is split once for every atom's exact product, and the real and
-        # imaginary parts accumulate in place.
+        # xs is split once for every atom's exact product, and the weighted
+        # phases accumulate in place.  The sum starts at +0.0, so the sign
+        # of a zero part of a term never shows in it.
         parts = _split(xs)
-        re = np.zeros(xs.shape)
-        im = np.zeros(xs.shape)
+        out = np.zeros(xs.shape, dtype=complex)
         for pos, w in self.atoms:
-            c, s = _cos_sin_turns(*_product_turns(xs, -pos, parts))
-            c *= w
-            s *= w
-            re += c
-            im += s
-        return _unit(re, im)
+            term = _unit_turns(*_product_turns(xs, -pos, parts))
+            term *= w
+            out += term
+        return out
 
     def _atoms(self) -> dict:
         out = {}
@@ -392,7 +405,8 @@ class TrigDensity(Measure):
         # denominator.  Terms past 2^1000 change the bracket by a relative
         # 2^-900 or less and are left out.  At integer xi, h is 0 and each
         # E is 1 or 0 (as in _ft).
-        c, s = _cos_sin_turns(-0.5 * xs)
+        unit = _unit_turns(-0.5 * xs)  # exp(-i pi xi)
+        c, s = unit.real, unit.imag
         with np.errstate(divide="ignore", invalid="ignore"):
             b_re = -1.0 / xs
             b_im = np.zeros(xs.shape)
@@ -400,8 +414,12 @@ class TrigDensity(Measure):
                 if f.bit_length() <= 1000:
                     ff = float(f)
                     b_im -= (0.5 * amp) * (1.0 / (ff - xs) + 1.0 / (ff + xs))
+            # Kept in real parts: numpy fuses the multiply-adds of a complex
+            # array product, which would move these values in their last bits.
             w = s / math.pi
-            out = _unit(w * (c * b_re - s * b_im), w * (c * b_im + s * b_re))
+            out = np.empty(xs.shape, dtype=complex)
+            out.real = w * (c * b_re - s * b_im)
+            out.imag = w * (c * b_im + s * b_re)
         whole = xs == np.rint(xs)
         if whole.any():
             at = xs[whole]
@@ -492,19 +510,17 @@ class SelfSimilarDigit(Measure):
         den = 1
         for n in range(1, deepest + 1):
             den *= self.base
-            re = np.full(xs.shape, start)
-            im = np.zeros(xs.shape)
+            level = np.full(xs.shape, complex(start))
             for d in digits:
                 pos = Fraction(d, den)
                 hi = float(pos)
-                c, s = _cos_sin_turns(
-                    *_product_turns(xs, -hi, parts, -float(pos - Fraction(hi))))
-                re += c
-                im += s
-            out = out * np.where(depths >= n, _unit(re * inv, im * inv), 1.0)
+                level += _unit_turns(*_product_turns(xs, -hi, parts, -float(pos - Fraction(hi))))
+            level.real *= inv
+            level.imag *= inv
+            out = out * np.where(depths >= n, level, 1.0)
         mu = Fraction(sum(digits), len(self.allowed_digits) * (self.base - 1))
         steps = [float(mu / self.base ** n) for n in range(deepest + 1)]
-        return out * _unit(*_cos_sin_turns(-xs * np.take(steps, depths)))
+        return out * _unit_turns(-xs * np.take(steps, depths))
 
     def _atoms(self) -> dict:
         # a single digit leaves the point mass at digit/(base-1)
@@ -817,7 +833,9 @@ class AffineImage(Measure):
         return inner
 
     def _grid_guard(self) -> float:
-        return self.inner._grid_guard() / max(abs(self.scale), 1.0)
+        # the inner rule runs at xi * scale, and the offset is a position
+        return min(self.inner._grid_guard() / max(abs(self.scale), 1.0),
+                   _position_guard(abs(self.offset)))
 
     def _atoms(self) -> dict:
         out = {}

@@ -15,7 +15,12 @@ argument from exact parts: ``_phase_vec`` takes xi * x mod 1 from the
 error-free product of the two floats, and ``_eplus_vec`` takes g mod 2 from
 the parts its caller formed without rounding (TwoSum, TwoProduct).  Their
 phase error is therefore a few units of the last place whatever the size of
-xi * x, where reducing the rounded product would lose |xi x| units.
+xi * x, where reducing the rounded product would lose |xi x| units.  Both
+end in one kernel, ``_unit_turns``, which gives exp(2 pi i (hi + lo)) as a
+complex array for a turn in two parts: hi of any finite size, reduced
+exactly, and lo, added after that reduction.  lo need not be small against a
+turn (a self-similar position, a double-double, passes a few turns at large
+xi).
 
 ``_ratio`` is the package's one reader of a scalar frequency: ints of any
 size and Fractions stay exact, and anything else must be a finite real
@@ -127,7 +132,7 @@ def _half_turn(num: int, den: int) -> tuple:
 # ---------------------------------------------------------------------------
 # float kernels
 #
-# numpy has no fused multiply-add, so the exact product of two floats comes
+# numpy exposes no fused multiply-add, so the exact product of two floats comes
 # from Dekker's split (Dekker 1971): a = hi + lo with halves of at most 26
 # significant bits, whose pairwise products are exact.  The error of the
 # rounded product then follows in four exact steps (TwoProduct, as in Ogita,
@@ -156,15 +161,20 @@ def _two_sum(a: float, b: float) -> tuple:
 def _two_product(xs, y: float, parts=None) -> tuple:
     """(t, e) with t = fl(xs * y) and t + e = xs * y exactly, for an array xs
     (split once by the caller into parts, or here) and a float y.  Where a
-    split overflows (|xs| or |y| past 2^995) e is 0."""
+    split overflows (|xs| or |y| past 2^995) e is 0.  A y of at most 26
+    significant bits (grid positions such as k/32 or k/1024) splits with a
+    zero low half, whose two products are left out: adding a zero to e
+    changes no bit of it."""
     t = xs * y
     xh, xl = _split(xs) if parts is None else parts
     yh, yl = _split(y)
     with np.errstate(invalid="ignore", over="ignore"):
         e = xh * yh - t
-        e += xh * yl
+        if yl:
+            e += xh * yl
         e += xl * yh
-        e += xl * yl
+        if yl:
+            e += xl * yl
     if not np.all(np.isfinite(e)):
         e = np.where(np.isfinite(e), e, 0.0)
     return t, e
@@ -183,56 +193,63 @@ def _frac(x):
 
 def _product_turns(xs, y: float, parts=None, y_lo: float = 0.0) -> tuple:
     """(hi, lo) with hi + lo = xs * (y + y_lo) mod 1, from the exact product
-    xs * y: hi is the rounded product's offset from its nearest integer,
-    exact, and lo the rest.  y_lo is a small correction to y (the low half
-    of a double-double position), whose product with xs is formed in
-    floats."""
+    xs * y: hi is the rounded product, left for _unit_turns to reduce, and
+    lo the rest, reduced to [-1/2, 1/2] turn.  y_lo is a small correction
+    to y (the low half of a double-double position), whose product with xs
+    is formed in floats and added to lo unreduced."""
     if _exact_in_floats(y):
-        hi, lo = _frac(xs * y), 0.0
+        hi, lo = xs * y, 0.0
     else:
-        t, e = _two_product(xs, y, parts)
-        hi, lo = _frac(t), _frac(e)
+        hi, lo = _two_product(xs, y, parts)
+        lo = _frac(lo)
     if y_lo:
         lo = lo + xs * y_lo
     return hi, lo
 
 
-# cos(k pi/2) and sin(k pi/2) at index k + 2, for k = -2 .. 2; the zero sine
-# at k = -2 is -0.0.
-_QUARTER_COS = np.array([-1.0, 0.0, 1.0, 0.0, -1.0])
-_QUARTER_SIN = np.array([-0.0, -1.0, 0.0, 1.0, 0.0])
+# exp(i k pi/2) at index k & 7, for every integer k.  The period is 8 rather
+# than 4 so that the zero sine at a half turn carries the sign of
+# k - 4 rint(k/4) (rounding half to even): +0.0 where k = 2 mod 8 and -0.0
+# where k = 6 mod 8.  Every zero cosine is +0.0.
+_QUARTER_TURNS = np.array([complex(1.0, 0.0), complex(0.0, 1.0), complex(-1.0, 0.0),
+                           complex(0.0, -1.0), complex(1.0, 0.0), complex(0.0, 1.0),
+                           complex(-1.0, -0.0), complex(0.0, -1.0)])
 
 
-def _cos_sin_turns(hi, lo=0.0):
-    """(cos 2 pi r, sin 2 pi r) over an array of turns r = hi + lo, with lo
-    small against a turn.
+def _unit_turns(hi, lo=0.0):
+    """exp(2 pi i r) over an array of turns r = hi + lo (or a scalar).
 
-    hi is reduced exactly to its offset from the nearest quarter turn k/4;
-    lo is added to that offset, so the sum rounds at the size of the
-    offset, not of hi, and a value near a zero of the sine or cosine keeps
-    its relative accuracy.  The pair at the offset (at most about 1/8 turn)
-    is then rotated by k quarter turns, with cos(k pi/2) and sin(k pi/2)
-    read exactly from a table.
+    hi is any finite float.  lo is a correction that need not be small
+    against a turn: the self-similar rule passes a few turns.  hi is
+    reduced exactly, once, to its offset from the quarter turn k/4 nearest
+    hi + lo; lo is added to that offset, so the sum rounds at the size of
+    the offset, not of hi, and a value near a zero of the sine or cosine
+    keeps its relative accuracy (less about |lo| 2^-53 turns).  The cosine
+    and sine at the offset (at most about 1/8 turn) are written straight
+    into the real and imaginary parts, which one complex multiply then
+    rotates by k quarter turns, read exactly from _QUARTER_TURNS.
     """
     r = _frac(hi)
-    k = np.rint(4.0 * (r + lo))
-    r -= 0.25 * k
-    r += lo
+    if np.ndim(lo) == 0 and lo == 0.0:
+        k = np.rint(4.0 * r)
+        r -= 0.25 * k
+        turn = k.astype(np.intp)
+    else:
+        k = np.rint(4.0 * (r + lo))
+        r -= 0.25 * k
+        r += lo
+        # An lo past 2^61 turns (an interval's product error, at
+        # |xi (b - a)| past 2^115) puts k past the int range.  Such a k is
+        # 0 mod 8, as is the INT_MIN that the quiet cast gives on x86-64;
+        # where a cast saturates instead, those phases would take a wrong
+        # quarter turn.
+        with np.errstate(invalid="ignore"):
+            turn = k.astype(np.intp)
     r *= 2.0 * math.pi
-    k -= 4.0 * np.rint(0.25 * k)  # -2 .. 2
-    c = np.cos(r)
-    s = np.sin(r)
-    i = (k + 2.0).astype(np.intp)
-    cq = _QUARTER_COS.take(i)
-    sq = _QUARTER_SIN.take(i)
-    return cq * c - sq * s, cq * s + sq * c
-
-
-def _unit(c, s):
-    """The complex array c + i s (a 0-d input gives a numpy scalar)."""
-    out = np.empty(np.shape(c), dtype=complex)
-    out.real = c
-    out.imag = s
+    out = np.empty(np.shape(r), dtype=complex)
+    np.cos(r, out=out.real)
+    np.sin(r, out=out.imag)
+    out *= _QUARTER_TURNS.take(turn & 7)
     return out[()]
 
 
@@ -244,7 +261,7 @@ def _phase_vec(xs, x, parts=None):
     exact.  parts is the split of xs, for callers that form several phases
     of one frequency array.
     """
-    return _unit(*_cos_sin_turns(*_product_turns(xs, -x, parts)))
+    return _unit_turns(*_product_turns(xs, -x, parts))
 
 
 def _eplus_vec(hi, lo=0.0):
@@ -253,12 +270,14 @@ def _eplus_vec(hi, lo=0.0):
     of the order of an ulp of hi.
 
     g is reduced mod 2 from its parts exactly, and exp(i pi g) and
-    sin(pi g) come from one cos/sin pair; the value is exactly 1 at g = 0
-    and exactly 0 at every other integer.
+    sin(pi g) come from one unit; the value is exactly 1 at g = 0 and
+    exactly 0 at every other integer.
     """
-    c, s = _cos_sin_turns(0.5 * hi, 0.5 * lo)
-    q = np.divide(s, math.pi * hi, out=np.ones(np.shape(s)), where=hi != 0)
-    return _unit(c * q, s * q)
+    out = _unit_turns(0.5 * hi, 0.5 * lo)
+    q = np.divide(out.imag, math.pi * hi, out=np.ones(np.shape(out)), where=hi != 0)
+    out.real *= q
+    out.imag *= q
+    return out
 
 
 def oscillatory_integral(alpha, beta) -> complex:

@@ -14,12 +14,15 @@ the variant's float rule over an array of floats (any input but an int or
 float ndarray, a Python list included, is read element by element through
 ``phase._finite``), with every phase reduced from an error-free product, and
 takes ``ft`` for each point past the variant's guard: the largest |xi| at
-which the float rule is pinned against the mpmath oracle.  That is 2^60 for
-every primitive variant, where tests/test_oracle.py holds the grid to 16 u
-relative (256 u per level for self-similar measures); a mixture or
-convolution takes its parts' least guard, an affine image its inner guard
-over |scale| (its grid rule still rounds xs * scale).  The rules themselves
-live on the measure classes in :mod:`fourierdim.measures`.
+which the float rule is pinned against the mpmath oracle, and at which no
+product of xi and a position overflows.  For a primitive variant that is
+the least of 2^60, where tests/test_oracle.py holds the grid to 16 u
+relative (256 u per level for self-similar measures), and 2^1000 over its
+farthest position from 0 (its support, or its farthest atom); a mixture or
+convolution takes its parts' least guard, an affine image the least of its
+inner guard over |scale| (its grid rule still rounds xs * scale) and 2^1000
+over |offset|.  The rules themselves live on the measure classes in
+:mod:`fourierdim.measures`.
 
 Route rule: ``ft_batch``, ``decay_exponent`` and ``stability_experiment``
 evaluate a schedule through ``_ft_values``.  Its non-integer floats within
@@ -95,7 +98,9 @@ def ft(m: Measure, xi) -> complex:
 # Points per call of a variant's float rule.  The rules make a few dozen
 # passes over their arrays, and at this size the temporaries stay in cache:
 # on a 2-vCPU container a 200 000-point grid of a depth-14 digit product
-# took 352 ms in one call and 101 ms in chunks of 8192.
+# took 352 ms in one call and 101 ms in chunks of 8192.  Timed again on the
+# grid-scan benchmark (seed 1, three 25 s runs each, medians): 117.7 ops/s
+# at 4096, 120.0 at 8192 and 112.9 at 16384.
 GRID_CHUNK = 1 << 13
 
 
@@ -209,8 +214,10 @@ def wiener_average(m: Measure, T: float) -> float:
 
     The integrand is even, so only [0, T] is sampled.  |ft|^2 of an atomic
     measure is almost periodic with phases at the pairwise atom separations,
-    so the step resolves ten points per fastest period.  The value
-    tends to the sum of squared atom masses as T grows.
+    at most the support's diameter diam.  The step is min(0.01, 1/(10 diam)):
+    at least 100 points per unit of xi, and at least ten per period of the
+    fastest term.  The value tends to the sum of squared atom masses as T
+    grows.
     """
     T = _finite(T, "T")
     if T <= 0:
@@ -226,8 +233,9 @@ def wiener_average(m: Measure, T: float) -> float:
     xs = np.linspace(0.0, T, n + 1)
     y = np.abs(ft_grid(m, xs)) ** 2
     # Normalizing by the quadrature of 1 (rather than by T) keeps the
-    # average of a constant integrand exact.
-    return float(np.trapezoid(y, xs) / np.trapezoid(np.ones_like(y), xs))
+    # average of a constant integrand exact; that quadrature is the sum of
+    # the steps, bit for bit.
+    return float(np.trapezoid(y, xs) / np.diff(xs).sum())
 
 
 # ---------------------------------------------------------------------------

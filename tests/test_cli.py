@@ -417,6 +417,16 @@ def test_negative_seed_override_exits_2(tmp_path, monkeypatch, capsys):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+def test_transform_of_an_atom_past_2_to_the_1000_exits_0(tmp_path, monkeypatch, capsys):
+    # xi times the position overflows on the float grid; those points take ft
+    cfg = {"experiment": "transform",
+           "measure": {"variant": "Atomic",
+                       "atoms": [{"position": -7.5e307, "weight": 1.0}]},
+           "schedule": DYADIC}
+    assert _run(tmp_path, monkeypatch, cfg) == 0
+    assert "Traceback" not in capsys.readouterr().err
+
+
 EXPERIMENT_CONFIGS = {
     "transform": {"experiment": "transform", "measure": LEB,
                   "schedule": DYADIC},

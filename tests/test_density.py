@@ -71,6 +71,46 @@ def test_piece_evaluate_and_map_affine():
     assert np.allclose(q.evaluate(y), p.evaluate(x) / 2.0, atol=1e-14)
 
 
+def _evaluate_whole_array(piece, x):
+    # the whole-array reference: the phase at every point and at every
+    # frequency, then zero outside [a, b]
+    from fourierdim.phase import _phase_vec
+
+    x = np.asarray(x, dtype=float)
+    t = x - piece.center
+    p = np.zeros_like(t)
+    for c in reversed(piece.poly):
+        p = p * t + c
+    out = piece.amplitude * p * _phase_vec(t, -piece.frequency)
+    return np.where((x >= piece.a) & (x <= piece.b), out, 0.0)
+
+
+def test_piece_evaluate_matches_the_whole_array_rule_bit_for_bit():
+    rng = np.random.default_rng(1406)
+    amplitudes = (2.0 + 0.0j, 0.5 - 1.5j, -0.25j, 1j / 3.0, -1.0 + 0.0j, -0.5 + 0.0j)
+    polys = ((1.0,), (1.0, 0.0, -1.0), (0.5, -2.0, 0.0, 3.0), window_poly(0.3, 3))
+    pieces = [DensityPiece(-0.3, 0.45, 0.075, poly, amp, f)
+              for poly in polys for amp in amplitudes for f in (0.0, 3.0, -7.0, 0.3)]
+    # points inside and outside, on a and b, and on the polynomials' roots
+    x = np.concatenate([rng.uniform(-1.0, 1.0, 500),
+                        [-0.3, 0.45, -0.3 - 2 ** -54, 0.45 + 2 ** -53, 0.075,
+                         -0.925, 1.075, 0.375, -0.225, -1.0, 1.0, 0.0, -0.0]])
+    for piece in pieces:
+        got = piece.evaluate(x)
+        want = _evaluate_whole_array(piece, x)
+        if piece.frequency:
+            assert got.tobytes() == want.tobytes(), piece
+        else:
+            # the rule above multiplies by the unit phase 1 + 0j there, which
+            # can turn the sign of a zero part; every other bit is the same
+            assert (got + 0.0).tobytes() == (want + 0.0).tobytes(), piece
+    # evaluate_density sums the pieces from +0.0, so no sign of a zero shows
+    want = np.zeros(x.shape, dtype=complex)
+    for piece in pieces:
+        want += _evaluate_whole_array(piece, x)
+    assert evaluate_density(pieces, x).tobytes() == want.real.tobytes()
+
+
 def test_piece_multiply_matches_pointwise():
     p = DensityPiece(0.0, 1.0, 0.0, (1.0, 1.0), 1.0, 2.0)
     q = DensityPiece(0.25, 1.5, 1.0, (0.5, 0.0, 1.0), 3.0, -1.0)

@@ -364,6 +364,36 @@ def test_ft_batch_order_and_methods():
         assert [s.method for s in fd.ft_batch(m, sched)] == [s.method for s in samples]
 
 
+# Positions so far from 0 that xi times one of them overflows at xi near 5:
+# each measure's guard is at most 2^1000 over its farthest position, so
+# these points take ft, on ft_grid and on the batch route alike.
+HUGE_POSITIONS = [
+    fd.Atomic(((-7.5e307, 1.0),)),
+    fd.UniformOnIntervals(((-8e307, -7e307),)),
+    fd.AffineImage(LEB, 1.0, 7.5e307),
+    fd.Mixture((LEB, fd.Atomic(((7.5e307, 1.0),))), (0.5, 0.5)),
+    # supports that cancel in the sum: each factor keeps its own guard
+    fd.Convolution((fd.Atomic(((-7.5e307, 1.0),)), fd.Atomic(((7.5e307, 1.0),)))),
+]
+
+
+def test_grid_takes_ft_where_xi_times_a_position_overflows():
+    xs = np.array([5.5, 4.25, -5.5, 0.3])
+    for m in HUGE_POSITIONS:
+        got = fd.ft_grid(m, xs)
+        assert got.tobytes() == np.array([fd.ft(m, x) for x in xs.tolist()]).tobytes(), m
+        assert [s.method for s in fd.ft_batch(m, fd.ExplicitFrequencies((5.5, 4.25)))] \
+            == ["exact", "exact"]
+    # a wrapped image's offset is a position too, though its support is [0, 1]
+    wrapped = fd.AffineImage(LEB, 2, 7.5e307, mod1=True)
+    ints = np.array([3.0, -2.0])
+    assert fd.ft_grid(wrapped, ints).tobytes() == \
+        np.array([fd.ft(wrapped, x) for x in ints.tolist()]).tobytes()
+    # measures near 0 keep the guard of the tested range
+    assert fd.Atomic(((1e300, 1.0),))._grid_guard() == 2.0 ** 1000 / 1e300
+    assert fd.Atomic(())._grid_guard() == fd.measures.GRID_GUARD
+
+
 # One measure per family of the exact-probe benchmark, on the routes that
 # ft_batch, decay_exponent and stability_experiment take: every routed value
 # must equal ft's within 2^12 u relative.  The largest gaps measured were
@@ -449,6 +479,19 @@ def test_oscillatory_integral_decay_bound(a, b):
 def test_wiener_single_atom_is_exactly_one():
     m = fd.Atomic(((0.3, 1.0),))
     assert fd.wiener_average(m, 1.0e4) == 1.0
+
+
+def test_wiener_normaliser_is_the_trapezoid_of_one_bit_for_bit():
+    # wiener_average divides by the sum of its steps: the trapezoid rule of
+    # 1 on the same nodes, bit for bit (step 0.01, and 1/30 at diameter 3)
+    for m, step in ((fd.Atomic(((0.0, 0.5), (0.3, 0.5))), 0.01),
+                    (fd.Atomic(((0.0, 0.5), (3.0, 0.5))), 1.0 / 30.0)):
+        for T in (1.0, 1500.0, 1.0e4):
+            xs = np.linspace(0.0, T, max(2, math.ceil(T / step)) + 1)
+            ones = np.trapezoid(np.ones_like(xs), xs)
+            assert np.diff(xs).sum().tobytes() == ones.tobytes()
+            y = np.abs(fd.ft_grid(m, xs)) ** 2
+            assert fd.wiener_average(m, T) == float(np.trapezoid(y, xs) / ones)
 
 
 def test_wiener_two_atoms():
@@ -556,12 +599,24 @@ def _cos_sin_turns_by_polynomial(hi, lo=0.0):
     return cq * c - sq * s, cq * s + sq * c
 
 
-def test_quarter_turn_table_matches_the_polynomial_rotation_bit_for_bit():
-    from fourierdim.phase import _QUARTER_COS, _QUARTER_SIN, _cos_sin_turns
+def _unit_by_polynomial(hi, lo=0.0):
+    c, s = _cos_sin_turns_by_polynomial(hi, lo)
+    out = np.empty(np.shape(c), dtype=complex)
+    out.real = c
+    out.imag = s
+    return out
 
-    want_cq, want_sq = _quarter_turn_by_polynomial(np.arange(-2.0, 3.0))
-    assert _QUARTER_COS.tobytes() == want_cq.tobytes()
-    assert _QUARTER_SIN.tobytes() == want_sq.tobytes()  # -0.0 at k = -2
+
+def test_quarter_turn_table_matches_the_polynomial_rotation_bit_for_bit():
+    from fourierdim.phase import _QUARTER_TURNS, _unit_turns
+
+    # the table at k & 7 is the polynomial's quarter turn at k - 4 rint(k/4)
+    # for every k, signed zeros included (-0.0 sine where k = 6 mod 8)
+    for k in range(-8, 9):
+        cq, sq = _quarter_turn_by_polynomial(k - 4.0 * np.rint(k / 4.0))
+        got = _QUARTER_TURNS[k & 7]
+        assert np.float64(got.real).tobytes() == np.float64(cq).tobytes(), k
+        assert np.float64(got.imag).tobytes() == np.float64(sq).tobytes(), k
 
     rng = np.random.default_rng(1480)
     n = 8192
@@ -571,13 +626,14 @@ def test_quarter_turn_table_matches_the_polynomial_rotation_bit_for_bit():
            np.rint(rng.uniform(-4e6, 4e6, n)) / 4.0,
            np.array(edges + [-e for e in edges])]
     for hi in his:
-        los = [0.0, rng.uniform(-3.0, 3.0, hi.size), rng.uniform(-1e-9, 1e-9, hi.size)]
+        # lo past a turn: the self-similar rule's double-double positions
+        # pass about -3.5 turns at xi near 1e17
+        los = [0.0, rng.uniform(-3.0, 3.0, hi.size), rng.uniform(-1e-9, 1e-9, hi.size),
+               rng.uniform(-40.0, 40.0, hi.size), np.rint(rng.uniform(-160.0, 160.0, hi.size)) / 4.0]
         for lo in los:
-            got = _cos_sin_turns(hi, lo)
-            want = _cos_sin_turns_by_polynomial(hi, lo)
-            for g, w in zip(got, want):
-                assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
+            assert _unit_turns(hi, lo).tobytes() == _unit_by_polynomial(hi, lo).tobytes()
     # a scalar turn gives the same bits as the polynomial rule too
     for hi in edges + [-e for e in edges] + [0.75, -0.75, 1e6 + 0.25]:
-        for g, w in zip(_cos_sin_turns(hi), _cos_sin_turns_by_polynomial(hi)):
-            assert np.asarray(g).tobytes() == np.asarray(w).tobytes(), hi
+        got = _unit_turns(hi)
+        assert np.ndim(got) == 0
+        assert np.asarray(got).tobytes() == _unit_by_polynomial(hi).tobytes(), hi
