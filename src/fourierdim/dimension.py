@@ -45,7 +45,6 @@ from .phase import _half_turn, _ratio
 from .transform import (  # noqa: F401
     GRID_CHUNK,
     _ft_values,
-    _grid_routed,
     atom_weights,
     ft,
     ft_batch,
@@ -386,17 +385,20 @@ def stability_experiment(m1: Measure, m2: Measure,
 
     The sum's liminf proxy should not fall more than estimator tolerance
     below the smaller component proxy; the caller asserts the tolerance.
-    Each part is evaluated once per frequency, on the routes the sum would
-    take, and the sum's values are combined from those by the mixture's own
-    rule.  At a negative frequency that sum can differ from ft(m1 + m2) in
-    the sign of a zero imaginary part; the reports read only moduli, so the
-    three equal those of three separate decay_exponent calls.
+    Each part is evaluated once per frequency, on its own routes, so the
+    first two reports equal decay_exponent(m1, sched) and
+    decay_exponent(m2, sched) exactly.  The sum's values are combined from
+    the parts' by the mixture's own rule, so the third report equals
+    decay_exponent of the mixture wherever both parts take the mixture's
+    route (its grid band is the meet of theirs), and agrees with it to
+    rounding elsewhere.  At a negative frequency the sum can differ from
+    ft(m1 + m2) in the sign of a zero imaginary part, which no modulus
+    shows.
     """
     both = Mixture((m1, m2), (1.0, 1.0))
     freqs = _decay_frequencies(sched)
-    routes = _grid_routed(both, freqs)
-    v1 = _ft_values(m1, freqs, routes)
-    v2 = _ft_values(m2, freqs, routes)
+    v1 = _ft_values(m1, freqs)
+    v2 = _ft_values(m2, freqs)
     v_sum = [both._combine(parts) for parts in zip(v1, v2)]
     return (_decay_report(freqs, v1), _decay_report(freqs, v2),
             _decay_report(freqs, v_sum))

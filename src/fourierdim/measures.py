@@ -13,7 +13,7 @@ convolutions and polynomial window cutoffs.
 
 Each variant is a frozen dataclass that owns every rule about it: validation,
 mass and support, the exact scalar transform and its float grid counterpart,
-the grid accuracy guard, its atoms (``_atoms``), the density pieces of the
+the grid band, its atoms (``_atoms``), the density pieces of the
 part without atoms (``_density``) and the window cutoff.  The public
 functions (:func:`mass`, :func:`support_interval`
 here; ``ft``, ``ft_grid``, ``atom_weights`` and ``ft_quadrature`` in
@@ -84,19 +84,30 @@ _SELF_SIMILAR_CUTOFF_BITS = 27
 # Digit products with more admissible cylinders have no density pieces.
 _ENUM_LIMIT = 1 << 16
 
-# The grid guard: the largest |xi| at which the float grid rules of the
-# primitive variants are pinned against the mpmath oracle
-# (tests/test_oracle.py).  Every float past 2^52 is an integer, which the
-# batch route sends to the exact rule anyway.
+# The ends of a primitive variant's grid band (Measure._grid_guard).  The
+# ceiling is the largest |xi| at which the float grid rules are pinned
+# against the mpmath oracle (tests/test_oracle.py); every float past 2^52 is
+# an integer, which the batch route sends to the exact rule anyway.  The
+# floor keeps their products and quotients of xi out of the subnormal range,
+# where gradual underflow loses relative accuracy: without it the rules
+# first break between 2^-1023 and 2^-1026.
+GRID_FLOOR = 2.0 ** -960
 GRID_GUARD = 2.0 ** 60
 
 
-def _position_guard(reach: float) -> float:
-    """The grid guard of a rule whose positions lie within reach of 0: the
-    least of GRID_GUARD and 2^1000 / reach, so that no product of a grid
-    frequency and a position overflows.  Past it the exact rule takes the
-    point."""
-    return min(GRID_GUARD, 2.0 ** 1000 / max(1.0, reach))
+def _position_guard(reach: float) -> tuple:
+    """The grid band of a primitive rule whose positions lie within reach of
+    0 (see Measure._grid_guard)."""
+    if reach > 2.0 ** 995:
+        return GRID_FLOOR, 0.0
+    return GRID_FLOOR, min(GRID_GUARD, 2.0 ** 1000 / max(1.0, reach))
+
+
+def _meet(bands) -> tuple:
+    """The band inside every band of bands: the largest floor and the
+    smallest ceiling."""
+    floors, ceilings = zip(*bands)
+    return max(floors), min(ceilings)
 
 
 # The largest |xi| a schedule or a trig density may hold, checked from their
@@ -161,7 +172,7 @@ class Measure:
     need not be reduced) and ``_grid`` (float transform over an array).
     ``_atoms`` maps position to point mass and ``_density`` lists the pieces
     of the part without atoms.  The other rules default to no atoms, no
-    explicit density and the widest guard.
+    explicit density and the grid band of the support.
     """
 
     __slots__ = ()
@@ -178,14 +189,29 @@ class Measure:
             return self._ft(-p, q).conjugate()
         return self._ft(p, q)
 
-    def _grid_guard(self) -> float:
-        """Largest |xi| at which the float grid rule is pinned against the
-        mpmath oracle; ft_grid takes the scalar rule past it.  A window
-        cut's grid and scalar rules are the same piece sums, one per array
-        and one per point, so they agree to rounding only: at about a third
-        of sampled points with |xi| up to 2^20 they differ, by at most 4e-14
-        relative.  It is also at most 2^1000 over the farthest point of the
-        support from 0 (_position_guard)."""
+    def _grid_guard(self) -> tuple:
+        """The grid band (floor, ceiling): ft_grid takes the float rule at
+        xi = 0 and wherever floor <= |xi| <= ceiling, and the scalar rule at
+        every other point (transform._in_band is the one test of it).
+
+        A primitive rule's floor is GRID_FLOOR, below which gradual
+        underflow costs its products and quotients of xi their relative
+        accuracy.  Its ceiling is the least of GRID_GUARD, the largest |xi|
+        at which the rule is pinned against the mpmath oracle, and 2^1000
+        over its farthest position from 0 (its support, or its farthest
+        atom), so that no product of xi and a position overflows.  A rule
+        with a position past 2^995, where Dekker's split of a position or of
+        a difference of two can overflow, has ceiling 0 and takes ft at
+        every nonzero xi.  A mixture or
+        convolution takes the largest floor and the smallest ceiling of its
+        parts.  An affine image runs its inner rule at xi * scale: it takes
+        the inner floor over |scale|, and the least of the inner ceiling
+        over max(|scale|, 1) and its offset's ceiling as a position.
+
+        A window cut's grid and scalar rules are the same piece sums, one
+        per array and one per point, so they agree to rounding only: at
+        about a third of sampled points with |xi| up to 2^20 they differ, by
+        at most 4e-14 relative."""
         lo, hi = self._support()
         return _position_guard(max(-lo, hi))
 
@@ -242,7 +268,7 @@ class Atomic(Measure):
     def _ft(self, p, q) -> complex:
         return sum((w * _phase_at(p, q, pos) for pos, w in self.atoms), 0.0 + 0.0j)
 
-    def _grid_guard(self) -> float:
+    def _grid_guard(self) -> tuple:
         # the zero measure has no support, and its grid rule no position
         return _position_guard(max((abs(pos) for pos, _ in self.atoms), default=0.0))
 
@@ -404,7 +430,9 @@ class TrigDensity(Measure):
         # h comes from -xi/2 turns, reduced exactly; f_k - xi only enters a
         # denominator.  Terms past 2^1000 change the bracket by a relative
         # 2^-900 or less and are left out.  At integer xi, h is 0 and each
-        # E is 1 or 0 (as in _ft).
+        # E is 1 or 0 (as in _ft).  -1 / xi overflows only at |xi| below
+        # 2^-1024, which the grid band's floor sends to _ft, and at xi = 0,
+        # an integer.
         unit = _unit_turns(-0.5 * xs)  # exp(-i pi xi)
         c, s = unit.real, unit.imag
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -744,8 +772,8 @@ class Mixture(Measure):
     def _grid(self, xs: np.ndarray) -> np.ndarray:
         return self._combine(c._grid(xs) for c in self.components)
 
-    def _grid_guard(self) -> float:
-        return min(c._grid_guard() for c in self.components)
+    def _grid_guard(self) -> tuple:
+        return _meet(c._grid_guard() for c in self.components)
 
     def _atoms(self) -> dict:
         out = {}
@@ -832,10 +860,11 @@ class AffineImage(Measure):
             inner = inner * _phase_vec(xs, self.offset)
         return inner
 
-    def _grid_guard(self) -> float:
+    def _grid_guard(self) -> tuple:
         # the inner rule runs at xi * scale, and the offset is a position
-        return min(self.inner._grid_guard() / max(abs(self.scale), 1.0),
-                   _position_guard(abs(self.offset)))
+        floor, ceiling = self.inner._grid_guard()
+        return floor / abs(self.scale), min(ceiling / max(abs(self.scale), 1.0),
+                                            _position_guard(abs(self.offset))[1])
 
     def _atoms(self) -> dict:
         out = {}
@@ -890,8 +919,8 @@ class Convolution(Measure):
     def _grid(self, xs: np.ndarray) -> np.ndarray:
         return math.prod((f._grid(xs) for f in self.factors), start=1.0 + 0.0j)
 
-    def _grid_guard(self) -> float:
-        return min(f._grid_guard() for f in self.factors)
+    def _grid_guard(self) -> tuple:
+        return _meet(f._grid_guard() for f in self.factors)
 
     def _atoms(self) -> dict:
         maps = [f._atoms() for f in self.factors]

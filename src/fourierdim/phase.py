@@ -161,7 +161,12 @@ def _two_sum(a: float, b: float) -> tuple:
 def _two_product(xs, y: float, parts=None) -> tuple:
     """(t, e) with t = fl(xs * y) and t + e = xs * y exactly, for an array xs
     (split once by the caller into parts, or here) and a float y.  Where a
-    split overflows (|xs| or |y| past 2^995) e is 0.  A y of at most 26
+    split overflows (|xs| or |y| past 2^995) e is 0.  Three callers still
+    reach that: a grid rule at xi = 0 with a position past 2^995, where t
+    and the true error are both 0; ft_quadrature's panel phases at |xi|
+    past 2^995; and SmoothCutDensity's scalar rule there, through
+    piece_transform.  The grid band keeps every other grid point clear of
+    it (Measure._grid_guard).  A y of at most 26
     significant bits (grid positions such as k/32 or k/1024) splits with a
     zero low half, whose two products are left out: adding a zero to e
     changes no bit of it."""

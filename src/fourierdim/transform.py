@@ -13,21 +13,15 @@ such as xi = 2**2304 keep correctly rounded phases.  ``ft_grid`` evaluates
 the variant's float rule over an array of floats (any input but an int or
 float ndarray, a Python list included, is read element by element through
 ``phase._finite``), with every phase reduced from an error-free product, and
-takes ``ft`` for each point past the variant's guard: the largest |xi| at
-which the float rule is pinned against the mpmath oracle, and at which no
-product of xi and a position overflows.  For a primitive variant that is
-the least of 2^60, where tests/test_oracle.py holds the grid to 16 u
-relative (256 u per level for self-similar measures), and 2^1000 over its
-farthest position from 0 (its support, or its farthest atom); a mixture or
-convolution takes its parts' least guard, an affine image the least of its
-inner guard over |scale| (its grid rule still rounds xs * scale) and 2^1000
-over |offset|.  The rules themselves live on the measure classes in
-:mod:`fourierdim.measures`.
+takes ``ft`` for each point outside the variant's grid band.
+``Measure._grid_guard`` states the band and how it composes; ``_in_band`` is
+the one test of a frequency against it.  The rules themselves live on the
+measure classes in :mod:`fourierdim.measures`.
 
 Route rule: ``ft_batch``, ``decay_exponent`` and ``stability_experiment``
-evaluate a schedule through ``_ft_values``.  Its non-integer floats within
-the guard go through one ``ft_grid`` call; Python ints of any size,
-integer-valued floats and everything past the guard go through ``ft``.
+evaluate a schedule through ``_ft_values``.  Its non-integer floats go
+through one ``ft_grid`` call, which applies the band; Python ints of any
+size and integer-valued floats go through ``ft``.
 ``TransformSample.method`` names the route of each sample.
 
 ``ft_quadrature`` is the independent Filon route: degree-4 panels whose
@@ -107,8 +101,9 @@ GRID_CHUNK = 1 << 13
 def ft_grid(m: Measure, xis) -> np.ndarray:
     """Vectorized transform over an array of real frequencies.
 
-    Uses the float rule up to the variant's guard and the exact scalar rule
-    for each point past it, so no value depends on the rest of the array.
+    Uses the float rule within the variant's grid band and the exact scalar
+    rule for each point outside it, so no value depends on the rest of the
+    array.
     """
     xs = xis if isinstance(xis, np.ndarray) else np.array(xis, dtype=object)
     if xs.dtype.kind not in "iuf":
@@ -118,15 +113,23 @@ def ft_grid(m: Measure, xis) -> np.ndarray:
         return np.zeros(xs.shape, dtype=complex)
     if not np.all(np.isfinite(xs)):
         raise MeasureError("grid frequencies must be finite")
-    far = np.abs(xs) > m._grid_guard()
-    if not far.any():
+    near = _in_band(m, xs)
+    if near.all():
         return _grid_chunks(m, xs.ravel()).reshape(xs.shape)
     out = np.empty(xs.shape, dtype=complex)
-    near = ~far
     if near.any():
         out[near] = _grid_chunks(m, xs[near])
+    far = ~near
     out[far] = [ft(m, x) for x in xs[far].tolist()]
     return out
+
+
+def _in_band(m: Measure, xs: np.ndarray) -> np.ndarray:
+    """True where m's float rule takes the frequency: at 0 and within m's
+    grid band (Measure._grid_guard)."""
+    floor, ceiling = m._grid_guard()
+    a = np.abs(xs)
+    return (a <= ceiling) & ((a >= floor) | (a == 0.0))
 
 
 def _grid_chunks(m: Measure, xs: np.ndarray) -> np.ndarray:
@@ -139,23 +142,19 @@ def _grid_chunks(m: Measure, xs: np.ndarray) -> np.ndarray:
     return out
 
 
-def _grid_routed(m: Measure, freqs) -> list:
-    """For each frequency, True when _ft_values takes the grid route: a
-    float that is not an integer and lies within m's guard."""
-    guard = m._grid_guard()
-    return [isinstance(x, float) and not x.is_integer() and abs(x) <= guard
-            for x in freqs]
+def _grid_floats(freqs) -> list:
+    """For each schedule frequency, True when the batch route hands it to
+    ft_grid: a float that is not an integer."""
+    return [isinstance(x, float) and not x.is_integer() for x in freqs]
 
 
-def _ft_values(m: Measure, freqs, routes=None) -> list:
+def _ft_values(m: Measure, freqs) -> list:
     """Transform values at a schedule's frequencies, in order: one ft_grid
-    call for the frequencies routes marks (by default _grid_routed(m,
-    freqs)) and ft for every other one."""
-    if routes is None:
-        routes = _grid_routed(m, freqs)
-    on_grid = [x for x, g in zip(freqs, routes) if g]
-    grid = iter(ft_grid(m, np.array(on_grid)).tolist() if on_grid else ())
-    return [next(grid) if g else ft(m, x) for x, g in zip(freqs, routes)]
+    call for the non-integer floats and ft for every other frequency."""
+    routed = _grid_floats(freqs)
+    floats = [x for x, g in zip(freqs, routed) if g]
+    grid = iter(ft_grid(m, np.array(floats)).tolist() if floats else ())
+    return [next(grid) if g else ft(m, x) for x, g in zip(freqs, routed)]
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +164,8 @@ def _ft_values(m: Measure, freqs, routes=None) -> list:
 @dataclass(frozen=True)
 class TransformSample:
     """One evaluated frequency: xi may be a float or an exact int; method is
-    the route that evaluated it, "exact" (ft) or "grid" (ft_grid)."""
+    the rule that evaluated it, "grid" (a variant's float rule, within its
+    grid band) or "exact" (ft)."""
 
     xi: object
     value: complex
@@ -180,9 +180,10 @@ def ft_batch(m: Measure, sched: FrequencySchedule) -> tuple:
     freqs = sched.frequencies()
     if not freqs:
         raise MeasureError("schedule generated no frequencies")
-    routes = _grid_routed(m, freqs)
-    return tuple(TransformSample(f, v, "grid" if g else "exact")
-                 for f, v, g in zip(freqs, _ft_values(m, freqs, routes), routes))
+    routed = _grid_floats(freqs)
+    in_band = iter(_in_band(m, np.array([x for x, g in zip(freqs, routed) if g])).tolist())
+    return tuple(TransformSample(f, v, "grid" if g and next(in_band) else "exact")
+                 for f, v, g in zip(freqs, _ft_values(m, freqs), routed))
 
 
 # ---------------------------------------------------------------------------
@@ -289,8 +290,9 @@ def ft_quadrature(m: Measure, xi, tol: float = 1e-9,
     within tol.  Atoms take exact phases at xi, and the density pieces of the
     rest are integrated at the float nearest xi.  Raises QuadratureError when
     the panel budget is exhausted before reaching tol, and MeasureError for
-    pieces at |xi| >= 2^1024, a tol that is not positive and finite or a
-    budget outside [8, QUADRATURE_MAX_PANELS] (the first refinement: 8 panels).
+    pieces where |xi| times a breakpoint reaches 2^1024 (before any panel),
+    a tol that is not positive and finite or a budget outside
+    [8, QUADRATURE_MAX_PANELS] (the first refinement: 8 panels).
     """
     p, q = _ratio(xi)
     tol = _finite(tol, "quadrature tol")
@@ -304,12 +306,13 @@ def ft_quadrature(m: Measure, xi, tol: float = 1e-9,
     pieces = m._density()
     if not pieces:
         return QuadratureResult(value, 0.0, 0)
+    breaks = sorted({p.a for p in pieces} | {p.b for p in pieces})
     try:
         x = p / q
     except OverflowError:
-        raise MeasureError("quadrature panels need a float frequency, |xi| < 2^1024") from None
-
-    breaks = sorted({p.a for p in pieces} | {p.b for p in pieces})
+        x = math.inf
+    if math.isinf(x * max(-breaks[0], breaks[-1])):
+        raise MeasureError("quadrature panels need |xi| times each breakpoint below 2^1024")
     f_max = max(abs(p.frequency) for p in pieces)
     total_panels = 0
     err_total = 0.0

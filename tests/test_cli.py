@@ -169,6 +169,21 @@ def test_quadrature_blowup_exits_3(tmp_path, monkeypatch, capsys):
     assert "quadrature" in capsys.readouterr().err
 
 
+def test_transform_below_the_grid_band_stays_within_the_mass(tmp_path, monkeypatch):
+    # every sample is subnormal and takes ft; the float rule read max_abs
+    # 1.444 there, and the run exited 4 as a failed claim
+    cfg = {"experiment": "transform",
+           "measure": {"variant": "UniformOnIntervals",
+                       "intervals": [{"a": -0.6974, "b": 0.6230}]},
+           "schedule": {"variant": "DyadicWindows", "min_exp": -1074, "max_exp": -1067,
+                        "samples_per_window": 2},
+           "output": "sub"}
+    assert _run(tmp_path, monkeypatch, cfg) == 0
+    assert json.loads((tmp_path / "sub.json").read_text())["max_abs"] == 1.0
+    with open(tmp_path / "sub.csv", newline="") as fh:
+        assert {row["method"] for row in csv.DictReader(fh)} == {"exact"}
+
+
 BAD_CONFIGS = {
     "params-not-object": {"experiment": "transform", "measure": LEB,
                           "schedule": DYADIC, "params": [1, 2]},
@@ -304,6 +319,13 @@ BAD_CONFIGS = {
                                 "schedule": DYADIC,
                                 "params": {"quadrature_count": 1,
                                            "quadrature_max_panels": 7}},
+    # |xi| times a breakpoint past the float range: the panels ran on NaN
+    # until the budget was spent, and the run exited 3
+    "quadrature-xi-overflow": {"experiment": "transform",
+                               "measure": {"variant": "UniformOnIntervals",
+                                           "intervals": [{"a": 0.0, "b": 4.0}]},
+                               "schedule": {"variant": "Explicit", "frequencies": [1e308]},
+                               "params": {"quadrature_count": 1}},
     "quadrature-panels-huge": {"experiment": "transform", "measure": LEB,
                                "schedule": DYADIC,
                                "params": {"quadrature_count": 1,

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import fourierdim as fd
+from fourierdim import transform
 from fourierdim.transform import _filon_moments
 
 
@@ -106,6 +107,19 @@ def test_atoms_take_exact_phases():
     assert fd.ft_quadrature(atom, 3 ** 700).value == fd.ft(atom, 3 ** 700)
     with pytest.raises(fd.MeasureError, match="2\\^1024"):
         fd.ft_quadrature(LEB, 2 ** 1100)
+
+
+def test_frequency_past_the_float_range_of_the_panels_raises_up_front(monkeypatch):
+    # 1e308 times the breakpoint 4 overflows: the panels used to run on NaN
+    # until the budget was spent, then raise QuadratureError
+    def no_panel(*args):
+        raise AssertionError("a panel was evaluated")
+
+    monkeypatch.setattr(transform, "_filon_segment", no_panel)
+    for m, xi in ((fd.UniformOnIntervals(((0, 4),)), 1e308),
+                  (fd.AffineImage(LEB, 1.0, -2.0), -1e308)):
+        with pytest.raises(fd.MeasureError, match="breakpoint"):
+            fd.ft_quadrature(m, xi)
 
 
 def test_unsupported_measures_raise():

@@ -389,9 +389,10 @@ def test_grid_takes_ft_where_xi_times_a_position_overflows():
     ints = np.array([3.0, -2.0])
     assert fd.ft_grid(wrapped, ints).tobytes() == \
         np.array([fd.ft(wrapped, x) for x in ints.tolist()]).tobytes()
-    # measures near 0 keep the guard of the tested range
-    assert fd.Atomic(((1e300, 1.0),))._grid_guard() == 2.0 ** 1000 / 1e300
-    assert fd.Atomic(())._grid_guard() == fd.measures.GRID_GUARD
+    # positions up to 2^995 keep 2^1000 over the farthest; the zero measure
+    # keeps the guard of the tested range
+    assert fd.Atomic(((2.0 ** 995, 1.0),))._grid_guard()[1] == 2.0 ** 5
+    assert fd.Atomic(())._grid_guard()[1] == fd.measures.GRID_GUARD
 
 
 # One measure per family of the exact-probe benchmark, on the routes that
@@ -420,9 +421,9 @@ ROUTE_FAMILIES = [
 
 @pytest.mark.parametrize("m", ROUTE_FAMILIES, ids=lambda m: m.variant)
 def test_routed_values_match_the_exact_route(m):
-    from fourierdim.transform import _ft_values, _grid_routed
+    from fourierdim.transform import _ft_values
 
-    routes = _grid_routed(m, ROUTE_FREQS)
+    routes = [s.method == "grid" for s in fd.ft_batch(m, fd.ExplicitFrequencies(ROUTE_FREQS))]
     assert sum(routes) == 340  # every non-integer float; ints and 2^e stay exact
     for xi, got, grid in zip(ROUTE_FREQS, _ft_values(m, ROUTE_FREQS), routes):
         want = fd.ft(m, xi)
@@ -518,7 +519,7 @@ def test_convolution_grid_matches_ft_across_its_guard():
     # the dilated factor's guard, 2^60 / 2^50, is the convolution's: points
     # past 2^10 take ft itself, the others the product of the factor grids
     m = fd.Convolution((LEB, fd.AffineImage(fd.cantor_measure(), 2 ** 50)))
-    assert m._grid_guard() == 2.0 ** 10
+    assert m._grid_guard()[1] == 2.0 ** 10
     xs = np.array([0.3, -7.25, 100.7, 1000.5, 2000.5, -3e5 - 0.25])
     got = fd.ft_grid(m, xs)
     want = np.array([fd.ft(m, x) for x in xs])
