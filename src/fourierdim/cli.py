@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -546,17 +547,18 @@ _EXPERIMENTS = {
 
 def _write_outputs(prefix: str, summary: dict, rows) -> None:
     with open(prefix + ".json", "w") as fh:
-        json.dump(_clean(summary), fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(_clean(summary), sort_keys=True, indent=2) + "\n")
     if rows:
+        fieldnames = list(rows[0])
         with open(prefix + ".csv", "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-            writer.writeheader()
-            for row in rows:
-                writer.writerow(row)
+            writer = csv.writer(fh)
+            writer.writerow(fieldnames)
+            writer.writerows([row[k] for k in fieldnames] for row in rows)
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="fourierdim",
         description="Fourier-decay experiments on measures on the line.")
@@ -567,7 +569,11 @@ def main(argv=None) -> int:
                         help="override the config seed")
     parser.add_argument("--list", action="store_true",
                         help="list experiments and exit")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     if args.list:
         for name in sorted(_EXPERIMENTS):

@@ -813,6 +813,13 @@ class AffineImage(Measure):
         s = self.scale
         if isinstance(s, bool) or not isinstance(s, int):
             s = _finite(s, "affine scale")
+        else:
+            # the support, atoms, density and grid rules take the scale as a float
+            try:
+                float(s)
+            except OverflowError:
+                raise MeasureError("affine scale must lie in the float range, below "
+                                   f"about 2^1024, got an int of {s.bit_length()} bits") from None
         if s == 0:
             raise MeasureError("affine scale must be nonzero")
         off = _finite(self.offset, "affine offset")

@@ -279,7 +279,10 @@ def _eplus_vec(hi, lo=0.0):
     exactly 0 at every other integer.
     """
     out = _unit_turns(0.5 * hi, 0.5 * lo)
-    q = np.divide(out.imag, math.pi * hi, out=np.ones(np.shape(out)), where=hi != 0)
+    # sin(pi g) / (pi g) rounds to 1 below 2^-30; it is not formed there,
+    # because 0.5 * hi rounds below 2^-1021
+    q = np.divide(out.imag, math.pi * hi, out=np.ones(np.shape(out)),
+                  where=np.abs(hi) >= 2.0 ** -30)
     out.real *= q
     out.imag *= q
     return out

@@ -1,6 +1,7 @@
 """End-to-end checks of the experiment runner CLI."""
 
 import csv
+import io
 import json
 import math
 import os
@@ -8,8 +9,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from fourierdim import cli
 from fourierdim.cli import main
 
 
@@ -118,6 +121,22 @@ def test_reruns_are_byte_identical(tmp_path, monkeypatch):
     assert main(["--config", path, "--out", "b"]) == 0
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+@pytest.mark.parametrize("old_size", [100_000, 3])
+def test_rerun_over_existing_outputs_leaves_no_stale_tail(tmp_path, monkeypatch, old_size):
+    # a rerun replaces the old files whole: a longer old file must not
+    # leave its tail, a shorter one must not cut the new text
+    cfg = {"experiment": "transform", "measure": LEB, "schedule": DYADIC}
+    monkeypatch.chdir(tmp_path)
+    path = _write_config(tmp_path, cfg)
+    assert main(["--config", path, "--out", "fresh"]) == 0
+    for suffix in (".json", ".csv"):
+        (tmp_path / ("old" + suffix)).write_bytes(b"x" * old_size)
+    assert main(["--config", path, "--out", "old"]) == 0
+    for suffix in (".json", ".csv"):
+        assert (tmp_path / ("old" + suffix)).read_bytes() == \
+            (tmp_path / ("fresh" + suffix)).read_bytes()
 
 
 def test_default_prefix_is_experiment_name(tmp_path, monkeypatch):
@@ -416,6 +435,12 @@ BAD_CONFIGS = {
     "cut-order-one": {"experiment": "transform", "schedule": DYADIC,
                       "measure": {"variant": "SmoothCutDensity", "inner": LEB,
                                   "center": 0.5, "radius": 0.3, "order": 1}},
+    # an int scale past the float range: used to end in an OverflowError
+    # traceback from the grid band
+    "affine-scale-past-float-range": {
+        "experiment": "transform",
+        "measure": {"variant": "AffineImage", "inner": LEB, "scale": 10 ** 400},
+        "schedule": {"variant": "Explicit", "frequencies": [0.5, 3]}},
 }
 
 
@@ -545,3 +570,46 @@ def test_outputs_match_snapshot(name, tmp_path, monkeypatch):
             rows = [[_cell(c) for c in row] for row in csv.reader(fh)]
         _assert_matches(rows, [[_cell(c) for c in row] for row in want["csv"]],
                         f"{name}.csv")
+
+
+# every row shape the runners write: transform rows with methods and "-inf"
+# strings (Lebesgue measure's transform is exactly 0 at nonzero integers),
+# decay windows, stability windows tagged by measure, and the preset tables
+ROW_CONFIGS = {
+    "transform": {"experiment": "transform", "measure": LEB,
+                  "schedule": {"variant": "Explicit", "frequencies": [0.5, 1, 2.5, 3, -7]}},
+    **{name: EXPERIMENT_CONFIGS[name]
+       for name in ("decay", "stability", "setex", "setexc", "cantor")},
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROW_CONFIGS))
+def test_csv_bytes_match_a_dict_writer(name, tmp_path):
+    cfg = ROW_CONFIGS[name]
+    runner = cli._EXPERIMENTS[cfg["experiment"]][0]
+    summary, rows = runner(cfg, cfg.get("params", {}), np.random.default_rng(0))
+    assert rows
+    if name == "transform":
+        assert "-inf" in {row["log2_abs_value"] for row in rows}
+    cli._write_outputs(str(tmp_path / "out"), summary, rows)
+    want = io.StringIO()
+    writer = csv.DictWriter(want, fieldnames=list(rows[0]))
+    writer.writeheader()
+    writer.writerows(rows)
+    assert (tmp_path / "out.csv").read_bytes() == want.getvalue().encode()
+
+
+def test_repeated_main_calls_take_their_own_arguments(tmp_path, monkeypatch, capsys):
+    # the parser is built once per process; no call may see another's options
+    cfg = {"experiment": "galois", "seed": 1,
+           "params": {"models": 3, "trials": 2, "decompositions": 3}}
+    monkeypatch.chdir(tmp_path)
+    path = _write_config(tmp_path, cfg)
+    assert main(["--list"]) == 0
+    assert "transform" in capsys.readouterr().out
+    assert main(["--config", path, "--out", "g", "--seed", "3"]) == 0
+    assert json.loads((tmp_path / "g.json").read_text())["seed"] == 3
+    assert main(["--config", path]) == 0
+    assert "galois: ok -> galois.json" in capsys.readouterr().out
+    assert json.loads((tmp_path / "galois.json").read_text())["seed"] == 1
+

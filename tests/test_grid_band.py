@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 import fourierdim as fd
 from fourierdim.measures import GRID_FLOOR, GRID_GUARD
+from fourierdim.phase import _eplus_vec, _unit_turns
 
 LEB = fd.UniformOnIntervals(((0.0, 1.0),))
 TRIG = fd.TrigDensity(((0.5, 3),))
@@ -188,6 +189,8 @@ def trees_and_frequencies(draw):
 @example((fd.UniformOnIntervals(((-0.6974, 0.6230),)), [-4.2e-321]))
 @example((TRIG, [5e-324]))
 @example((AFFINE_TRIG, [2.0 ** -950, 2.0 ** -940]))
+# xi times the cell length is subnormal: the cell's sin(pi g) / (pi g) read 0.9964
+@example((fd.UniformOnIntervals(((0.0, 2.858357505338531e-56),)), [6.178112798024377e-266]))
 @settings(max_examples=300, deadline=None)
 def test_grid_matches_ft_at_tiny_frequencies(case):
     m, xs = case
@@ -197,3 +200,19 @@ def test_grid_matches_ft_at_tiny_frequencies(case):
         want = fd.ft(m, xi)
         assert math.isfinite(g.real) and math.isfinite(g.imag), (m, xi, g)
         assert abs(g - want) <= 1e-12 * abs(want) + 1e-13 * total, (m, xi, g, want)
+
+
+def test_cell_quotient_is_exactly_one_below_2_to_the_minus_30():
+    # sin(pi g) / (pi g) = 1 - (pi g)^2 / 6 + ... rounds to 1 for |g| < 2^-30,
+    # and the unit integral takes it as 1 there without dividing.  From
+    # 2^-1021 up, where 0.5 g is exact, the division gives exactly 1 as well,
+    # so no value there moved when it stopped being formed; in the lowest
+    # normal binade and below, 0.5 g rounds and the division read a few u
+    # off 1.
+    rng = np.random.default_rng(2)
+    mags = np.ldexp(rng.uniform(1.0, 2.0, 20000), rng.integers(-1074, -30, 20000))
+    g = np.concatenate([mags, -mags, [2.0 ** -1021, 2.0 ** -31, math.nextafter(2.0 ** -30, 0.0)]])
+    turns = _unit_turns(0.5 * g)
+    assert np.array_equal(_eplus_vec(g), turns)
+    exact = np.abs(g) >= 2.0 ** -1021
+    assert np.all(turns.imag[exact] / (math.pi * g[exact]) == 1.0)

@@ -238,6 +238,29 @@ def test_affine_mod1_requires_unit_support():
         fd.AffineImage(wide, 2, 0.0, True)
 
 
+def test_affine_refuses_an_int_scale_past_the_float_range():
+    # the support, atom, density and grid rules convert the scale to a float;
+    # these used to build and then end in an OverflowError
+    leb = fd.UniformOnIntervals(((0.0, 1.0),))
+    cantor = fd.SelfSimilarDigit(3, (0, 2))
+    for inner, scale, mod1 in ((leb, 10 ** 400, False), (leb, -(2 ** 1024), False),
+                               (leb, 2 ** 1024 - 2 ** 970, False),
+                               (cantor, 3 ** 700, True), (cantor, 3 ** 700, False)):
+        with pytest.raises(fd.MeasureError, match="float range"):
+            fd.AffineImage(inner, scale, 0.0, mod1)
+
+
+def test_affine_int_scale_2_to_the_1023_builds_and_batches_like_ft():
+    cantor = fd.SelfSimilarDigit(3, (0, 2))
+    m = fd.AffineImage(cantor, 2 ** 1023, 0.0, True)
+    assert fd.support_interval(m) == (0.0, 1.0)
+    js = (1, -2, 3, 7, 2 ** 20, 3 ** 40)
+    samples = fd.ft_batch(m, fd.ExplicitFrequencies(js))
+    assert sorted(s.xi for s in samples) == sorted(js)
+    for s in samples:
+        assert s.value == fd.ft(m, s.xi)
+
+
 def test_affine_rejects_singular_matrix():
     # scales are real numbers: any matrix, singular or not, is rejected
     leb = fd.UniformOnIntervals(((0.0, 1.0),))
