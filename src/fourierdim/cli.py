@@ -25,6 +25,7 @@ import csv
 import functools
 import json
 import math
+import os
 import sys
 from dataclasses import asdict
 
@@ -554,6 +555,12 @@ def _write_outputs(prefix: str, summary: dict, rows) -> None:
             writer = csv.writer(fh)
             writer.writerow(fieldnames)
             writer.writerows([row[k] for k in fieldnames] for row in rows)
+    else:
+        # a CSV there is an earlier run's, and would read as this run's rows
+        try:
+            os.remove(prefix + ".csv")
+        except FileNotFoundError:
+            pass
 
 
 @functools.cache

@@ -171,9 +171,9 @@ def _two_product(xs, y: float, parts=None) -> tuple:
     zero low half, whose two products are left out: adding a zero to e
     changes no bit of it."""
     t = xs * y
-    xh, xl = _split(xs) if parts is None else parts
-    yh, yl = _split(y)
     with np.errstate(invalid="ignore", over="ignore"):
+        xh, xl = _split(xs) if parts is None else parts
+        yh, yl = _split(y)
         e = xh * yh - t
         if yl:
             e += xh * yl

@@ -29,6 +29,9 @@ moments take density's Gauss-Legendre node rule for small |theta| and an
 upward recurrence beyond.  It reads its frequency through ``_ratio`` too:
 its atoms take exact phases, and its panels the nearest float.
 
+``wiener_average`` takes a purely atomic measure in closed form over its atom
+pairs, and every other measure by the trapezoid rule over ``ft_grid``.
+
 ``ft`` evaluates negative frequencies by conjugation, ft(m, -xi) =
 conj(ft(m, xi)), which is valid because every representable measure is real
 and makes Hermitian symmetry hold bit for bit.
@@ -54,7 +57,15 @@ from .measures import (  # noqa: F401
     mass,
     support_interval,
 )
-from .phase import _finite, _phase_at, _phase_vec, _ratio, oscillatory_integral, phase_unit
+from .phase import (
+    _eplus_frac,
+    _finite,
+    _phase_at,
+    _phase_vec,
+    _ratio,
+    oscillatory_integral,
+    phase_unit,
+)
 
 __all__ = [
     "ft",
@@ -211,14 +222,25 @@ WIENER_MAX_POINTS = 10 ** 7
 
 
 def wiener_average(m: Measure, T: float) -> float:
-    """(1/2T) integral_{-T}^{T} |ft(m, xi)|^2 dxi by trapezoid quadrature.
+    """(1/2T) integral_{-T}^{T} |ft(m, xi)|^2 dxi.  The value tends to the
+    sum of squared atom masses as T grows (Wiener's lemma).
 
-    The integrand is even, so only [0, T] is sampled.  |ft|^2 of an atomic
+    A purely atomic measure (atoms, and an empty density: Atomic, mixtures
+    of atomic measures, unwrapped affine images of them) takes the integral
+    itself, in closed form over its atom pairs (_atomic_wiener).  On a
+    2-vCPU container each pair costs about 1.7 us, against n T / step
+    phases on the grid: 300 atoms at T = 1500 take 0.08 s (1.3 s on the
+    grid), 2000 atoms 3.7 s (9.3 s), but 300 atoms at T = 10 take 77 ms
+    (16 ms).  Its positions are those of _atoms(), which an affine image
+    rounds, so its relative error is about 2 pi T ulp(x) there.
+
+    Every other measure takes trapezoid quadrature of |ft_grid|^2.  The
+    integrand is even, so only [0, T] is sampled.  |ft|^2 of an atomic
     measure is almost periodic with phases at the pairwise atom separations,
     at most the support's diameter diam.  The step is min(0.01, 1/(10 diam)):
     at least 100 points per unit of xi, and at least ten per period of the
-    fastest term.  The value tends to the sum of squared atom masses as T
-    grows.
+    fastest term.  That step and its cap of WIENER_MAX_POINTS are checked
+    for every measure, so the two routes refuse the same inputs.
     """
     T = _finite(T, "T")
     if T <= 0:
@@ -230,6 +252,13 @@ def wiener_average(m: Measure, T: float) -> float:
     if not points <= WIENER_MAX_POINTS:
         raise MeasureError(f"a grid of {points:.3g} points exceeds the cap "
                            f"of {WIENER_MAX_POINTS}")
+    atoms = m._atoms()
+    try:
+        atomic = bool(atoms) and not m._density()
+    except MeasureError:  # no explicit density: self-similar, convolution, wrapped
+        atomic = False
+    if atomic:
+        return _atomic_wiener(atoms, T)
     n = max(2, int(math.ceil(points)))
     xs = np.linspace(0.0, T, n + 1)
     y = np.abs(ft_grid(m, xs)) ** 2
@@ -237,6 +266,24 @@ def wiener_average(m: Measure, T: float) -> float:
     # average of a constant integrand exact; that quadrature is the sum of
     # the steps, bit for bit.
     return float(np.trapezoid(y, xs) / np.diff(xs).sum())
+
+
+def _atomic_wiener(atoms: dict, T: float) -> float:
+    """(1/2T) integral_{-T}^{T} |sum_j w_j exp(-2 pi i xi x_j)|^2 dxi
+    = sum_j w_j^2 + 2 sum_{j<k} w_j w_k sin(2 pi g)/(2 pi g), g = T (x_k - x_j).
+
+    sin(2 pi g)/(2 pi g) is the real part of _eplus_frac at g, formed as an
+    exact ratio of ints, so it is exactly 0 where g is a nonzero integer
+    however large; the terms are summed with fsum.
+    """
+    pt, qt = _ratio(T)
+    points = [(*_ratio(x, "position"), w) for x, w in atoms.items()]
+    terms = [w * w for w in atoms.values()]
+    for i, (pj, qj, wj) in enumerate(points):
+        for pk, qk, wk in points[i + 1:]:
+            re = _eplus_frac(pt * (pk * qj - pj * qk), qt * qj * qk).real
+            terms.append(2.0 * wj * wk * re)
+    return math.fsum(terms)
 
 
 # ---------------------------------------------------------------------------

@@ -139,6 +139,22 @@ def test_rerun_over_existing_outputs_leaves_no_stale_tail(tmp_path, monkeypatch,
             (tmp_path / ("fresh" + suffix)).read_bytes()
 
 
+def test_run_without_rows_removes_an_earlier_csv(tmp_path, monkeypatch):
+    # a transform run writes x.csv; a wiener run into the same prefix has
+    # no rows, and must not leave the transform's rows beside its summary
+    monkeypatch.chdir(tmp_path)
+    transform = _write_config(tmp_path, {"experiment": "transform", "measure": LEB,
+                                         "schedule": DYADIC}, "transform.json")
+    wiener = _write_config(tmp_path, {"experiment": "wiener", "measure": TWO_ATOMS,
+                                      "params": {"T": 100.0}}, "wiener.json")
+    assert main(["--config", transform, "--out", "x"]) == 0
+    assert (tmp_path / "x.csv").exists()
+    assert main(["--config", wiener, "--out", "x"]) == 0
+    assert json.loads((tmp_path / "x.json").read_text())["experiment"] == "wiener"
+    assert not (tmp_path / "x.csv").exists()
+    assert main(["--config", wiener, "--out", "x"]) == 0  # no CSV to remove
+
+
 def test_default_prefix_is_experiment_name(tmp_path, monkeypatch):
     cfg = {"experiment": "cantor"}
     assert _run(tmp_path, monkeypatch, cfg) == 0
