@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .measures import Atomic, MeasureError
+from .measures import Atomic, MeasureError, _finite, _integer
 
 __all__ = [
     "IncidenceModel",
@@ -45,16 +45,17 @@ class IncidenceModel:
     zero_left: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.nx < 1 or self.ny < 1:
+        nx, ny = _integer(self.nx, "nx"), _integer(self.ny, "ny")
+        if nx < 1 or ny < 1:
             raise MeasureError("model needs at least one index on each side")
-        rows = tuple(tuple(float(x) for x in row) for row in self.pairing)
-        if len(rows) != self.nx or any(len(r) != self.ny for r in rows):
-            raise MeasureError(
-                f"pairing must be {self.nx} x {self.ny}")
-        if any(x < 0 or not math.isfinite(x) for r in rows for x in r):
-            raise MeasureError("pairings must be finite and nonnegative")
-        object.__setattr__(self, "pairing", rows)
-        zero_right, zero_left = [0] * self.nx, [0] * self.ny
+        rows = tuple(tuple(_finite(x, "pairing") for x in row) for row in self.pairing)
+        if len(rows) != nx or any(len(r) != ny for r in rows):
+            raise MeasureError(f"pairing must be {nx} x {ny}")
+        if any(x < 0 for r in rows for x in r):
+            raise MeasureError("pairings must be nonnegative")
+        for name, value in (("nx", nx), ("ny", ny), ("pairing", rows)):
+            object.__setattr__(self, name, value)
+        zero_right, zero_left = [0] * nx, [0] * ny
         for i, r in enumerate(rows):
             for j, x in enumerate(r):
                 if x == 0.0:
@@ -83,7 +84,7 @@ class SubsetPair:
     def __post_init__(self):
         if self.side not in _SIDES:
             raise MeasureError(f"side must be one of {_SIDES}")
-        object.__setattr__(self, "members", frozenset(int(i) for i in self.members))
+        object.__setattr__(self, "members", frozenset(_integer(i, "member") for i in self.members))
 
 
 def _check_range(model: IncidenceModel, d: SubsetPair) -> None:
@@ -151,6 +152,7 @@ def check_perp_properties(model: IncidenceModel, trials: int, rng) -> dict:
     its rng.random() draw is < 0.5, with one batched draw per subset.
     Returns violation counts per law and the first counterexample found.
     """
+    trials = _integer(trials, "trials")
     counts = {"double_perp": 0, "antitone": 0, "triple_perp": 0,
               "family_intersection": 0, "family_union": 0}
     first = None
@@ -217,11 +219,9 @@ def quasiconvex_weights(constants) -> tuple:
     proportional to 2^-k, so the mixed constant sum_k p_k C_k stays finite
     even when the C_k are unbounded.
     """
-    cs = tuple(float(c) for c in constants)
-    if not cs:
-        raise MeasureError("need at least one constant")
-    if any(not math.isfinite(c) or c < 1.0 for c in cs):
-        raise MeasureError("constants must be finite and >= 1")
+    cs = tuple(_finite(c, "constant") for c in constants)
+    if not cs or min(cs) < 1.0:
+        raise MeasureError("need at least one constant, each >= 1")
     raw = tuple(1.0 / (2.0 ** (k + 1) * c) for k, c in enumerate(cs))
     total = math.fsum(raw)
     return tuple(a / total for a in raw)

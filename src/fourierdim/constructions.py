@@ -22,6 +22,7 @@ from .measures import (
     MeasureError,
     SelfSimilarDigit,
     TrigDensity,
+    _finite,
     _integer,
 )
 
@@ -56,9 +57,10 @@ class DigitScheduleSpec:
     b: float = 0.0
 
     def __post_init__(self):
-        if not (1 <= self.n <= self.K):
-            raise MeasureError(f"need 1 <= n <= K, got n={self.n}, K={self.K}")
-        count = self.K - self.n + 1
+        n, K = _integer(self.n, "n"), _integer(self.K, "K")
+        if not (1 <= n <= K):
+            raise MeasureError(f"need 1 <= n <= K, got n={n}, K={K}")
+        count = K - n + 1
         exps = tuple(_integer(e, "block position") for e in self.exponents)
         lens = tuple(_integer(t, "block length") for t in self.lengths)
         if len(exps) != count or len(lens) != count:
@@ -73,13 +75,14 @@ class DigitScheduleSpec:
             if e1 < e0 + t0:
                 raise MeasureError(
                     f"blocks overlap: position {e1} starts before {e0} + {t0}")
-        object.__setattr__(self, "exponents", exps)
-        object.__setattr__(self, "lengths", lens)
+        for name, value in zip(("n", "K", "exponents", "lengths", "s", "b"),
+                               (n, K, exps, lens, _finite(self.s, "s"), _finite(self.b, "b"))):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def index_blocks(cls, n: int = 1, K: int = 5) -> "DigitScheduleSpec":
         """Positions l_k = k^2 with block length k."""
-        ks = range(n, K + 1)
+        ks = range(_integer(n, "n"), _integer(K, "K") + 1)
         return cls(n, K, tuple(k * k for k in ks), tuple(ks))
 
     @classmethod
@@ -90,6 +93,7 @@ class DigitScheduleSpec:
         Needs sqrt(3) - 1 < s < 1 so that the admissible proportion window
         ((1-s)/s, s/2) is nonempty; b defaults to the window midpoint.
         """
+        s, b = _finite(s, "s"), _finite(b, "b")
         if not _SQRT3_M1 < s < 1.0:
             raise MeasureError(
                 f"need sqrt(3) - 1 < s < 1 for a nonempty proportion window, got {s}")
@@ -99,7 +103,7 @@ class DigitScheduleSpec:
         if not lo < b < hi:
             raise MeasureError(
                 f"need proportion b in ({lo:.6f}, {hi:.6f}), got {b}")
-        ks = range(n, K + 1)
+        ks = range(_integer(n, "n"), _integer(K, "K") + 1)
         exps = tuple(k ** 3 for k in ks)
         lens = tuple(math.ceil(b * e) for e in exps)
         return cls(n, K, exps, lens, s, b)
@@ -126,6 +130,7 @@ def lacunary_trig_measure(sign: int, depth: int = 6) -> TrigDensity:
     sign is +1 or -1; the two signs average to Lebesgue measure, and the
     transform of either has modulus exactly 2^-(k+1) at xi = 2^(k^2).
     """
+    sign, depth = _integer(sign, "sign"), _integer(depth, "depth")
     if sign not in (1, -1):
         raise MeasureError(f"sign must be +1 or -1, got {sign}")
     if depth < 1:

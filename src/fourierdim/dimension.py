@@ -99,24 +99,27 @@ def decay_exponent(m: Measure, sched: FrequencySchedule) -> DecayReport:
     proxy is the minimum over the top half of the windows, and capped_dim
     clamps it to [0, 1].
     """
-    freqs = _decay_frequencies(sched)
-    return _decay_report(freqs, _ft_values(m, freqs))
+    freqs, exps = _decay_frequencies(sched)
+    return _decay_report(exps, _ft_values(m, freqs))
 
 
 def _decay_frequencies(sched: FrequencySchedule) -> tuple:
-    """The schedule's frequencies, read once and checked to span 8 windows."""
+    """The schedule's frequencies and the exponent e = floor(log2 |xi|) of
+    each one's dyadic window, read once and checked to span 8 windows."""
     freqs = sched.frequencies()
-    count = len({_floor_log2(xi) for xi in freqs})
+    exps = [_floor_log2(xi) for xi in freqs]
+    count = len(set(exps))
     if count < 8:
         raise ScheduleError(f"schedule spans {count} dyadic windows; need >= 8")
-    return freqs
+    return freqs, exps
 
 
-def _decay_report(freqs, values) -> DecayReport:
-    """decay_exponent's report from the transform values at freqs."""
+def _decay_report(exps, values) -> DecayReport:
+    """decay_exponent's report from the transform values and their window
+    exponents."""
     buckets = {}
-    for xi, v in zip(freqs, values):
-        buckets.setdefault(_floor_log2(xi), []).append(abs(v))
+    for e, v in zip(exps, values):
+        buckets.setdefault(e, []).append(abs(v))
     windows = []
     for e in sorted(buckets):
         mx = max(buckets[e])
@@ -146,6 +149,7 @@ class EnergyResult:
 
 def riesz_constant(d: int, s: float) -> float:
     """c(d, s) in the Fourier-side energy identity."""
+    d, s = _integer(d, "d"), _finite(s, "s")
     if not 0 < s < d:
         raise MeasureError(f"need 0 < s < {d}, got s={s}")
     return math.pi ** (s - d / 2) * math.gamma((d - s) / 2) / math.gamma(s / 2)
@@ -396,29 +400,23 @@ def stability_experiment(m1: Measure, m2: Measure,
     shows.
     """
     both = Mixture((m1, m2), (1.0, 1.0))
-    freqs = _decay_frequencies(sched)
+    freqs, exps = _decay_frequencies(sched)
     v1 = _ft_values(m1, freqs)
     v2 = _ft_values(m2, freqs)
     v_sum = [both._combine(parts) for parts in zip(v1, v2)]
-    return (_decay_report(freqs, v1), _decay_report(freqs, v2),
-            _decay_report(freqs, v_sum))
+    return (_decay_report(exps, v1), _decay_report(exps, v2),
+            _decay_report(exps, v_sum))
 
 
 def matrix_image_experiment(m: Measure, scale,
                             sched: FrequencySchedule) -> tuple:
     """Decay reports for m and m + (image of m under x -> scale x).
 
-    scale is a real number a or the 1x1 matrix ((a,),); larger matrices
-    raise MeasureError.  Valid only when |a| != 1: on the unit circle the
-    image can cancel the original and the dimension identity fails.
+    scale is a real number a, handed to AffineImage as given.  Valid only
+    when |a| != 1: on the unit circle the image can cancel the original and
+    the dimension identity fails.
     """
-    if isinstance(scale, (tuple, list)):
-        if len(scale) != 1 or not isinstance(scale[0], (tuple, list)) \
-                or len(scale[0]) != 1:
-            raise MeasureError(
-                "decay probing for matrix images is implemented on the line only")
-        scale = _finite(scale[0][0], "scale")
     if abs(abs(_finite(scale, "scale")) - 1.0) < 1e-9:
-        raise MeasureError("scale has an eigenvalue of modulus 1")
+        raise MeasureError("scale has modulus 1")
     own, _, both = stability_experiment(m, AffineImage(m, scale, 0.0, False), sched)
     return own, both

@@ -1,5 +1,5 @@
 """One cycle of each benchmark deck through the runner, judged by the
-benchmark's own output checks.
+benchmark's own output checks, and the benchmark tracer's patch targets.
 
 Each op runs twice into the same prefix, as the benchmark's timed loop
 reruns it: the checks judge what the first call wrote, and the second call,
@@ -13,6 +13,7 @@ test too.
 """
 
 import contextlib
+import importlib
 import io
 import json
 import sys
@@ -26,6 +27,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 from check import Checker  # noqa: E402
+from spans import BOUNDARIES, SCHEDULES, Tracer  # noqa: E402
 from workloads import Generator  # noqa: E402
 
 WORKLOADS = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
@@ -60,3 +62,26 @@ def test_one_deck_cycle_passes_the_benchmark_checks(workload, seed, tmp_path):
         first = _outputs(prefix)
         assert _run(prefix) == rc, f"op {i}: the rerun's exit code differs"
         assert _outputs(prefix) == first, f"op {i}: the rerun's outputs differ"
+
+
+def test_tracer_patches_and_restores_every_boundary():
+    # some module globals exist only as the tracer's patch targets (the
+    # "# noqa: F401" imports in transform and dimension): deleting one
+    # breaks --trace without failing any deck
+    targets = [(importlib.import_module(f"fourierdim.{mod}"), name)
+               for mod, names in BOUNDARIES.items() for name in names]
+    measures = importlib.import_module("fourierdim.measures")
+    targets += [(getattr(measures, cls), "frequencies") for cls in SCHEDULES]
+    for owner, name in targets:
+        assert name in vars(owner), f"{owner.__name__}.{name} is not a patch target"
+    before = [vars(owner)[name] for owner, name in targets]
+    tracer = Tracer("fourierdim")
+    try:
+        tracer.install()
+        for (owner, name), fn in zip(targets, before):
+            patched = vars(owner)[name]
+            assert patched is not fn and patched.__wrapped__ is fn, f"{name} not wrapped"
+    finally:
+        tracer.uninstall()
+    for (owner, name), fn in zip(targets, before):
+        assert vars(owner)[name] is fn, f"{owner.__name__}.{name} not restored"

@@ -308,6 +308,16 @@ BAD_CONFIGS = {
                                                    "forbidden_pattern": "00"}]}},
     "digit-depth-float": {"experiment": "transform", "schedule": DYADIC,
                           "measure": {"variant": "DigitProduct", "depth": 8.5}},
+    "digit-product-base-float": {"experiment": "transform", "schedule": DYADIC,
+                                 "measure": {"variant": "DigitProduct", "depth": 8,
+                                             "base": 2.0}},
+    # a 1x1 matrix scale, read as its entry before the matrix path went
+    "matrix-image-1x1": {"experiment": "matrix-image", "measure": LEB,
+                         "schedule": DYADIC_WIDE, "params": {"scale": [[2.0]]}},
+    # past the window-order cap, where the window's coefficients cancel
+    "cut-order-above-cap": {"experiment": "transform", "schedule": DYADIC,
+                            "measure": {"variant": "SmoothCutDensity", "inner": LEB,
+                                        "center": 0.5, "radius": 0.1, "order": 100}},
     "cut-order-float": {"experiment": "transform", "schedule": DYADIC,
                         "measure": {"variant": "SmoothCutDensity", "inner": LEB,
                                     "center": 0.5, "radius": 0.4, "order": 2.5}},

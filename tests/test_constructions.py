@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 import fourierdim as fd
@@ -163,3 +164,54 @@ def test_tail_report_short_range_is_inconclusive():
     spec = fd.DigitScheduleSpec.proportional_blocks(1, 2, 0.85)
     rep = fd.tail_report(spec)
     assert rep["converges"] is False
+
+
+# ---------------------------------------------------------------------------
+# numbers at the library entry points
+
+
+MODEL = fd.IncidenceModel(2, 2, ((0.0, 1.0), (2.0, 0.0)))
+
+# each was truncated (a subset member 1.7 answered for {1}), taken as a
+# number (True as 1, "3" as 3.0), or ended in a bare TypeError
+NOT_A_NUMBER = {
+    "model-nx-float": lambda: fd.IncidenceModel(2.0, 1, ((0.0,), (1.0,))),
+    "model-ny-bool": lambda: fd.IncidenceModel(1, True, ((0.0,),)),
+    "model-pairing-bool": lambda: fd.IncidenceModel(1, 1, ((True,),)),
+    "model-pairing-string": lambda: fd.IncidenceModel(1, 1, (("3",),)),
+    "member-float": lambda: fd.perp(MODEL, fd.SubsetPair("left", {1.7})),
+    "member-below-one": lambda: fd.SubsetPair("left", {0.9}),
+    "member-string": lambda: fd.SubsetPair("left", {"1"}),
+    "quasiconvex-string-and-bool": lambda: fd.quasiconvex_weights(("2", True)),
+    "perp-trials-float": lambda: fd.check_perp_properties(MODEL, 2.5, np.random.default_rng(0)),
+    "spec-n-bool": lambda: fd.DigitScheduleSpec(True, 1, (1,), (1,)),
+    "spec-K-float": lambda: fd.DigitScheduleSpec(1, 1.0, (1,), (1,)),
+    "spec-s-string": lambda: fd.DigitScheduleSpec(1, 1, (1,), (1,), "0.9"),
+    "spec-b-bool": lambda: fd.DigitScheduleSpec(1, 1, (1,), (1,), 0.9, True),
+    "index-blocks-n-float": lambda: fd.DigitScheduleSpec.index_blocks(1.5, 3),
+    "proportional-blocks-n-float": lambda: fd.DigitScheduleSpec.proportional_blocks(1.5, 3, 0.85),
+    "proportional-blocks-s-string": lambda: fd.DigitScheduleSpec.proportional_blocks(1, 3, "0.85"),
+    "lacunary-sign-bool": lambda: fd.lacunary_trig_measure(True),
+    "lacunary-sign-float": lambda: fd.lacunary_trig_measure(1.0),
+    "lacunary-depth-float": lambda: fd.lacunary_trig_measure(1, 2.5),
+    "riesz-s-string": lambda: fd.riesz_constant(1, "0.5"),
+    "riesz-d-bool": lambda: fd.riesz_constant(True, 0.5),
+    "digit-product-base-float": lambda: fd.DigitProduct(4, (), 2.0),
+    "matrix-image-1x1": lambda: fd.matrix_image_experiment(
+        fd.UniformOnIntervals(((0.0, 1.0),)), ((2.0,),), fd.DyadicWindows(4, 16)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NOT_A_NUMBER))
+def test_entry_points_read_numbers_as_config_fields_are_read(name):
+    with pytest.raises(fd.MeasureError):
+        NOT_A_NUMBER[name]()
+
+
+def test_entry_points_keep_valid_numbers():
+    spec = fd.DigitScheduleSpec(np.int64(1), np.int64(2), (1, 3), (1, 2), 0.9, 0.3)
+    assert (type(spec.n), type(spec.K), spec.s, spec.b) == (int, int, 0.9, 0.3)
+    model = fd.IncidenceModel(np.int64(70), 1, ((0.0,),) * 70)
+    assert fd.perp(model, fd.SubsetPair("right", {np.int64(0)})).members == frozenset(range(70))
+    assert fd.quasiconvex_weights((1, 2)) == fd.quasiconvex_weights((1.0, 2.0))
+    assert fd.riesz_constant(2, 1) == fd.riesz_constant(2, 1.0)
