@@ -13,8 +13,10 @@ verified exactly, with random counterexample search as the test harness.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
+from fractions import Fraction
+
+import numpy as np
 
 from .measures import Atomic, MeasureError, _finite, _integer
 
@@ -28,6 +30,20 @@ __all__ = [
 ]
 
 _SIDES = ("left", "right")
+# Per trial of check_perp_properties: D, D2, the mask that thins D2 to D1,
+# and up to three family members.
+_SUBSETS = 6
+# Random bytes per block of trials (one trial's at least), so that memory
+# stays flat however many trials are asked for.
+_BLOCK_BYTES = 1 << 16
+
+
+def _shape(nx, ny) -> tuple:
+    """(nx, ny) as ints, each at least 1."""
+    nx, ny = _integer(nx, "nx"), _integer(ny, "ny")
+    if nx < 1 or ny < 1:
+        raise MeasureError("model needs at least one index on each side")
+    return nx, ny
 
 
 @dataclass(frozen=True)
@@ -45,9 +61,7 @@ class IncidenceModel:
     zero_left: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        nx, ny = _integer(self.nx, "nx"), _integer(self.ny, "ny")
-        if nx < 1 or ny < 1:
-            raise MeasureError("model needs at least one index on each side")
+        nx, ny = _shape(self.nx, self.ny)
         rows = tuple(tuple(_finite(x, "pairing") for x in row) for row in self.pairing)
         if len(rows) != nx or any(len(r) != ny for r in rows):
             raise MeasureError(f"pairing must be {nx} x {ny}")
@@ -66,12 +80,15 @@ class IncidenceModel:
 
     @classmethod
     def random(cls, rng, nx: int, ny: int, zero_prob: float = 0.5):
-        """Random model: each pairing is 0 with probability zero_prob."""
-        rows = tuple(
-            tuple(0.0 if rng.random() < zero_prob else float(rng.integers(1, 10))
-                  for _ in range(ny))
-            for _ in range(nx))
-        return cls(nx, ny, rows)
+        """Random model: each pairing is 0 with probability zero_prob.
+
+        One array draw decides the zero pattern and one the nonzero values,
+        integers 1 to 9, both row by row.
+        """
+        shape = _shape(nx, ny)
+        zero = rng.random(shape) < zero_prob
+        values = np.where(zero, 0.0, rng.integers(1, 10, shape))
+        return cls(nx, ny, tuple(map(tuple, values.tolist())))
 
 
 @dataclass(frozen=True)
@@ -126,13 +143,28 @@ def _subset(side: str, mask: int) -> SubsetPair:
         i for i in range(mask.bit_length()) if mask >> i & 1))
 
 
-def _draw(rng, size: int) -> int:
-    """Mask of the indices i < size whose rng.random() draw is < 0.5."""
-    out = 0
-    for i, x in enumerate(rng.random(size).tolist()):
-        if x < 0.5:
-            out |= 1 << i
-    return out
+def _trial_draws(rng, trials: int, sizes: tuple):
+    """Per trial: its side k (an index into sizes), D, D2, D1 and the family.
+
+    A block of trials takes three draws: the sides, the family sizes (2 or
+    3) and _SUBSETS random bitmasks per trial as bytes, eight members a
+    byte, each mask cut to its trial's side.  D1 is D2 thinned by the third
+    mask.  Every member is kept with probability 1/2, independently.
+    """
+    nbytes = (max(sizes) + 7) // 8
+    step = _SUBSETS * nbytes
+    block = max(1, _BLOCK_BYTES // step)
+    full = [(1 << n) - 1 for n in sizes]
+    for start in range(0, trials, block):
+        n = min(block, trials - start)
+        ks = rng.integers(0, 2, n).tolist()
+        n_fams = rng.integers(2, 4, n).tolist()
+        raw = rng.bytes(n * step)
+        for off, k, n_fam in zip(range(0, n * step, step), ks, n_fams):
+            d, d2, keep, *fam = (
+                int.from_bytes(raw[o:o + nbytes], "little") & full[k]
+                for o in range(off, off + (3 + n_fam) * nbytes, nbytes))
+            yield k, d, d2, d2 & keep, fam
 
 
 def check_perp_properties(model: IncidenceModel, trials: int, rng) -> dict:
@@ -148,41 +180,33 @@ def check_perp_properties(model: IncidenceModel, trials: int, rng) -> dict:
           family's intersection,
       v   the intersection of the perps equals the perp of the union.
 
-    Subsets are bitmasks; a <= b is a & ~b == 0.  Each member is kept when
-    its rng.random() draw is < 0.5, with one batched draw per subset.
-    Returns violation counts per law and the first counterexample found.
+    Subsets are bitmasks; a <= b is a & ~b == 0.  Each subset keeps each
+    member with probability 1/2, drawn for a block of trials at a time
+    (_trial_draws).  Returns violation counts per law and the first
+    counterexample found.
     """
     trials = _integer(trials, "trials")
+    if trials < 0:
+        raise MeasureError(f"trials must be >= 0, got {trials}")
     counts = {"double_perp": 0, "antitone": 0, "triple_perp": 0,
               "family_intersection": 0, "family_union": 0}
     first = None
-    # per side: its size, its members' zero masks, the opposite full mask
-    sides = ((model.nx, model.zero_right, (1 << model.ny) - 1),
-             (model.ny, model.zero_left, (1 << model.nx) - 1))
+    # per side: its members' zero masks, the opposite full mask
+    sides = ((model.zero_right, (1 << model.ny) - 1),
+             (model.zero_left, (1 << model.nx) - 1))
 
-    for t in range(trials):
-        k = int(rng.integers(0, 2))
+    for t, (k, d, d2, d1, fam) in enumerate(
+            _trial_draws(rng, trials, (model.nx, model.ny))):
         side = _SIDES[k]
-        size, fwd, full = sides[k]
-        _, back, full_back = sides[1 - k]
+        fwd, full = sides[k]
+        back, full_back = sides[1 - k]
 
-        d = _draw(rng, size)
         p = _perp_mask(fwd, full, d)
         dpp = _perp_mask(back, full_back, p)
         if d & ~dpp:
             counts["double_perp"] += 1
             first = first or ("double_perp", t, _subset(side, d))
 
-        d2 = _draw(rng, size)
-        # D1 keeps each member of D2, ascending, on one draw per member, so
-        # the stream advances by |D2| draws whichever members are kept
-        d1 = 0
-        m = d2
-        for x in rng.random(d2.bit_count()).tolist():
-            low = m & -m
-            if x < 0.5:
-                d1 |= low
-            m ^= low
         if _perp_mask(fwd, full, d2) & ~_perp_mask(fwd, full, d1):
             counts["antitone"] += 1
             first = first or ("antitone", t, (_subset(side, d1), _subset(side, d2)))
@@ -191,7 +215,6 @@ def check_perp_properties(model: IncidenceModel, trials: int, rng) -> dict:
             counts["triple_perp"] += 1
             first = first or ("triple_perp", t, _subset(side, d))
 
-        fam = [_draw(rng, size) for _ in range(2 + int(rng.integers(0, 2)))]
         inter, union = full_back, 0
         union_of_perps, inter_of_perps = 0, full
         for f in fam:
@@ -222,9 +245,11 @@ def quasiconvex_weights(constants) -> tuple:
     cs = tuple(_finite(c, "constant") for c in constants)
     if not cs or min(cs) < 1.0:
         raise MeasureError("need at least one constant, each >= 1")
-    raw = tuple(1.0 / (2.0 ** (k + 1) * c) for k, c in enumerate(cs))
-    total = math.fsum(raw)
-    return tuple(a / total for a in raw)
+    # exact rationals, rounded once at the end: a float 2^(k+1) C_k would
+    # overflow to inf for a large constant and drop its weight to 0
+    raw = [Fraction(1, 2 ** (k + 1)) / Fraction(c) for k, c in enumerate(cs)]
+    total = sum(raw)
+    return tuple(float(a / total) for a in raw)
 
 
 def decompose_atomic(mu: Atomic, family) -> tuple:

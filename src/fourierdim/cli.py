@@ -474,17 +474,17 @@ def _run_galois(cfg, params, rng):
     bad_partitions = 0
     for _ in range(n_decomp):
         n_atoms = int(rng.integers(1, 12))
-        positions = np.sort(rng.uniform(0.0, 1.0, size=n_atoms))
-        weights = rng.uniform(0.1, 1.0, size=n_atoms)
-        mu = Atomic(tuple((float(p), float(w))
-                          for p, w in zip(positions, weights)))
-        fam = []
-        for _ in range(int(rng.integers(1, 4))):
-            chosen = [(float(p), 1.0) for p in positions
-                      if rng.random() < 0.5]
-            extra = [(float(x), 1.0)
-                     for x in rng.uniform(1.5, 2.0, size=2)]
-            fam.append(Atomic(tuple(chosen + extra)))
+        positions = np.sort(rng.uniform(0.0, 1.0, size=n_atoms)).tolist()
+        weights = rng.uniform(0.1, 1.0, size=n_atoms).tolist()
+        mu = Atomic(tuple(zip(positions, weights)))
+        # each member charges every atom of mu with probability 1/2, plus
+        # two atoms past mu's support
+        n_fam = int(rng.integers(1, 4))
+        chosen = (rng.random((n_fam, n_atoms)) < 0.5).tolist()
+        extras = rng.uniform(1.5, 2.0, (n_fam, 2)).tolist()
+        fam = [Atomic(tuple((p, 1.0) for p, kept in zip(positions, row) if kept)
+                      + tuple((x, 1.0) for x in extra))
+               for row, extra in zip(chosen, extras)]
         on, off, covered = decompose_atomic(mu, fam)
         merged = sorted(on.atoms + off.atoms)
         ok = (merged == sorted(mu.atoms)

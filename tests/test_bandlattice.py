@@ -1,6 +1,8 @@
 """Incidence models, the perp calculus, weights, and atomic splits."""
 
 import math
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -163,16 +165,99 @@ def test_check_perp_properties_reports_violations(monkeypatch):
 
 
 def test_check_perp_properties_rng_stream():
-    # Each subset is one batched rng.random(n), which must consume the
-    # stream exactly as n scalar draws did; the values pinned below are the
-    # generator's next draws after this loop with scalar draws.
+    # A call draws each block of trials in three calls: the sides, the
+    # family sizes, then _SUBSETS masks of whole bytes per trial.  A twin
+    # generator making those draws ends in the same state; the values
+    # pinned below are the generator's next draws after the seeded loop.
     rng = np.random.default_rng(2024)
     for _ in range(30):
         nx, ny = (int(k) for k in rng.integers(1, 12, size=2))
         model = IncidenceModel.random(rng, nx, ny)
+        twin = np.random.default_rng()
+        twin.bit_generator.state = rng.bit_generator.state
         assert fd.check_perp_properties(model, 10, rng)["total_violations"] == 0
-    assert rng.random() == 0.9690623904838539
-    assert rng.integers(0, 2 ** 31) == 1570156658
+        twin.integers(0, 2, 10), twin.integers(2, 4, 10)
+        twin.bytes(10 * bandlattice._SUBSETS * ((max(nx, ny) + 7) // 8))
+        assert twin.bit_generator.state == rng.bit_generator.state
+    assert rng.random() == 0.3445127043066333
+    assert rng.integers(0, 2 ** 31) == 1337233480
+
+
+WIDE_AND_ASYMMETRIC = [(1, 5), (7, 2), (3, 70), (70, 2), (65, 66)]
+
+
+def test_check_perp_properties_draws_within_each_side(monkeypatch):
+    # Spies on the trial draws (a trial starts) and on every perp.  Per
+    # trial the checker takes perp of D, perp(D) (other side), D2, D1,
+    # perp(perp(D)), each family member, their intersection and union.
+    trials_log = []
+    draws, perp_mask = bandlattice._trial_draws, bandlattice._perp_mask
+
+    def spy_draws(*args):
+        for trial in draws(*args):
+            trials_log.append([])
+            yield trial
+
+    def spy_perp(masks, full, d):
+        # masks has one entry per index of d's side
+        assert d >= 0 and d.bit_length() <= len(masks), (d, len(masks))
+        trials_log[-1].append(d)
+        return perp_mask(masks, full, d)
+
+    monkeypatch.setattr(bandlattice, "_trial_draws", spy_draws)
+    monkeypatch.setattr(bandlattice, "_perp_mask", spy_perp)
+    rng = np.random.default_rng(8)
+    for nx, ny in WIDE_AND_ASYMMETRIC:
+        trials_log.clear()
+        model = IncidenceModel.random(rng, nx, ny, zero_prob=0.9 if nx > 64 else 0.5)
+        out = fd.check_perp_properties(model, 200, rng)
+        assert out["total_violations"] == 0 and out["first_counterexample"] is None
+        assert len(trials_log) == 200
+        for calls in trials_log:
+            d2, d1 = calls[2], calls[3]
+            assert d1 & ~d2 == 0
+        assert {len(calls) - 7 for calls in trials_log} == {2, 3}
+        if max(nx, ny) > 64:
+            # each trial reads its own draws: D repeats only on the short side
+            assert len({calls[0] for calls in trials_log}) > 50
+
+
+def test_check_perp_properties_memory_stays_within_a_block():
+    # 10^4 trials of 6 masks of 20000 bits would be 150 MB drawn at once;
+    # a block is at most 64 KiB
+    class Recorder:
+        def __init__(self, rng):
+            self.rng, self.sizes = rng, []
+
+        def integers(self, *args):
+            return self.rng.integers(*args)
+
+        def bytes(self, n):
+            self.sizes.append(n)
+            return self.rng.bytes(n)
+
+    # With no zero pairing every perp stops at its first member, so the run
+    # costs its draws: a perp's member walk grows with |D| times the width.
+    rng = np.random.default_rng(9)
+    model = IncidenceModel.random(rng, 1, 20000, zero_prob=0.0)
+    rec = Recorder(rng)
+    tracemalloc.start()
+    try:
+        out = fd.check_perp_properties(model, 10 ** 4, rec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out["total_violations"] == 0
+    assert max(rec.sizes) <= bandlattice._BLOCK_BYTES
+    assert sum(rec.sizes) == 10 ** 4 * bandlattice._SUBSETS * 2500
+    assert peak < 2 ** 20, peak
+
+
+def test_check_perp_properties_zero_trials():
+    # negative trials are refused (tests/test_constructions.py)
+    empty = fd.check_perp_properties(MODEL, 0, np.random.default_rng(0))
+    assert empty["trials"] == 0 and empty["total_violations"] == 0
+    assert empty["first_counterexample"] is None
 
 
 # ---------------------------------------------------------------------------
@@ -182,6 +267,16 @@ def test_check_perp_properties_rng_stream():
 def test_quasiconvex_weights_exact_small_case():
     assert fd.quasiconvex_weights((1.0, 2.0, 4.0)) == (16 / 21, 4 / 21, 1 / 21)
     assert fd.quasiconvex_weights((1.0,)) == (1.0,)
+
+
+def test_quasiconvex_weights_huge_constants():
+    # 2^(k+1) C_k overflows a float here; each weight is still the correctly
+    # rounded value of 1 / (2^k C_k) over the sum, 1 / (2 C + 1) for the
+    # second of (1, C)
+    c = int(1e308)
+    assert fd.quasiconvex_weights((1, 1e308)) == (1.0, float(Fraction(1, 2 * c + 1)))
+    assert 4.9e-309 < fd.quasiconvex_weights((1, 1e308))[1] < 5.1e-309
+    assert fd.quasiconvex_weights((1e308, 1e308)) == (2 / 3, 1 / 3)
 
 
 def test_quasiconvex_weights_properties():

@@ -1,5 +1,6 @@
-"""One cycle of each benchmark deck through the runner, judged by the
-benchmark's own output checks, and the benchmark tracer's patch targets.
+"""One cycle of each benchmark deck, and two of the `lattice` deck at seeds
+1 to 5, through the runner, judged by the benchmark's own output checks, and
+the benchmark tracer's patch targets.
 
 Each op runs twice into the same prefix, as the benchmark's timed loop
 reruns it: the checks judge what the first call wrote, and the second call,
@@ -47,12 +48,11 @@ def _outputs(prefix: str) -> dict:
     return out
 
 
-@pytest.mark.parametrize("seed", [1, 5])
-@pytest.mark.parametrize("workload", WORKLOADS)
-def test_one_deck_cycle_passes_the_benchmark_checks(workload, seed, tmp_path):
+def _deal_and_check(workload: str, seed: int, cycles: int, tmp_path) -> None:
+    """Deal the workload's deck `cycles` times; check and rerun every op."""
     gen = Generator(workload, seed)
     checker = Checker(bandlattice)
-    for i in range(len(gen.deck)):
+    for i in range(cycles * len(gen.deck)):
         op = next(gen)
         prefix = str(tmp_path / f"op{i}")
         with open(prefix + ".cfg.json", "w") as fh:
@@ -62,6 +62,20 @@ def test_one_deck_cycle_passes_the_benchmark_checks(workload, seed, tmp_path):
         first = _outputs(prefix)
         assert _run(prefix) == rc, f"op {i}: the rerun's exit code differs"
         assert _outputs(prefix) == first, f"op {i}: the rerun's outputs differ"
+
+
+@pytest.mark.parametrize("seed", [1, 5])
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_one_deck_cycle_passes_the_benchmark_checks(workload, seed, tmp_path):
+    _deal_and_check(workload, seed, 1, tmp_path)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+def test_two_lattice_deck_cycles_pass_the_benchmark_checks(seed, tmp_path):
+    # galois summaries read no drawn value (0 violations, no counterexample,
+    # the echoed sizes), so a change of its random stream must leave every
+    # op's output passing the checks
+    _deal_and_check("lattice", seed, 2, tmp_path)
 
 
 def test_tracer_patches_and_restores_every_boundary():

@@ -380,6 +380,8 @@ BAD_CONFIGS = {
                                "params": {"models": 2, "trials": -1}},
     "galois-decompositions-negative": {"experiment": "galois",
                                        "params": {"models": 2, "decompositions": -1}},
+    # refused before the model's array draws, whose shape cannot be negative
+    "galois-nx-negative": {"experiment": "galois", "params": {"models": 1, "nx": -1}},
     "cantor-k-max-zero": {"experiment": "cantor", "params": {"k_max": 0}},
     # claim thresholds: each used to exit 4 (a failed claim) or pass unchecked
     "stability-slack-nan": {"experiment": "stability", "measure": LEB,

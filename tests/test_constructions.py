@@ -173,7 +173,8 @@ def test_tail_report_short_range_is_inconclusive():
 MODEL = fd.IncidenceModel(2, 2, ((0.0, 1.0), (2.0, 0.0)))
 
 # each was truncated (a subset member 1.7 answered for {1}), taken as a
-# number (True as 1, "3" as 3.0), or ended in a bare TypeError
+# number (True as 1, "3" as 3.0), ended in a bare TypeError, or ran as an
+# empty check (trials -3)
 NOT_A_NUMBER = {
     "model-nx-float": lambda: fd.IncidenceModel(2.0, 1, ((0.0,), (1.0,))),
     "model-ny-bool": lambda: fd.IncidenceModel(1, True, ((0.0,),)),
@@ -184,6 +185,7 @@ NOT_A_NUMBER = {
     "member-string": lambda: fd.SubsetPair("left", {"1"}),
     "quasiconvex-string-and-bool": lambda: fd.quasiconvex_weights(("2", True)),
     "perp-trials-float": lambda: fd.check_perp_properties(MODEL, 2.5, np.random.default_rng(0)),
+    "perp-trials-negative": lambda: fd.check_perp_properties(MODEL, -3, np.random.default_rng(0)),
     "spec-n-bool": lambda: fd.DigitScheduleSpec(True, 1, (1,), (1,)),
     "spec-K-float": lambda: fd.DigitScheduleSpec(1, 1.0, (1,), (1,)),
     "spec-s-string": lambda: fd.DigitScheduleSpec(1, 1, (1,), (1,), "0.9"),
