@@ -27,7 +27,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict
 
 import numpy as np
 
@@ -78,6 +77,13 @@ from .transform import (
     ft_quadrature,
     wiener_average,
 )
+
+
+def _record(obj) -> dict:
+    """The fields of a flat dataclass record (WindowStat, EnergyResult,
+    LowerBoundWitness) by name, in field order: dataclasses.asdict without
+    its deep copy, which scalar fields do not need."""
+    return dict(vars(obj))
 
 
 def _json_float(x: float):
@@ -214,7 +220,7 @@ def _run_decay(cfg, params, rng):
     bottom = _threshold(params, "min_capped_dim", None)
     if bottom is not None:
         passed = passed and report.capped_dim >= bottom
-    rows = [asdict(w) for w in report.windows]
+    rows = [_record(w) for w in report.windows]
     summary = {
         "windows": len(report.windows),
         "liminf_proxy": report.liminf_proxy,
@@ -241,8 +247,8 @@ def _run_energy(cfg, params, rng):
         agree = dev <= budget
     summary = {
         "s": s,
-        "spatial": asdict(spa),
-        "fourier": asdict(fou),
+        "spatial": _record(spa),
+        "fourier": _record(fou),
         "deviation": dev,
         "passed": agree,
     }
@@ -274,7 +280,7 @@ def _run_lowerbound(cfg, params, rng):
     summary = {
         "eps": eps,
         "j_max": j_max,
-        "witness": asdict(wit),
+        "witness": _record(wit),
         "passed": wit.found,
     }
     return summary, None
@@ -288,7 +294,7 @@ def _run_stability(cfg, params, rng):
     slack = _slack(params)
     floor = min(r1.capped_dim, r2.capped_dim) - slack
     passed = rsum.capped_dim >= floor
-    rows = [{"measure": tag, **asdict(w)}
+    rows = [{"measure": tag, **_record(w)}
             for tag, rep in (("first", r1), ("second", r2), ("sum", rsum))
             for w in rep.windows]
     summary = {

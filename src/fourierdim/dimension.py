@@ -147,11 +147,18 @@ class EnergyResult:
     err_estimate: float
 
 
+# The least s riesz_constant takes: Gamma(s/2) nears 1/(s/2) as s falls
+# and overflows below about 2^-1023 (at s = 1e-310 and every subnormal s).
+S_FLOOR = 2.0 ** -1020
+
+
 def riesz_constant(d: int, s: float) -> float:
-    """c(d, s) in the Fourier-side energy identity."""
+    """c(d, s) in the Fourier-side energy identity, for S_FLOOR <= s < d."""
     d, s = _integer(d, "d"), _finite(s, "s")
     if not 0 < s < d:
         raise MeasureError(f"need 0 < s < {d}, got s={s}")
+    if s < S_FLOOR:
+        raise MeasureError(f"s={s} is below the floor of 2^-1020, where Gamma(s/2) overflows")
     return math.pi ** (s - d / 2) * math.gamma((d - s) / 2) / math.gamma(s / 2)
 
 
@@ -186,6 +193,9 @@ def energy_spatial(m: Measure, s: float, resolution: int = 4096) -> EnergyResult
         return EnergyResult(s, math.inf, "spatial", c, 0.0)
     pieces = decompose_density(m)
     lo, hi = support_interval(m)
+    if not (hi - lo) / resolution > 0.0:
+        raise MeasureError(f"a support of width {hi - lo} leaves cells of width 0 "
+                           f"at resolution {resolution}")
     value = _spatial_value(pieces, lo, hi, s, resolution)
     coarse = _spatial_value(pieces, lo, hi, s, resolution // 2)
     # Rounding: the kernel's second differences of k^(2-s) cancel all but a

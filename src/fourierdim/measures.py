@@ -31,17 +31,16 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import astuple, dataclass, fields, is_dataclass
-from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 
 import numpy as np
 
 from .density import (DensityPiece, cut_mass, decompose_density, piece_transform, window_poly,
                       window_value)
 from .errors import MeasureError, ScheduleError
-from .phase import (_eplus_frac, _eplus_vec, _finite, _half_turn, _phase_at, _phase_frac,
-                    _phase_vec, _product_turns, _ratio, _split, _two_product, _two_sum,
-                    _unit_turns)
+from .phase import (GRID_CHUNK, _eplus_frac, _eplus_vec, _finite, _half_turn, _phase_at,
+                    _phase_frac, _phase_vec, _product_turns, _ratio, _split, _two_product,
+                    _two_sum, _unit_turns)
 
 __all__ = [
     "MeasureError",
@@ -175,6 +174,33 @@ def _level_powers(base: int) -> np.ndarray:
     out = np.array(out)
     out.flags.writeable = False  # one array shared by every call
     return out
+
+
+@lru_cache(maxsize=64)
+def _level_table(base: int, digits: tuple) -> tuple:
+    """(hi, lo, steps) for the self-similar measure on the sorted digits:
+    hi[n - 1, j] + lo[n - 1, j] is the double-double -d / base^n of the
+    j-th nonzero digit d at every level n a grid point can reach (n up to
+    1 + len(_level_powers(base))), and steps[n] the float mu / base^n, mu =
+    sum(digits) / (len(digits) (base - 1)).  Every entry is one correctly
+    rounded int division, as float(Fraction) rounds."""
+    nonzero = [d for d in digits if d]
+    levels = 1 + len(_level_powers(base))
+    hi = np.empty((levels, len(nonzero)))
+    lo = np.empty((levels, len(nonzero)))
+    den = 1
+    for n in range(levels):
+        den *= base
+        for j, d in enumerate(nonzero):
+            h = d / den
+            a, b = h.as_integer_ratio()
+            hi[n, j] = -h
+            lo[n, j] = -((d * b - a * den) / (den * b))
+    mu_den = len(digits) * (base - 1)
+    steps = np.array([sum(nonzero) / (mu_den * base ** n) for n in range(levels + 1)])
+    for a in (hi, lo, steps):
+        a.flags.writeable = False  # one table shared by every call
+    return hi, lo, steps
 
 
 class Measure:
@@ -335,6 +361,9 @@ class UniformOnIntervals(Measure):
             if a1 < b0:
                 raise MeasureError("intervals overlap")
         object.__setattr__(self, "intervals", tuple(canon))
+        if not math.isfinite(1.0 / self.total_length):
+            raise MeasureError(f"total length {self.total_length} is too small: "
+                               "the density 1 / length overflows")
 
     @property
     def total_length(self) -> float:
@@ -511,56 +540,73 @@ class SelfSimilarDigit(Measure):
         return 0.0, 1.0
 
     def _ft(self, p, q) -> complex:
-        # Level n sums exp(-2 pi i p d / den) over the digits, den = q base^n:
-        # p is reduced mod den once per level and each digit's residue comes
-        # from that.  Digit 0 contributes exactly 1.
+        # Level n sums exp(-2 pi i p d / den) over the digits, den = q base^n.
+        # The residues of p are taken top-down: p is reduced once mod the
+        # deepest modulus, and each shallower residue from the one below it,
+        # which its modulus divides.  Digit 0 contributes exactly 1.
         digits = self.allowed_digits
         start = 0.0 + 0.0j
         if digits[0] == 0:
             start, digits = 1.0 + 0.0j, digits[1:]
         inv = 1.0 / len(self.allowed_digits)
-        out = 1.0 + 0.0j
-        den = q
+        den = q * self.base
+        dens = [den]
         stop = p << _SELF_SIMILAR_CUTOFF_BITS
-        while True:
+        while den <= stop:
             den *= self.base
-            r = p % den
+            dens.append(den)
+        residues = []
+        r = p
+        for modulus in reversed(dens):
+            r %= modulus
+            residues.append(r)
+        residues.reverse()
+        out = 1.0 + 0.0j
+        for den, r in zip(dens, residues):
             s = start
             for d in digits:
                 s += _phase_frac(r * d, den)
             out *= s * inv
-            if den > stop:
-                break
-        return out * _phase_frac(p * sum(digits), den * len(self.allowed_digits) * (self.base - 1))
+        return out * _phase_frac(p * sum(digits),
+                                 dens[-1] * len(self.allowed_digits) * (self.base - 1))
 
     def _grid(self, xs: np.ndarray) -> np.ndarray:
         # Each point keeps the scalar rule's levels, so its value does not
-        # depend on the rest of the array (products out of place, as in
-        # DigitProduct._grid).  The position d / base^n is a double-double,
-        # hi + lo, and the phase of xi * hi is reduced from the exact
-        # product.  Digit 0 contributes exactly 1.  The tail turns by less
-        # than 2^-27, so its phase is xi times mu / base^n (steps[n]) in floats.
+        # depend on the rest of the array.  The position -d / base^n is the
+        # double-double hi + lo of _level_table, and the phase of xi * hi is
+        # reduced from the exact product.  A block of (level, digit) rows
+        # takes its phases in one 2-d product and one _unit_turns call, with
+        # no temporary past max(N, GRID_CHUNK) cells for N points.  Level
+        # sums keep digit order, and the product over the levels takes one
+        # out-of-place multiply per level (as in DigitProduct._grid).  Digit
+        # 0 contributes exactly 1.  The tail turns by less than 2^-27, so
+        # its phase is xi times mu / base^n (steps[n]) in floats.
         depths = 1 + np.searchsorted(_level_powers(self.base),
                                      np.abs(xs) * 2.0 ** _SELF_SIMILAR_CUTOFF_BITS, side="right")
         deepest = int(depths.max())
+        hi, lo, steps = _level_table(self.base, self.allowed_digits)
         parts = _split(xs)
-        digits = [d for d in self.allowed_digits if d]
-        start = 1.0 if self.allowed_digits[0] == 0 else 0.0
+        start = complex(self.allowed_digits[0] == 0)
         inv = 1.0 / len(self.allowed_digits)
+        rows = max(xs.size, GRID_CHUNK) // xs.size
+        width = max(1, min(hi.shape[1], rows))  # digits per block
+        height = rows // width  # levels per block
         out = np.ones(xs.shape, dtype=complex)
-        den = 1
-        for n in range(1, deepest + 1):
-            den *= self.base
-            level = np.full(xs.shape, complex(start))
-            for d in digits:
-                pos = Fraction(d, den)
-                hi = float(pos)
-                level += _unit_turns(*_product_turns(xs, -hi, parts, -float(pos - Fraction(hi))))
+        for n0 in range(0, deepest, height):
+            n1 = min(deepest, n0 + height)
+            level = np.full((n1 - n0, xs.size), start)
+            for j0 in range(0, hi.shape[1], width):
+                y, y_lo = hi[n0:n1, j0:j0 + width], lo[n0:n1, j0:j0 + width]
+                turns = _unit_turns(*_product_turns(xs, y.reshape(-1, 1), parts,
+                                                    y_lo.reshape(-1, 1)))
+                turns = turns.reshape(*y.shape, xs.size)
+                for j in range(y.shape[1]):
+                    level += turns[:, j]
             level.real *= inv
             level.imag *= inv
-            out = out * np.where(depths >= n, level, 1.0)
-        mu = Fraction(sum(digits), len(self.allowed_digits) * (self.base - 1))
-        steps = [float(mu / self.base ** n) for n in range(deepest + 1)]
+            kept = np.where(depths >= np.arange(n0 + 1, n1 + 1)[:, None], level, 1.0)
+            for row in kept:
+                out = out * row
         return out * _unit_turns(-xs * np.take(steps, depths))
 
     def _atoms(self) -> dict:
@@ -620,7 +666,10 @@ class DigitProduct(Measure):
             if lo1 < hi0:
                 raise MeasureError("blocks overlap")
         object.__setattr__(self, "blocks", canon)
-        if self.cylinder_count() > 1 << 1023:
+        # 2^free alone passes the cap when free > 1023; past that the count
+        # is not built, so a depth near 2^33 makes no 1 GB int
+        if (self.depth - sum(b.length for b in canon) > 1023
+                or self.cylinder_count() > 1 << 1023):
             raise MeasureError("more than 2^1023 cylinders: the float weights overflow")
 
     def cylinder_count(self) -> int:

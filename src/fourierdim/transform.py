@@ -58,6 +58,7 @@ from .measures import (  # noqa: F401
     support_interval,
 )
 from .phase import (
+    GRID_CHUNK,
     _eplus_frac,
     _finite,
     _phase_at,
@@ -98,15 +99,6 @@ def ft(m: Measure, xi) -> complex:
     if isinstance(xi, (tuple, list, np.ndarray)):
         raise MeasureError("ft takes a real scalar frequency; use ft_grid for arrays")
     return m._ft_signed(*_ratio(xi))
-
-
-# Points per call of a variant's float rule.  The rules make a few dozen
-# passes over their arrays, and at this size the temporaries stay in cache:
-# on a 2-vCPU container a 200 000-point grid of a depth-14 digit product
-# took 352 ms in one call and 101 ms in chunks of 8192.  Timed again on the
-# grid-scan benchmark (seed 1, three 25 s runs each, medians): 117.7 ops/s
-# at 4096, 120.0 at 8192 and 112.9 at 16384.
-GRID_CHUNK = 1 << 13
 
 
 def ft_grid(m: Measure, xis) -> np.ndarray:
@@ -274,8 +266,13 @@ def _atomic_wiener(atoms: dict, T: float) -> float:
 
     sin(2 pi g)/(2 pi g) is the real part of _eplus_frac at g, formed as an
     exact ratio of ints, so it is exactly 0 where g is a nonzero integer
-    however large; the terms are summed with fsum.
+    however large; the terms are summed with fsum.  Every partial sum is at
+    most the squared total mass, so a mass whose square overflows is
+    refused and every other one sums without overflow.
     """
+    total = sum(atoms.values())  # inf, not an OverflowError, past the float range
+    if not math.isfinite(total * total):
+        raise MeasureError(f"the squared total mass of {total} overflows")
     pt, qt = _ratio(T)
     points = [(*_ratio(x, "position"), w) for x, w in atoms.items()]
     terms = [w * w for w in atoms.values()]

@@ -342,6 +342,34 @@ BAD_CONFIGS = {
     # 2^1024 cylinders: the normalisation used to overflow with a traceback
     "digit-depth-huge": {"experiment": "transform", "schedule": DYADIC,
                          "measure": {"variant": "DigitProduct", "depth": 1024}},
+    # 2^(2^70) cylinders: the count itself used to end in an OverflowError
+    "digit-depth-2-to-the-70": {"experiment": "transform", "schedule": DYADIC,
+                                "measure": {"variant": "DigitProduct", "depth": 2 ** 70}},
+    # below the floor 2^-1020 of s, where Gamma(s/2) overflows: each used to
+    # end in a ValueError or an OverflowError traceback
+    "energy-s-subnormal": {"experiment": "energy", "measure": LEB,
+                           "params": {"s": 5e-324}},
+    "energy-s-below-floor": {"experiment": "energy", "measure": LEB,
+                             "params": {"s": 1e-310}},
+    # a density 1 / 5e-324 that overflows, and cells of width 0: energy
+    # used to let a RuntimeWarning escape
+    "uniform-length-reciprocal-overflows": {
+        "experiment": "energy", "params": {"s": 0.5},
+        "measure": {"variant": "UniformOnIntervals", "intervals": [{"a": 0.0, "b": 5e-324}]}},
+    "energy-cells-of-width-zero": {
+        "experiment": "energy", "params": {"s": 0.5},
+        "measure": {"variant": "AffineImage", "inner": LEB, "scale": 1e-320}},
+    # squared total masses past the float range: the closed form's pair
+    # terms used to meet as -inf + inf in fsum
+    "wiener-mass-squared-overflows": {
+        "experiment": "wiener", "params": {"T": 10.0},
+        "measure": {"variant": "Atomic", "atoms": [{"position": 0.1, "weight": 1e308},
+                                                   {"position": 0.5, "weight": 1.0}]}},
+    "wiener-three-atoms-mass-squared-overflows": {
+        "experiment": "wiener", "params": {"T": 10.0},
+        "measure": {"variant": "Atomic", "atoms": [{"position": 0.1, "weight": 1e308},
+                                                   {"position": 0.5, "weight": 1.0},
+                                                   {"position": 0.7, "weight": 2.0}]}},
     # window polynomials past the float range
     "cut-radius-huge": {"experiment": "transform", "schedule": DYADIC,
                         "measure": {"variant": "SmoothCutDensity", "inner": LEB,

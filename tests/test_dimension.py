@@ -124,6 +124,22 @@ def test_riesz_constant_rejects_bad_s():
             fd.riesz_constant(1, s)
 
 
+def test_riesz_constant_refuses_s_below_its_floor():
+    # Gamma(s/2) overflows below about 2^-1023: 5e-324 used to raise
+    # ValueError and 1e-310 OverflowError
+    for s in (5e-324, 1e-310, 2.0 ** -1021):
+        with pytest.raises(fd.MeasureError, match="floor"):
+            fd.riesz_constant(1, s)
+    assert 0.0 < fd.riesz_constant(1, 2.0 ** -1020) < 1e-307
+
+
+def test_energy_spatial_refuses_cells_of_width_zero():
+    # a support of width 1e-320 over 4096 cells: h underflows to 0
+    tiny = fd.AffineImage(LEB, 1e-320)
+    with pytest.raises(fd.MeasureError, match="width 0"):
+        fd.energy_spatial(tiny, 0.5)
+
+
 def test_energy_spatial_lebesgue_half():
     res = fd.energy_spatial(LEB, 0.5)
     assert res.method == "spatial"

@@ -11,6 +11,8 @@ forms; every comparison is on the bits of the result, signed zeros included.
 import cmath
 import math
 import struct
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,9 +20,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fourierdim as fd
-from fourierdim import transform
+from fourierdim import measures, transform
 from fourierdim.density import DensityPiece, decompose_density, window_poly
-from fourierdim.phase import _ratio
+from fourierdim.phase import GRID_CHUNK, _product_turns, _ratio, _split, _unit_turns
 
 
 def _bits(z: complex) -> bytes:
@@ -85,6 +87,33 @@ def _ref_self_similar(m, xi):
     out *= _ref_phase_frac(p * sum(m.allowed_digits),
                            den * len(m.allowed_digits) * (m.base - 1))
     return out.conjugate() if xi < 0 else out
+
+
+def _ref_self_similar_grid(m, xs):
+    # one level at a time, one digit at a time, each position d / base^n a
+    # double-double from Fractions (the float rule before its level table)
+    depths = 1 + np.searchsorted(measures._level_powers(m.base),
+                                 np.abs(xs) * 2.0 ** 27, side="right")
+    deepest = int(depths.max())
+    parts = _split(xs)
+    digits = [d for d in m.allowed_digits if d]
+    start = 1.0 if m.allowed_digits[0] == 0 else 0.0
+    inv = 1.0 / len(m.allowed_digits)
+    out = np.ones(xs.shape, dtype=complex)
+    den = 1
+    for n in range(1, deepest + 1):
+        den *= m.base
+        level = np.full(xs.shape, complex(start))
+        for d in digits:
+            pos = Fraction(d, den)
+            hi = float(pos)
+            level += _unit_turns(*_product_turns(xs, -hi, parts, -float(pos - Fraction(hi))))
+        level.real *= inv
+        level.imag *= inv
+        out = out * np.where(depths >= n, level, 1.0)
+    mu = Fraction(sum(digits), len(m.allowed_digits) * (m.base - 1))
+    steps = [float(mu / m.base ** n) for n in range(deepest + 1)]
+    return out * _unit_turns(-xs * np.take(steps, depths))
 
 
 def _ref_digit_product(m, xi):
@@ -195,6 +224,79 @@ def test_self_similar_level_residues_at_4096_bits(digits):
     m = fd.SelfSimilarDigit(5, digits)
     for xi in (2 ** 4096, -(3 ** 2500), 2 ** 4095 + 12345, 5 ** 1700):
         assert _bits(m._ft_signed(*_ratio(xi))) == _bits(_ref_self_similar(m, xi)), xi
+
+
+# sizes 1 and 2, a 225-point schedule, either side of a block of 7, 6, 2
+# and 1 rows (8192 // N), and either side of the grid chunk
+GRID_SIZES = (1, 2, 225, 1170, 1171, 1365, 1366, 4096, 4097, 8192, 8193)
+
+
+def _grid_points(n: int, seed: int) -> np.ndarray:
+    # magnitudes from the grid band's floor to its ceiling, both signs, a
+    # few zeros, integers and half-integers
+    rng = np.random.default_rng(seed)
+    kind = rng.integers(0, 8, n)
+    xs = 2.0 ** rng.uniform(-960.0, 60.0, n)
+    xs[kind == 0] = np.rint(2.0 ** rng.uniform(0.0, 60.0, np.sum(kind == 0)))
+    xs[kind == 1] = np.floor(2.0 ** rng.uniform(0.0, 51.0, np.sum(kind == 1))) + 0.5
+    xs[kind == 2] = rng.uniform(0.0, 64.0, np.sum(kind == 2))
+    xs[(kind == 3) & (rng.random(n) < 0.1)] = 0.0
+    return xs * rng.choice((-1.0, 1.0), n)
+
+
+@given(self_similar_measures(), st.sampled_from(GRID_SIZES), st.integers(0, 2 ** 32))
+@settings(max_examples=60, deadline=None)
+def test_self_similar_grid_blocks_match_per_level_rule(m, n, seed):
+    xs = _grid_points(n, seed)
+    assert m._grid(xs).tobytes() == _ref_self_similar_grid(m, xs).tobytes()
+
+
+def test_self_similar_grid_takes_blocks_of_rows_and_no_fraction(monkeypatch):
+    # one _unit_turns call per block of (level, digit) rows and one for the
+    # tail; the level table is built from ints, and _grid forms no Fraction
+    def no_fraction(*args, **kwargs):
+        raise AssertionError("Fraction formed")
+
+    calls = []
+
+    def counting(*args):
+        calls.append(np.shape(args[0]))
+        return _unit_turns(*args)
+
+    monkeypatch.setattr(Fraction, "__new__", no_fraction)
+    monkeypatch.setattr(measures, "_unit_turns", counting)
+    measures._level_table.cache_clear()
+    results = []
+    for m, digits in ((fd.cantor_measure(), 1), (fd.SelfSimilarDigit(5, (0, 1, 3, 4)), 3),
+                      (fd.SelfSimilarDigit(7, range(7)), 6)):
+        for xs in (2.0 ** np.linspace(2.0, 16.0, 225) + 0.375, np.linspace(-900.0, 900.0, 8192),
+                   np.array([2.0 ** 59 + 2048.0])):
+            calls.clear()
+            results.append((m, xs, m._grid(xs)))
+            depths = 1 + np.searchsorted(measures._level_powers(m.base),
+                                         np.abs(xs) * 2.0 ** 27, side="right")
+            rows = int(depths.max()) * digits
+            assert len(calls) <= 2 * math.ceil(rows * xs.size / max(xs.size, GRID_CHUNK)) + 1
+            assert all(math.prod(c) <= max(xs.size, GRID_CHUNK) for c in calls)
+    monkeypatch.undo()
+    for m, xs, got in results:
+        assert got.tobytes() == _ref_self_similar_grid(m, xs).tobytes()
+
+
+def test_self_similar_grid_temporaries_stay_within_a_chunk():
+    # 999 nonzero digits over 8192 points: one row per block, so no
+    # temporary passes GRID_CHUNK cells; a block of one whole level would
+    # hold 999 * 8192 of them (131 MB as complex)
+    m = fd.SelfSimilarDigit(1024, range(1000))
+    xs = np.linspace(-1.0, 1.0, 8192)
+    m._grid(xs[:1])  # builds the level table, which stays cached
+    tracemalloc.start()
+    try:
+        m._grid(xs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * GRID_CHUNK * 16, peak  # sixteen complex chunks, 2 MiB
 
 
 @given(digit_products(), FREQS)

@@ -13,7 +13,7 @@ must match ft.
 import math
 
 import numpy as np
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import fourierdim as fd
@@ -115,7 +115,10 @@ def uniforms(draw):
     ends = sorted(draw(st.lists(_float(-4.0, 4.0), min_size=2, max_size=4, unique=True)))
     if len(ends) == 3:
         ends = ends[:2]
-    return fd.UniformOnIntervals(tuple(zip(ends[::2], ends[1::2])))
+    intervals = tuple(zip(ends[::2], ends[1::2]))
+    # a total length such as 5e-324, whose density 1 / length overflows, is refused
+    assume(math.isfinite(1.0 / math.fsum(b - a for a, b in intervals)))
+    return fd.UniformOnIntervals(intervals)
 
 
 @st.composite

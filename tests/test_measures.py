@@ -58,6 +58,23 @@ def test_trig_density_frequencies_are_positive_integers():
     assert fd.mass(big) == 1.0
 
 
+def test_uniform_refuses_a_length_whose_reciprocal_overflows():
+    # the density 1 / 5e-324 is inf; energy_spatial warned on it
+    with pytest.raises(fd.MeasureError, match="too small"):
+        fd.UniformOnIntervals(((0.0, 5e-324),))
+    assert fd.UniformOnIntervals(((0.0, 1e-300),)).total_length == 1e-300
+
+
+def test_digit_product_refuses_a_huge_depth_before_counting():
+    # 1 << 2^70 used to raise OverflowError ("too many digits in integer")
+    # and 1 << 2^33 builds a 1 GB int; the free digit count is compared
+    # with 1023 first
+    for depth in (2 ** 70, 2 ** 33, 1024):
+        with pytest.raises(fd.MeasureError, match="2\\^1023 cylinders"):
+            fd.DigitProduct(depth)
+    assert fd.DigitProduct(1023).cylinder_count() == 1 << 1023
+
+
 def test_digit_product_cylinder_count():
     m = fd.DigitProduct(4, (fd.DigitBlock(1, 2, "00"),))
     # digits 1 and 4 free, digits 2-3 lose one of four patterns

@@ -480,6 +480,16 @@ def test_oscillatory_integral_decay_bound(a, b):
 # wiener averages ------------------------------------------------------------
 
 
+def test_wiener_refuses_a_squared_mass_past_the_float_range():
+    # the pair terms used to meet as -inf + inf in fsum (ValueError)
+    for atoms in (((0.1, 1e308), (0.5, 1.0)), ((0.1, 1e308), (0.5, 1.0), (0.7, 2.0)),
+                  ((0.1, 1e308), (0.5, 1e308)), ((0.1, 1e155), (0.5, 1e155))):
+        with pytest.raises(fd.MeasureError, match="squared total mass"):
+            fd.wiener_average(fd.Atomic(atoms), 10.0)
+    big = fd.wiener_average(fd.Atomic(((0.1, 1e150), (0.5, 1e150))), 10.0)
+    assert math.isfinite(big) and big > 0.0
+
+
 def test_wiener_single_atom_is_exactly_one():
     m = fd.Atomic(((0.3, 1.0),))
     assert fd.wiener_average(m, 1.0e4) == 1.0
