@@ -149,11 +149,12 @@ def _tol(params: dict, default: float) -> float:
                       "positive and finite")
 
 
-def _count(section: dict, key: str, default: int) -> int:
-    """A positive int param: a count of zero checks would pass any claim."""
+def _count(section: dict, key: str, default: int, least: int = 1) -> int:
+    """An int param no less than least, which is 1 unless given: a count
+    of zero checks would pass any claim."""
     n = _param(section, key, _integer, default)
-    if n < 1:
-        raise MeasureError(f"config field '{key}' must be at least 1, got {n}")
+    if n < least:
+        raise MeasureError(f"config field '{key}' must be at least {least}, got {n}")
     return n
 
 
@@ -178,8 +179,8 @@ def _schedule(cfg):
 def _run_transform(cfg, params, rng):
     m = _measure(cfg)
     sched = _schedule(cfg)
+    total = mass(m)  # refuses a mass past the float range before the grid overflows
     samples = ft_batch(m, sched)
-    total = mass(m)
     max_abs = max((abs(s.value) for s in samples), default=0.0)
     rows = [{"xi": s.xi, "re": s.value.real, "im": s.value.imag,
              "abs": abs(s.value),
@@ -187,7 +188,7 @@ def _run_transform(cfg, params, rng):
              "log2_abs_value": math.log2(abs(s.value)) if s.value else "-inf",
              "method": s.method}
             for s in samples]
-    quad_count = _param(params, "quadrature_count", _integer, 0)
+    quad_count = _count(params, "quadrature_count", 0, least=0)
     quad_dev = 0.0
     if quad_count > 0:
         tol = _param(params, "quadrature_tol", _finite, 1e-9)

@@ -20,6 +20,7 @@ two transform routes stay independent.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass, replace
@@ -57,6 +58,9 @@ class DensityPiece:
             raise MeasureError(f"piece interval ({self.a}, {self.b}) is empty")
         if not self.poly:
             raise MeasureError("piece polynomial is empty")
+        if not (cmath.isfinite(self.amplitude) and all(map(math.isfinite, self.poly))):
+            raise MeasureError(f"piece on ({self.a}, {self.b}) has an amplitude or "
+                               "coefficient past the float range")
 
     def evaluate(self, x: np.ndarray) -> np.ndarray:
         """Piece values at the points x (zero outside [a, b]); only the

@@ -191,11 +191,11 @@ def energy_spatial(m: Measure, s: float, resolution: int = 4096) -> EnergyResult
                            f"{SPATIAL_MAX_RESOLUTION}")
     if atom_weights(m):
         return EnergyResult(s, math.inf, "spatial", c, 0.0)
-    pieces = decompose_density(m)
     lo, hi = support_interval(m)
     if not (hi - lo) / resolution > 0.0:
         raise MeasureError(f"a support of width {hi - lo} leaves cells of width 0 "
                            f"at resolution {resolution}")
+    pieces = decompose_density(m)
     value = _spatial_value(pieces, lo, hi, s, resolution)
     coarse = _spatial_value(pieces, lo, hi, s, resolution // 2)
     # Rounding: the kernel's second differences of k^(2-s) cancel all but a

@@ -35,7 +35,7 @@ from functools import cache, cached_property, lru_cache
 
 import numpy as np
 
-from .density import (DensityPiece, cut_mass, decompose_density, piece_transform, window_poly,
+from .density import (DensityPiece, decompose_density, piece_transform, window_poly,
                       window_value)
 from .errors import MeasureError, ScheduleError
 from .phase import (GRID_CHUNK, _eplus_frac, _eplus_vec, _finite, _half_turn, _phase_at,
@@ -115,6 +115,18 @@ def _meet(bands) -> tuple:
 # on 2 vCPUs, and its 1234 decimal digits stay under Python's 4300-digit
 # limit for writing an int.  ft itself takes any frequency.
 MAX_ABS_FREQUENCY = 2 ** 4096
+
+
+def _total_mass(terms) -> float:
+    """math.fsum of a measure's mass terms; a MeasureError where the total
+    is past the float range (fsum raises OverflowError, or a term is inf)."""
+    try:
+        total = math.fsum(terms)
+    except OverflowError:
+        total = math.inf
+    if total == math.inf:
+        raise MeasureError("the total mass is past the float range")
+    return total
 
 
 def _integer(value, what: str, error=MeasureError) -> int:
@@ -247,10 +259,10 @@ class Measure:
         the inner floor over |scale|, and the least of the inner ceiling
         over max(|scale|, 1) and its offset's ceiling as a position.
 
-        A window cut's grid and scalar rules are the same piece sums, one
-        per array and one per point, so they agree to rounding only: at
-        about a third of sampled points with |xi| up to 2^20 they differ, by
-        at most 4e-14 relative."""
+        A window cut's scalar rule is its grid rule on a 0-d array, one piece
+        sum for both.  Its values can still differ from a 1-d grid's, by at
+        most 4e-14 relative at about a third of sampled points with |xi| up
+        to 2^20, because numpy's scalar and array kernels round differently."""
         lo, hi = self._support()
         return _position_guard(max(-lo, hi))
 
@@ -296,7 +308,7 @@ class Atomic(Measure):
         object.__setattr__(self, "atoms", tuple(canon))
 
     def _mass(self) -> float:
-        return math.fsum(w for _, w in self.atoms)
+        return _total_mass(w for _, w in self.atoms)
 
     def _support(self) -> tuple:
         if not self.atoms:
@@ -684,13 +696,7 @@ class DigitProduct(Measure):
         return 1.0
 
     def _support(self) -> tuple:
-        lo = hi = 0.0
-        for positions, forbidden in self._factor_plan:
-            unit = 2.0 ** -positions[-1]
-            top = (1 << len(positions)) - 1
-            lo += (0 in forbidden) * unit
-            hi += (top - (top in forbidden)) * unit
-        return lo, min(1.0, hi + 2.0 ** -self.depth)
+        return self._wrapped_support(1)
 
     def _wrapped_support(self, scale: int) -> tuple:
         # A block-aligned dilation by 2^l shifts the digits left by l places:
@@ -703,9 +709,14 @@ class DigitProduct(Measure):
         l = scale.bit_length() - 1
         if l >= self.depth or any(b.offset < l < b.offset + b.length for b in self.blocks):
             return 0.0, 1.0
-        kept = tuple(DigitBlock(b.offset - l, b.length, b.forbidden_pattern)
-                     for b in self.blocks if b.offset >= l)
-        return DigitProduct(self.depth - l, kept)._support()
+        lo = hi = 0.0
+        for positions, forbidden in self._factor_plan:
+            if positions[0] > l:
+                unit = 2.0 ** (l - positions[-1])
+                top = (1 << len(positions)) - 1
+                lo += (0 in forbidden) * unit
+                hi += (top - (top in forbidden)) * unit
+        return lo, min(1.0, hi + 2.0 ** (l - self.depth))
 
     @cached_property
     def _factor_plan(self) -> tuple:
@@ -817,7 +828,7 @@ class Mixture(Measure):
         object.__setattr__(self, "weights", ws)
 
     def _mass(self) -> float:
-        return math.fsum(w * c._mass() for c, w in zip(self.components, self.weights))
+        return _total_mass(w * c._mass() for c, w in zip(self.components, self.weights))
 
     def _support(self) -> tuple:
         spans = [c._support() for c in self.components]
@@ -969,10 +980,7 @@ class Convolution(Measure):
         object.__setattr__(self, "factors", facs)
 
     def _mass(self) -> float:
-        out = 1.0
-        for f in self.factors:
-            out *= f._mass()
-        return out
+        return _total_mass((math.prod(f._mass() for f in self.factors),))
 
     def _support(self) -> tuple:
         lo = hi = 0.0
@@ -1030,7 +1038,7 @@ class SmoothCutDensity(Measure):
             object.__setattr__(self, name, value)
 
     def _mass(self) -> float:
-        return cut_mass(self)
+        return float(self._grid(np.zeros(())).real)
 
     def _support(self) -> tuple:
         a, b = self.inner._support()
@@ -1043,8 +1051,7 @@ class SmoothCutDensity(Measure):
     def _ft(self, p, q) -> complex:
         if p.bit_length() - q.bit_length() > 1020:
             return 0.0j  # piece transforms decay like 1/xi; below underflow
-        x = p / q
-        return complex(sum(piece_transform(piece, x) for piece in self._density()))
+        return complex(self._grid(np.array(p / q)))
 
     def _grid(self, xs: np.ndarray) -> np.ndarray:
         out = np.zeros(xs.shape, dtype=complex)

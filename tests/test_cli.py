@@ -370,6 +370,36 @@ BAD_CONFIGS = {
         "measure": {"variant": "Atomic", "atoms": [{"position": 0.1, "weight": 1e308},
                                                    {"position": 0.5, "weight": 1.0},
                                                    {"position": 0.7, "weight": 2.0}]}},
+    # a density 1 / 1e-315 past the float range over cells wide enough to
+    # pass: s = 0.99 used to end in an OverflowError traceback, and s = 0.5
+    # in exit 4 with a value "nan" and a RuntimeWarning
+    "energy-affine-density-overflows-s-099": {
+        "experiment": "energy", "params": {"s": 0.99},
+        "measure": {"variant": "AffineImage", "inner": LEB, "scale": 1e-315}},
+    "energy-affine-density-overflows-s-half": {
+        "experiment": "energy", "params": {"s": 0.5},
+        "measure": {"variant": "AffineImage", "inner": LEB, "scale": 1e-315}},
+    # total masses past the float range: fsum used to end in an
+    # OverflowError traceback, and a mixture or convolution reported "inf"
+    "atom-masses-past-float-range": {
+        "experiment": "transform", "schedule": DYADIC,
+        "measure": {"variant": "Atomic", "atoms": [{"position": 0.1, "weight": 1e308},
+                                                   {"position": 0.5, "weight": 1e308}]}},
+    "mixture-mass-past-float-range": {
+        "experiment": "transform", "schedule": DYADIC,
+        "measure": {"variant": "Mixture", "weights": [10.0],
+                    "components": [{"variant": "Atomic",
+                                    "atoms": [{"position": 0.1, "weight": 1e308}]}]}},
+    "convolution-mass-past-float-range": {
+        "experiment": "transform", "schedule": DYADIC,
+        "measure": {"variant": "Convolution",
+                    "factors": [{"variant": "Atomic",
+                                 "atoms": [{"position": 0.1, "weight": 1e200}]},
+                                {"variant": "Atomic",
+                                 "atoms": [{"position": 0.2, "weight": 1e200}]}]}},
+    # a negative count used to check nothing and write it as given
+    "quadrature-count-negative": {"experiment": "transform", "measure": LEB,
+                                  "schedule": DYADIC, "params": {"quadrature_count": -4}},
     # window polynomials past the float range
     "cut-radius-huge": {"experiment": "transform", "schedule": DYADIC,
                         "measure": {"variant": "SmoothCutDensity", "inner": LEB,

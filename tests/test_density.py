@@ -125,6 +125,23 @@ def test_piece_multiply_disjoint_returns_none():
     assert p.multiply(q) is None
 
 
+@pytest.mark.parametrize("amplitude,poly", [
+    (math.inf, (1.0,)), (complex(1.0, math.nan), (1.0,)), (1.0, (1.0, -math.inf)),
+    (1.0, (math.nan,)),
+])
+def test_piece_refuses_values_past_the_float_range(amplitude, poly):
+    with pytest.raises(fd.MeasureError, match="float range"):
+        DensityPiece(0.0, 1.0, 0.5, poly, amplitude, 0.0)
+
+
+def test_tiny_affine_image_has_no_pieces():
+    # the density 1 / 1e-315 overflows: its piece is refused, not inf
+    leb = fd.UniformOnIntervals(((0.0, 1.0),))
+    with pytest.raises(fd.MeasureError, match="float range"):
+        decompose_density(fd.AffineImage(leb, 1e-315))
+    assert decompose_density(fd.AffineImage(leb, 1e-300))[0].amplitude == 1.0 / 1e-300
+
+
 @pytest.mark.parametrize("radius,order", [(1e200, 2), (0.3, 400), (0.4, 400)])
 def test_window_poly_past_float_range_raises(radius, order):
     # 1e200 ** 4 overflows, 0.3 ** 800 underflows to 0, and 0.4 ** 800 is

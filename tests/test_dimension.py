@@ -140,6 +140,14 @@ def test_energy_spatial_refuses_cells_of_width_zero():
         fd.energy_spatial(tiny, 0.5)
 
 
+@pytest.mark.parametrize("s", [0.5, 0.99])
+def test_energy_spatial_refuses_a_density_past_the_float_range(s):
+    # cells of width 2.4e-319 pass, but the density 1 / 1e-315 is inf: s =
+    # 0.5 used to let a RuntimeWarning out and s = 0.99 an OverflowError
+    with pytest.raises(fd.MeasureError, match="float range"):
+        fd.energy_spatial(fd.AffineImage(LEB, 1e-315), s)
+
+
 def test_energy_spatial_lebesgue_half():
     res = fd.energy_spatial(LEB, 0.5)
     assert res.method == "spatial"

@@ -2,7 +2,8 @@
 
 TrigDensity shares one half turn per parity of the term frequency,
 SelfSimilarDigit reduces the numerator once per level, DigitProduct keeps its
-block plan and SmoothCutDensity its product pieces on the measure, and
+block plan and reads its supports from it, SmoothCutDensity keeps its product
+pieces on the measure and sums them in its grid rule alone, and
 stability_experiment evaluates each part once.  The references below are
 straightforward per-term, per-digit and per-call versions of the same closed
 forms; every comparison is on the bits of the result, signed zeros included.
@@ -16,12 +17,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import fourierdim as fd
 from fourierdim import measures, transform
-from fourierdim.density import DensityPiece, decompose_density, window_poly
+from fourierdim.density import (DensityPiece, cut_mass, decompose_density, piece_transform,
+                                 window_poly)
 from fourierdim.phase import GRID_CHUNK, _product_turns, _ratio, _split, _unit_turns
 
 
@@ -138,6 +140,20 @@ def _ref_digit_product(m, xi):
     return pre * factors / m.cylinder_count()
 
 
+def _ref_cut_ft(cut, xi):
+    # the scalar rule before the grid rule took it over: one piece
+    # transform per point, summed from the int 0, and cut_mass at xi = 0
+    p, q = _ratio(xi)
+    if p == 0:
+        return complex(cut_mass(cut))
+    if abs(p).bit_length() - q.bit_length() > 1020:
+        out = 0.0j
+    else:
+        x = abs(p) / q
+        out = complex(sum(piece_transform(piece, x) for piece in decompose_density(cut)))
+    return out.conjugate() if p < 0 else out
+
+
 # ---------------------------------------------------------------------------
 # strategies
 
@@ -180,8 +196,8 @@ def self_similar_measures(draw):
 
 
 @st.composite
-def digit_products(draw):
-    depth = draw(st.integers(1, 24))
+def digit_products(draw, max_depth=24):
+    depth = draw(st.integers(1, max_depth))
     blocks = []
     pos = 0
     while pos < depth:
@@ -305,8 +321,105 @@ def test_digit_product_plan_matches_per_call_rule(m, xi):
     assert _bits(m._ft(*_ratio(xi))) == _bits(_ref_digit_product(m, xi))
 
 
+@given(digit_products())
+@settings(max_examples=100, deadline=None)
+def test_digit_supports_build_no_second_product(m):
+    # _support and _wrapped_support walk the measure's own factor plan:
+    # neither builds a DigitProduct or a DigitBlock
+    built = []
+    originals = {cls: cls.__post_init__ for cls in (fd.DigitProduct, fd.DigitBlock)}
+    for cls, original in originals.items():
+        def counting(self, original=original):
+            built.append(type(self).__name__)
+            original(self)
+
+        cls.__post_init__ = counting
+    try:
+        got = [m._support()] + [m._wrapped_support(1 << l) for l in range(m.depth + 2)]
+    finally:
+        for cls, original in originals.items():
+            cls.__post_init__ = original
+    assert built == []
+    assert got[0] == got[1] and all(lo <= hi for lo, hi in got)
+
+
 # ---------------------------------------------------------------------------
 # cached window-cut pieces
+
+
+@st.composite
+def uniforms(draw):
+    # one to three intervals from a start, widths and gaps
+    a = draw(st.floats(-0.5, 0.5))
+    intervals = []
+    for _ in range(draw(st.integers(1, 3))):
+        b = a + draw(st.floats(0.01, 0.5))
+        intervals.append((a, b))
+        a = b + draw(st.floats(0.0, 0.3))
+    return fd.UniformOnIntervals(tuple(intervals))
+
+
+@st.composite
+def small_trig_densities(draw):
+    # term frequencies below 2^53, where a trig density has pieces
+    n = draw(st.integers(1, 4))
+    amps = draw(st.lists(st.floats(-1.0 / n, 1.0 / n), min_size=n, max_size=n))
+    freqs = draw(st.lists(st.integers(1, 2 ** 40), min_size=n, max_size=n))
+    return fd.TrigDensity(tuple(zip(amps, freqs)))
+
+
+CUT_INNERS = st.one_of(uniforms(), small_trig_densities(), digit_products(max_depth=8))
+
+
+@st.composite
+def window_cuts(draw):
+    """A window cut of a uniform, trig, digit-product or mixture inner."""
+    inner = draw(st.one_of(CUT_INNERS, st.builds(
+        lambda parts, ws: fd.Mixture(tuple(parts), tuple(ws[:len(parts)])),
+        st.lists(CUT_INNERS, min_size=1, max_size=3),
+        st.lists(st.floats(0.01, 4.0), min_size=3, max_size=3))))
+    cut = fd.SmoothCutDensity(inner, draw(st.floats(-0.2, 1.2)), draw(st.floats(0.01, 0.8)),
+                              draw(st.integers(2, 8)))
+    assume(cut._pieces)
+    return cut
+
+
+# floats, ints past 2^53 (some past the 2^1020 shortcut) and Fractions
+CUT_FREQS = st.one_of(
+    FLOATS,
+    st.builds(lambda e, j, s: s * ((1 << e) + j), st.integers(53, 1100),
+              st.integers(-3, 3), _SIGN),
+    st.fractions(min_value=-(2 ** 60), max_value=2 ** 60, max_denominator=10 ** 6),
+)
+
+
+@given(window_cuts(), st.lists(CUT_FREQS, min_size=1, max_size=4))
+@settings(max_examples=200, deadline=None)
+def test_cut_transform_and_mass_match_per_piece_rule(cut, freqs):
+    # ft and mass come from the grid rule on a 0-d array: bit for bit the
+    # per-piece scalar sum and cut_mass
+    for xi in freqs:
+        assert _bits(fd.ft(cut, xi)) == _bits(_ref_cut_ft(cut, xi)), xi
+    assert struct.pack("<d", fd.mass(cut)) == struct.pack("<d", cut_mass(cut))
+    assert type(fd.mass(cut)) is float
+
+
+def test_cut_transform_and_mass_sum_through_the_grid_rule(monkeypatch):
+    cut = fd.smooth_cut(fd.TrigDensity(((0.5, 7),)), (0.37, 0.3, 2))
+    shapes = []
+    original = fd.SmoothCutDensity._grid
+
+    def recording(self, xs):
+        shapes.append(xs.shape)
+        return original(self, xs)
+
+    monkeypatch.setattr(fd.SmoothCutDensity, "_grid", recording)
+    fd.ft(cut, 7.25)
+    fd.ft(cut, -(2 ** 70) - 1)
+    fd.mass(cut)
+    assert shapes == [(), (), ()]
+    fd.ft(cut, 2 ** 1030)  # past the shortcut: no piece sum
+    assert len(shapes) == 3
 
 
 def _fresh_pieces(cut):

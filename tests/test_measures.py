@@ -316,6 +316,21 @@ def test_convolution_mass_multiplies():
     assert fd.mass(fd.Convolution((a, b))) == 6.0
 
 
+def test_masses_past_the_float_range_are_refused():
+    # fsum used to raise OverflowError for the atoms, and the mixture and
+    # the convolution used to report a mass of inf
+    big = fd.Atomic(((0.1, 1e308),))
+    for m in (fd.Atomic(((0.1, 1e308), (0.5, 1e308))), fd.Mixture((big,), (10.0,)),
+              fd.Mixture((big, big), (1.0, 1.0)), fd.Convolution((big, fd.Atomic(((0.2, 2.0),))))):
+        with pytest.raises(fd.MeasureError, match="float range"):
+            fd.mass(m)
+    # finite totals near the top of the float range keep fsum's value
+    atoms = ((0.1, 1e308), (0.5, 7e307), (0.7, 1.0))
+    assert fd.mass(fd.Atomic(atoms)) == math.fsum(w for _, w in atoms)
+    assert fd.mass(fd.Mixture((big,), (1.5,))) == 1.5e308
+    assert fd.mass(fd.Convolution((big, fd.Atomic(((0.2, 0.5),))))) == 5e307
+
+
 def test_smooth_cut_density_mass_shrinks():
     leb = fd.UniformOnIntervals(((0.0, 1.0),))
     cut = fd.smooth_cut(leb, (0.5, 0.6, 2))
