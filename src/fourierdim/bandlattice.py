@@ -80,12 +80,16 @@ class IncidenceModel:
 
     @classmethod
     def random(cls, rng, nx: int, ny: int, zero_prob: float = 0.5):
-        """Random model: each pairing is 0 with probability zero_prob.
+        """Random model: each pairing is 0 with probability zero_prob, a
+        number in [0, 1].
 
         One array draw decides the zero pattern and one the nonzero values,
         integers 1 to 9, both row by row.
         """
         shape = _shape(nx, ny)
+        zero_prob = _finite(zero_prob, "zero_prob")
+        if not 0.0 <= zero_prob <= 1.0:
+            raise MeasureError(f"zero_prob must lie in [0, 1], got {zero_prob}")
         zero = rng.random(shape) < zero_prob
         values = np.where(zero, 0.0, rng.integers(1, 10, shape))
         return cls(nx, ny, tuple(map(tuple, values.tolist())))

@@ -19,11 +19,13 @@ from dataclasses import dataclass
 from .measures import (
     DigitBlock,
     DigitProduct,
+    MAX_ABS_FREQUENCY,
     MeasureError,
     SelfSimilarDigit,
     TrigDensity,
     _finite,
     _integer,
+    _require_spans,
 )
 
 __all__ = [
@@ -36,6 +38,10 @@ __all__ = [
 ]
 
 _SQRT3_M1 = math.sqrt(3.0) - 1.0
+
+# The deepest lacunary density, 64: the largest depth D whose top frequency
+# 2^(D^2) is within the cap measures.MAX_ABS_FREQUENCY = 2^4096.
+LACUNARY_MAX_DEPTH = math.isqrt(MAX_ABS_FREQUENCY.bit_length() - 1)
 
 
 @dataclass(frozen=True)
@@ -67,14 +73,9 @@ class DigitScheduleSpec:
             raise MeasureError(
                 f"schedule needs {count} exponents and lengths, got "
                 f"{len(exps)} and {len(lens)}")
-        if any(t < 1 for t in lens):
-            raise MeasureError("block lengths must be positive")
         if any(e < 1 for e in exps):
             raise MeasureError("block positions must be positive")
-        for (e0, t0), e1 in zip(zip(exps, lens), exps[1:]):
-            if e1 < e0 + t0:
-                raise MeasureError(
-                    f"blocks overlap: position {e1} starts before {e0} + {t0}")
+        _require_spans([(e, e + t) for e, t in zip(exps, lens)], "block")
         for name, value in zip(("n", "K", "exponents", "lengths", "s", "b"),
                                (n, K, exps, lens, _finite(self.s, "s"), _finite(self.b, "b"))):
             object.__setattr__(self, name, value)
@@ -128,13 +129,18 @@ def lacunary_trig_measure(sign: int, depth: int = 6) -> TrigDensity:
     """Density 1 + sign * sum_{k<=depth} 2^-k sin(2 pi 2^(k^2) x) on [0, 1].
 
     sign is +1 or -1; the two signs average to Lebesgue measure, and the
-    transform of either has modulus exactly 2^-(k+1) at xi = 2^(k^2).
+    transform of either has modulus exactly 2^-(k+1) at xi = 2^(k^2).  The
+    depth runs from 1 to LACUNARY_MAX_DEPTH, refused before any term is
+    built: the terms up to depth D hold about D^3 / 3 bits.
     """
     sign, depth = _integer(sign, "sign"), _integer(depth, "depth")
     if sign not in (1, -1):
         raise MeasureError(f"sign must be +1 or -1, got {sign}")
     if depth < 1:
         raise MeasureError("depth must be at least 1")
+    if depth > LACUNARY_MAX_DEPTH:
+        raise MeasureError(f"depth {depth} above {LACUNARY_MAX_DEPTH} puts the "
+                           "frequency 2^(depth^2) past the cap 2^4096")
     terms = tuple((sign * 2.0 ** (-k), 2 ** (k * k)) for k in range(1, depth + 1))
     return TrigDensity(terms)
 

@@ -41,7 +41,7 @@ from .measures import (
     mass,
     support_interval,
 )
-from .phase import _half_turn, _ratio
+from .phase import _half_turn, _in_float_range, _ratio
 from .transform import (  # noqa: F401
     GRID_CHUNK,
     _ft_values,
@@ -179,7 +179,8 @@ def energy_spatial(m: Measure, s: float, resolution: int = 4096) -> EnergyResult
     Cross-cell sums run through an FFT autocorrelation.  The error estimate
     is the difference from the same sum on half the cells plus a rounding
     term of eps R^1.5 |value| on R cells.  Any atom makes the energy
-    infinite and is flagged.
+    infinite and is flagged.  A sum that leaves the float range (a
+    density or a cell width near its ends) raises MeasureError.
     """
     s = _finite(s, "s")
     c = riesz_constant(1, s)
@@ -196,8 +197,8 @@ def energy_spatial(m: Measure, s: float, resolution: int = 4096) -> EnergyResult
         raise MeasureError(f"a support of width {hi - lo} leaves cells of width 0 "
                            f"at resolution {resolution}")
     pieces = decompose_density(m)
-    value = _spatial_value(pieces, lo, hi, s, resolution)
-    coarse = _spatial_value(pieces, lo, hi, s, resolution // 2)
+    value, coarse = (_in_float_range("the spatial energy", _spatial_value, pieces, lo, hi, s, r)
+                     for r in (resolution, resolution // 2))
     # Rounding: the kernel's second differences of k^(2-s) cancel all but a
     # relative k^-2 of their terms, so each carries an error of about
     # eps k^(2-s).  These enter with varying signs and add up like a random
@@ -245,7 +246,8 @@ def energy_fourier(m: Measure, s: float, cutoff: float = 4096.0) -> EnergyResult
     M/xi^2, which gives the tail M cutoff^(s-2)/(2-s): the weighted mean of
     |m_hat|^2 xi^2 over the panel nodes in the last octave [cutoff/2, cutoff]
     sets the value and its maximum there sets the tail's error term.  More
-    than FOURIER_MAX_PANELS panels raise MeasureError.
+    than FOURIER_MAX_PANELS panels raise MeasureError, and so does a sum
+    that leaves the float range.
     """
     s = _finite(s, "s")
     c = riesz_constant(1, s)
@@ -261,7 +263,13 @@ def energy_fourier(m: Measure, s: float, cutoff: float = 4096.0) -> EnergyResult
     panels = 2 * math.ceil(pairs)
     if atom_weights(m):
         return EnergyResult(s, math.inf, "fourier", c, 0.0)
+    value, err = _in_float_range("the Fourier-side energy", _fourier_value,
+                                 m, s, c, cutoff, panels)
+    return EnergyResult(s, value, "fourier", c, err)
 
+
+def _fourier_value(m: Measure, s: float, c: float, cutoff: float, panels: int) -> tuple:
+    """energy_fourier's value and error term on the given panels of [1, cutoff]."""
     def low_part(n):
         u, w = _legendre_rule(n)
         u = 0.5 * (u + 1.0)
@@ -288,8 +296,7 @@ def energy_fourier(m: Measure, s: float, cutoff: float = 4096.0) -> EnergyResult
     scale = cutoff ** (s - 2.0) / (2.0 - s)
     tail = float(np.average(envelope, weights=np.broadcast_to(w, fine.shape)[last])) * scale
     err += float(np.max(envelope)) * scale
-    value = c * 2.0 * (low + band + tail)
-    return EnergyResult(s, value, "fourier", c, c * 2.0 * err + 1e-12)
+    return c * 2.0 * (low + band + tail), c * 2.0 * err + 1e-12
 
 
 # ---------------------------------------------------------------------------

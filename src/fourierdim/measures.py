@@ -146,6 +146,26 @@ def _require_measures(items, what: str) -> tuple:
     return out
 
 
+def _require_spans(spans, what: str) -> None:
+    """A MeasureError unless each span (lo, hi) is nonempty and starts no
+    earlier than the one before it ends."""
+    for lo, hi in spans:
+        if not hi > lo:
+            raise MeasureError(f"{what} ({lo}, {hi}) is empty or reversed")
+    for (_, hi0), (lo1, hi1) in zip(spans, spans[1:]):
+        if lo1 < hi0:
+            raise MeasureError(f"{what}s overlap: ({lo1}, {hi1}) starts before {hi0}")
+
+
+def _merge_atoms(pairs) -> dict:
+    """Map position -> total point mass over (position, mass) pairs: the
+    masses of coincident atoms add up in the order given."""
+    out = {}
+    for pos, w in pairs:
+        out[pos] = out.get(pos, 0.0) + w
+    return out
+
+
 # The highest window order.  The window's monomial coefficients cancel in
 # the piece integrals.  Relative to its mass, a cut of a uniform, a
 # trigonometric or a digit-product density is within 9.5e4 u of a 40-digit
@@ -330,16 +350,13 @@ class Atomic(Measure):
         parts = _split(xs)
         out = np.zeros(xs.shape, dtype=complex)
         for pos, w in self.atoms:
-            term = _unit_turns(*_product_turns(xs, -pos, parts))
+            term = _phase_vec(xs, pos, parts)
             term *= w
             out += term
         return out
 
     def _atoms(self) -> dict:
-        out = {}
-        for pos, w in self.atoms:
-            out[pos] = out.get(pos, 0.0) + w
-        return out
+        return _merge_atoms(self.atoms)
 
     def _density(self) -> tuple:
         return ()
@@ -366,12 +383,7 @@ class UniformOnIntervals(Measure):
         )
         if not canon:
             raise MeasureError("UniformOnIntervals needs at least one interval")
-        for a, b in canon:
-            if not b > a:
-                raise MeasureError(f"interval ({a}, {b}) is empty or reversed")
-        for (_, b0), (a1, _) in zip(canon, canon[1:]):
-            if a1 < b0:
-                raise MeasureError("intervals overlap")
+        _require_spans(canon, "interval")
         object.__setattr__(self, "intervals", tuple(canon))
         if not math.isfinite(1.0 / self.total_length):
             raise MeasureError(f"total length {self.total_length} is too small: "
@@ -489,13 +501,12 @@ class TrigDensity(Measure):
         # an integer.
         unit = _unit_turns(-0.5 * xs)  # exp(-i pi xi)
         c, s = unit.real, unit.imag
+        terms = [(amp, float(f)) for amp, f in self.terms if f.bit_length() <= 1000]
         with np.errstate(divide="ignore", invalid="ignore"):
             b_re = -1.0 / xs
             b_im = np.zeros(xs.shape)
-            for amp, f in self.terms:
-                if f.bit_length() <= 1000:
-                    ff = float(f)
-                    b_im -= (0.5 * amp) * (1.0 / (ff - xs) + 1.0 / (ff + xs))
+            for amp, f in terms:
+                b_im -= (0.5 * amp) * (1.0 / (f - xs) + 1.0 / (f + xs))
             # Kept in real parts: numpy fuses the multiply-adds of a complex
             # array product, which would move these values in their last bits.
             w = s / math.pi
@@ -506,9 +517,8 @@ class TrigDensity(Measure):
         if whole.any():
             at = xs[whole]
             vals = np.where(at == 0.0, 1.0 + 0.0j, 0.0j)
-            for amp, f in self.terms:
-                if f.bit_length() <= 1000:
-                    vals += (amp / 2j) * ((at == float(f)) - 1.0 * (at == -float(f)))
+            for amp, f in terms:
+                vals += (amp / 2j) * ((at == f) - 1.0 * (at == -f))
             out[whole] = vals
         return out
 
@@ -671,12 +681,9 @@ class DigitProduct(Measure):
             b if isinstance(b, DigitBlock) else DigitBlock(*b) for b in self.blocks
         )
         spans = sorted((b.offset, b.offset + b.length) for b in canon)
-        for lo, hi in spans:
-            if hi > self.depth:
-                raise MeasureError("block exceeds depth")
-        for (_, hi0), (lo1, _) in zip(spans, spans[1:]):
-            if lo1 < hi0:
-                raise MeasureError("blocks overlap")
+        _require_spans(spans, "block")
+        if spans and spans[-1][1] > self.depth:  # the last block ends last
+            raise MeasureError("block exceeds depth")
         object.__setattr__(self, "blocks", canon)
         # 2^free alone passes the cap when free > 1023; past that the count
         # is not built, so a depth near 2^33 makes no 1 GB int
@@ -849,11 +856,8 @@ class Mixture(Measure):
         return _meet(c._grid_guard() for c in self.components)
 
     def _atoms(self) -> dict:
-        out = {}
-        for c, w in zip(self.components, self.weights):
-            for pos, v in c._atoms().items():
-                out[pos] = out.get(pos, 0.0) + w * v
-        return out
+        return _merge_atoms((pos, w * v) for c, w in zip(self.components, self.weights)
+                            for pos, v in c._atoms().items())
 
     def _density(self) -> tuple:
         return tuple(p.scaled(w) for c, w in zip(self.components, self.weights)
@@ -947,13 +951,10 @@ class AffineImage(Measure):
                                             _position_guard(abs(self.offset))[1])
 
     def _atoms(self) -> dict:
-        out = {}
-        for pos, v in self.inner._atoms().items():
-            key = self.scale * pos + self.offset
-            if self.mod1:
-                key = key - math.floor(key)
-            out[key] = out.get(key, 0.0) + v
-        return out
+        images = ((self.scale * pos + self.offset, v) for pos, v in self.inner._atoms().items())
+        if self.mod1:
+            images = ((key - math.floor(key), v) for key, v in images)
+        return _merge_atoms(images)
 
     def _density(self) -> tuple:
         if self.mod1:
@@ -1005,12 +1006,8 @@ class Convolution(Measure):
             return {}
         out = {0.0: 1.0}
         for d in maps:
-            nxt = {}
-            for pos, w in out.items():
-                for p2, w2 in d.items():
-                    key = pos + p2
-                    nxt[key] = nxt.get(key, 0.0) + w * w2
-            out = nxt
+            out = _merge_atoms((pos + p2, w * w2) for pos, w in out.items()
+                               for p2, w2 in d.items())
         return out
 
 

@@ -56,6 +56,21 @@ def _finite(value, what: str) -> float:
     return v
 
 
+def _in_float_range(what: str, compute, *args):
+    """compute(*args), a float or a tuple of floats, with numpy's overflow
+    and invalid flags raised: a MeasureError where a step overflows or turns
+    invalid, or a float of the result is not finite, in numpy or in Python
+    (whose float power raises OverflowError and whose product turns inf)."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            out = compute(*args)
+    except (FloatingPointError, OverflowError):
+        out = math.inf
+    if not all(map(math.isfinite, np.ravel(out))):
+        raise MeasureError(f"{what} leaves the float range")
+    return out
+
+
 def _ratio(x, what: str = "frequency") -> tuple:
     """(p, q) with x = p / q exactly, q > 0; anything but an int or a Fraction via _finite."""
     if isinstance(x, (int, np.integer)) and not isinstance(x, bool):

@@ -61,6 +61,7 @@ from .phase import (
     GRID_CHUNK,
     _eplus_frac,
     _finite,
+    _in_float_range,
     _phase_at,
     _phase_vec,
     _ratio,
@@ -232,7 +233,9 @@ def wiener_average(m: Measure, T: float) -> float:
     at most the support's diameter diam.  The step is min(0.01, 1/(10 diam)):
     at least 100 points per unit of xi, and at least ten per period of the
     fastest term.  That step and its cap of WIENER_MAX_POINTS are checked
-    for every measure, so the two routes refuse the same inputs.
+    for every measure, so the two routes refuse the same inputs.  A grid
+    sum that leaves the float range raises MeasureError; the closed form
+    refuses a squared total mass past it.
     """
     T = _finite(T, "T")
     if T <= 0:
@@ -253,11 +256,11 @@ def wiener_average(m: Measure, T: float) -> float:
         return _atomic_wiener(atoms, T)
     n = max(2, int(math.ceil(points)))
     xs = np.linspace(0.0, T, n + 1)
-    y = np.abs(ft_grid(m, xs)) ** 2
     # Normalizing by the quadrature of 1 (rather than by T) keeps the
     # average of a constant integrand exact; that quadrature is the sum of
     # the steps, bit for bit.
-    return float(np.trapezoid(y, xs) / np.diff(xs).sum())
+    return _in_float_range("the Wiener average", lambda: float(
+        np.trapezoid(np.abs(ft_grid(m, xs)) ** 2, xs) / np.diff(xs).sum()))
 
 
 def _atomic_wiener(atoms: dict, T: float) -> float:

@@ -36,6 +36,13 @@ def test_random_model_shape():
     assert all(x > 0.0 for row in none_zero.pairing for x in row)
 
 
+@pytest.mark.parametrize("zero_prob", ["x", math.nan, -0.1, 1.5, True])
+def test_random_model_refuses_a_zero_prob_outside_0_1(zero_prob):
+    # "x" used to raise a numpy UFuncTypeError, and NaN to draw no zeros
+    with pytest.raises(fd.MeasureError, match="zero_prob"):
+        IncidenceModel.random(np.random.default_rng(7), 3, 3, zero_prob=zero_prob)
+
+
 def test_subset_pair_validation():
     with pytest.raises(fd.MeasureError):
         SubsetPair("top", frozenset())

@@ -14,6 +14,7 @@ import pytest
 
 from fourierdim import cli
 from fourierdim.cli import main
+from fourierdim.transform import QuadratureResult
 
 
 LEB = {"variant": "UniformOnIntervals", "ambient_dim": 1,
@@ -527,6 +528,29 @@ BAD_CONFIGS = {
         "experiment": "transform",
         "measure": {"variant": "AffineImage", "inner": LEB, "scale": 10 ** 400},
         "schedule": {"variant": "Explicit", "frequencies": [0.5, 3]}},
+    # estimators past the float range: h^-s used to end in an OverflowError
+    # traceback, and the spatial sum, the squared transforms and the
+    # trapezoid sum in "inf" or "nan" under exit 4 with a RuntimeWarning
+    "energy-cell-power-overflows": {
+        "experiment": "energy", "params": {"s": 0.99},
+        "measure": {"variant": "AffineImage", "inner": LEB, "scale": 1e-308}},
+    "energy-cell-kernel-overflows": {
+        "experiment": "energy", "params": {"s": 0.99},
+        "measure": {"variant": "AffineImage", "inner": LEB, "scale": 1e-307}},
+    "energy-mixture-weight-overflows": {
+        "experiment": "energy", "params": {"s": 0.5},
+        "measure": {"variant": "Mixture", "components": [LEB], "weights": [1e160]}},
+    "wiener-mixture-weight-overflows": {
+        "experiment": "wiener", "params": {"T": 10.0},
+        "measure": {"variant": "Mixture", "components": [LEB], "weights": [1e160]}},
+    "wiener-trapezoid-sum-overflows": {
+        "experiment": "wiener", "params": {"T": 1e4},
+        "measure": {"variant": "Mixture", "weights": [1e153, 1.0],
+                    "components": [{"variant": "Atomic",
+                                    "atoms": [{"position": 0.5, "weight": 1.0}]}, LEB]}},
+    # a lacunary depth past 64, refused before its 2^(k^2) terms are built
+    "measex-identity-depth-past-cap": {"experiment": "measex",
+                                       "params": {"identity_depth": 65}},
 }
 
 
@@ -536,6 +560,168 @@ def test_bad_config_exits_2_without_traceback(name, tmp_path, monkeypatch, capsy
     assert _run(tmp_path, monkeypatch, BAD_CONFIGS[name]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+# Refusals that each exit 2 with their own message: the message must be in
+# stderr, so that a config an earlier check refuses fails the test.
+NO_ATOMS = {"variant": "Atomic", "atoms": []}
+
+
+def _transform_of(measure):
+    return {"experiment": "transform", "schedule": DYADIC, "measure": measure}
+
+
+def _transform_along(schedule):
+    return {"experiment": "transform", "measure": LEB, "schedule": schedule}
+
+
+def _cut(radius, center=0.5):
+    return {"variant": "SmoothCutDensity", "inner": LEB, "center": center,
+            "radius": radius, "order": 2}
+
+
+def _digits(base, digits):
+    return _transform_of({"variant": "SelfSimilarDigit", "base": base,
+                          "allowed_digits": digits})
+
+
+def _block(offset, length, pattern):
+    return _transform_of({"variant": "DigitProduct", "depth": 8,
+                          "blocks": [{"offset": offset, "length": length,
+                                      "forbidden_pattern": pattern}]})
+
+
+def _lacunary(exponents, multipliers=1):
+    return _transform_along({"variant": "Lacunary", "exponents": exponents,
+                             "multipliers": multipliers})
+
+
+REFUSALS = {
+    "mixture-of-non-measures": (
+        _transform_of({"variant": "Mixture", "components": [1.0], "weights": [1.0]}),
+        "mixture components must be measures"),
+    "cut-radius-zero": (_transform_of(_cut(0.0)), "window radius must be positive"),
+    "cut-radius-negative": (_transform_of(_cut(-0.2)), "window radius must be positive"),
+    "energy-no-atoms": ({"experiment": "energy", "measure": NO_ATOMS, "params": {"s": 0.5}},
+                        "the zero measure has no support"),
+    "wiener-no-atoms": ({"experiment": "wiener", "measure": NO_ATOMS},
+                        "the zero measure has no support"),
+    "lowerbound-no-atoms": ({"experiment": "lowerbound", "measure": NO_ATOMS,
+                             "params": {"eps": 0.5}}, "the zero measure has no support"),
+    "uniform-no-interval": (_transform_of({"variant": "UniformOnIntervals", "intervals": []}),
+                            "needs at least one interval"),
+    "digit-base-one": (_digits(1, [0]), "base must be at least 2"),
+    "digit-none": (_digits(3, []), "allowed_digits is empty"),
+    "digit-equal-to-base": (_digits(3, [0, 3]), "out of range for base 3"),
+    "digit-negative": (_digits(3, [-1, 2]), "out of range for base 3"),
+    "block-offset-negative": (_block(-1, 2, "00"), "block offset must be nonnegative"),
+    "block-length-zero": (_block(0, 0, ""), "block length must be positive"),
+    "block-pattern-short": (_block(0, 3, "00"), "differs from block length"),
+    "digit-product-base-3": (_transform_of({"variant": "DigitProduct", "depth": 8, "base": 3}),
+                             "only base 2"),
+    "digit-product-depth-zero": (_transform_of({"variant": "DigitProduct", "depth": 0}),
+                                 "depth must be positive"),
+    "affine-scale-int-zero": (
+        _transform_of({"variant": "AffineImage", "inner": LEB, "scale": 0}),
+        "affine scale must be nonzero"),
+    "affine-scale-float-zero": (
+        _transform_of({"variant": "AffineImage", "inner": LEB, "scale": 0.0}),
+        "affine scale must be nonzero"),
+    "lowerbound-cut-misses-support": (
+        {"experiment": "lowerbound", "measure": _cut(0.5, center=3.0), "params": {"eps": 0.5}},
+        "window does not meet the support"),
+    "explicit-zero": (_transform_along({"variant": "Explicit", "frequencies": [1.5, 0]}),
+                      "must not contain zero"),
+    "explicit-empty": (_transform_along({"variant": "Explicit", "frequencies": []}),
+                       "schedule generated no frequencies"),
+    "integer-range-from-zero": (
+        _transform_along({"variant": "IntegerRange", "j_max": 5, "j_min": 0}),
+        "need 1 <= j_min <= j_max"),
+    "dyadic-max-below-min": (
+        _transform_along({"variant": "DyadicWindows", "min_exp": 4, "max_exp": 3}),
+        "max_exp below min_exp"),
+    "dyadic-no-samples": (
+        _transform_along({"variant": "DyadicWindows", "min_exp": 4, "max_exp": 8,
+                          "samples_per_window": 0}),
+        "at least one sample per window"),
+    "lacunary-no-exponent": (_lacunary([]), "exponents must be nonnegative integers"),
+    "lacunary-exponent-negative": (_lacunary([-1, 4]), "exponents must be nonnegative integers"),
+    "lacunary-multipliers-zero": (_lacunary([4], 0), "multipliers is a count"),
+    "measex-identity-depth-past-64": (BAD_CONFIGS["measex-identity-depth-past-cap"],
+                                      "depth 65 above 64"),
+    "measex-decay-depth-past-64": (BAD_CONFIGS["measex-depth-past-cap"], "depth 65 above 64"),
+    "energy-spatial-past-float-range": (BAD_CONFIGS["energy-mixture-weight-overflows"],
+                                        "the spatial energy leaves the float range"),
+    "wiener-past-float-range": (BAD_CONFIGS["wiener-trapezoid-sum-overflows"],
+                                "the Wiener average leaves the float range"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFUSALS))
+def test_refusal_exits_2_with_its_message(name, tmp_path, monkeypatch, capsys):
+    cfg, message = REFUSALS[name]
+    assert _run(tmp_path, monkeypatch, cfg) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
+def test_measex_spike_off_by_1e_minus_6_fails_its_claim(tmp_path, monkeypatch):
+    # the spikes are exact at their integer frequencies; the tolerance was
+    # 1.0, under which a spike 0.9 off still passed
+    exact = cli.ft
+    monkeypatch.setattr(cli, "ft", lambda m, xi: exact(m, xi) + (1e-6 if xi == 2 else 0.0))
+    assert _run(tmp_path, monkeypatch, {"experiment": "measex", "output": "mx"}) == 4
+    summary = json.loads((tmp_path / "mx.json").read_text())
+    assert 0.0 < summary["spike_max_dev"] < 2e-6 and summary["passed"] is False
+    # every other part of the claim holds, as in the unpatched preset
+    assert summary["dim_g"] <= 0.05 and summary["dim_sum"] >= 0.95
+
+
+def test_transform_exits_3_where_the_quadrature_disagrees(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "ft_quadrature", lambda m, xi, tol, panels:
+                        QuadratureResult(cli.ft(m, xi) + 1.0, 0.0, panels))
+    cfg = {"experiment": "transform", "measure": LEB, "schedule": DYADIC,
+           "params": {"quadrature_count": 2}}
+    assert _run(tmp_path, monkeypatch, cfg) == 3
+    assert "closed form and quadrature disagree by 1.0" in capsys.readouterr().err
+
+
+GALOIS_SMALL = {"experiment": "galois", "output": "g",
+                "params": {"models": 3, "trials": 4, "decompositions": 3}}
+
+
+def test_galois_reports_its_first_counterexample(tmp_path, monkeypatch):
+    witness = "(0, 'double_perp', 1, 3)"
+
+    def violated(model, trials, rng):
+        return {"total_violations": 2, "first_counterexample": witness}
+
+    monkeypatch.setattr(cli, "check_perp_properties", violated)
+    assert _run(tmp_path, monkeypatch, GALOIS_SMALL) == 4
+    summary = json.loads((tmp_path / "g.json").read_text())
+    assert summary["perp_violations"] == 6 and summary["first_counterexample"] == witness
+    assert summary["bad_partitions"] == 0 and summary["passed"] is False
+
+
+def test_galois_counts_a_decomposition_that_drops_an_atom(tmp_path, monkeypatch):
+    exact = cli.decompose_atomic
+
+    def dropping(mu, family):
+        on, off, covered = exact(mu, family)
+        kept = (on.atoms + off.atoms)[1:]
+        return cli.Atomic(tuple(a for a in kept if a in on.atoms)), \
+            cli.Atomic(tuple(a for a in kept if a in off.atoms)), covered
+
+    monkeypatch.setattr(cli, "decompose_atomic", dropping)
+    assert _run(tmp_path, monkeypatch, GALOIS_SMALL) == 4
+    summary = json.loads((tmp_path / "g.json").read_text())
+    assert summary["bad_partitions"] == 3 and summary["perp_violations"] == 0
+    assert summary["passed"] is False
+
+
+def test_json_float_writes_the_non_numbers_as_strings():
+    assert [cli._json_float(x) for x in (math.nan, math.inf, -math.inf, 0.5)] == \
+        ["nan", "inf", "-inf", 0.5]
 
 
 def test_unwritable_out_exits_2(tmp_path, monkeypatch, capsys):

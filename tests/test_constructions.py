@@ -32,6 +32,11 @@ def test_schedule_validation():
     fd.DigitScheduleSpec(1, 2, (1, 5), (4, 1))  # touching blocks are fine
 
 
+def test_schedule_positions_start_at_one():
+    with pytest.raises(fd.MeasureError, match="block positions must be positive"):
+        fd.DigitScheduleSpec(1, 2, (0, 3), (1, 1))
+
+
 def test_proportional_blocks_window():
     spec = fd.DigitScheduleSpec.proportional_blocks(1, 4, 0.85)
     lo, hi = (1.0 - 0.85) / 0.85, 0.85 / 2.0
@@ -86,6 +91,15 @@ def test_lacunary_mass_is_one():
     g = fd.lacunary_trig_measure(+1)
     assert fd.ft(g, 0) == 1.0 + 0.0j
     assert fd.mass(g) == 1.0
+
+
+def test_lacunary_depth_is_capped_at_64():
+    # 2^(64^2) is the frequency cap; deeper terms are refused before any is
+    # built (depth 10^4 would make about 40 GB of ints)
+    assert fd.lacunary_trig_measure(+1, 64).terms[-1][1] == 2 ** 4096
+    for depth in (65, 10 ** 4):
+        with pytest.raises(fd.MeasureError, match=f"depth {depth} above 64"):
+            fd.lacunary_trig_measure(-1, depth)
 
 
 def test_lacunary_spikes_by_sign():

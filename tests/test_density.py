@@ -60,6 +60,14 @@ def test_poly_exp_integral_vectorised():
         assert abs(v - poly_exp_integral(poly, float(g), 0.0, 1.0)) < 1e-14
 
 
+@pytest.mark.parametrize("a,b,poly,message", [
+    (0.5, 0.5, (1.0,), "is empty"), (0.6, 0.5, (1.0,), "is empty"),
+    (0.0, 1.0, (), "polynomial is empty")])
+def test_piece_refuses_an_empty_interval_or_polynomial(a, b, poly, message):
+    with pytest.raises(fd.MeasureError, match=message):
+        DensityPiece(a, b, 0.5 * (a + b), poly, 1.0 + 0.0j, 0.0)
+
+
 def test_piece_evaluate_and_map_affine():
     p = DensityPiece(0.0, 1.0, 0.5, (1.0, 0.0, -1.0), 2.0, 3.0)
     x = np.linspace(0.0, 1.0, 11)

@@ -52,6 +52,17 @@ def test_decay_requires_eight_windows():
     fd.decay_exponent(LEB, fd.DyadicWindows(4, 11))  # exactly 8 is fine
 
 
+def test_decay_refuses_a_schedule_subclass_that_yields_zero():
+    # the four schedules refuse 0 when built; a subclass of the base can
+    # still hand one to the window exponents
+    class WithZero(fd.FrequencySchedule):
+        def frequencies(self):
+            return tuple(2.0 ** e for e in range(4, 12)) + (0,)
+
+    with pytest.raises(fd.ScheduleError, match="frequencies must be nonzero"):
+        fd.decay_exponent(LEB, WithZero())
+
+
 def test_decay_report_serialization():
     sched = fd.ExplicitFrequencies(tuple(float(2 ** e) for e in range(4, 16)))
     rep = fd.decay_exponent(LEB, sched)
@@ -146,6 +157,28 @@ def test_energy_spatial_refuses_a_density_past_the_float_range(s):
     # 0.5 used to let a RuntimeWarning out and s = 0.99 an OverflowError
     with pytest.raises(fd.MeasureError, match="float range"):
         fd.energy_spatial(fd.AffineImage(LEB, 1e-315), s)
+
+
+@pytest.mark.parametrize("scale", [1e-308, 1e-307])
+def test_energy_spatial_refuses_a_cell_kernel_past_the_float_range(scale):
+    # cells of width 2.4e-312: h^-0.99 used to end in an OverflowError at
+    # scale 1e-308, and the kernel at 1e-307 in an overflow warning
+    with pytest.raises(fd.MeasureError, match="the spatial energy leaves the float range"):
+        fd.energy_spatial(fd.AffineImage(LEB, scale), 0.99)
+
+
+def test_energy_routes_refuse_squared_transforms_past_the_float_range():
+    # a mass of 1e160 squares past the float range on both routes, which
+    # used to read "nan" (spatial) and warn; at 1e150 both stay finite
+    heavy = fd.Mixture((LEB,), (1e160,))
+    with pytest.raises(fd.MeasureError, match="the spatial energy leaves the float range"):
+        fd.energy_spatial(heavy, 0.5)
+    with pytest.raises(fd.MeasureError, match="the Fourier-side energy leaves the float range"):
+        fd.energy_fourier(heavy, 0.5)
+    light = fd.Mixture((LEB,), (1e150,))
+    spatial, fourier = fd.energy_spatial(light, 0.5), fd.energy_fourier(light, 0.5)
+    assert spatial.value == pytest.approx(fourier.value, rel=0.02)
+    assert spatial.value == pytest.approx(1e300 * 8.0 / 3.0, rel=1e-6)
 
 
 def test_energy_spatial_lebesgue_half():
@@ -448,6 +481,13 @@ def test_translation_exact_cancellation():
     m = fd.Atomic(((0.25, 1.0),))
     got = fd.translation_pair_transform(m, 0.5, 1)
     assert got < 1e-12  # half-turn phase kills the pair at integer frequency
+
+
+def test_translation_identity_failure_raises(monkeypatch):
+    # a translate phase of -1 cancels the pair, against 2 |cos(pi t xi)| > 0
+    monkeypatch.setattr(dimension, "phase_unit", lambda xi, t: -1.0 + 0.0j)
+    with pytest.raises(ArithmeticError, match="translation identity violated"):
+        fd.translation_pair_transform(LEB, 0.1, 0.3)
 
 
 def test_translation_rejects_higher_dimensions():

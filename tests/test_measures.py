@@ -58,6 +58,33 @@ def test_trig_density_frequencies_are_positive_integers():
     assert fd.mass(big) == 1.0
 
 
+def test_trig_density_reads_an_integral_float_frequency_as_its_int():
+    as_float, as_int = fd.TrigDensity(((0.5, 3.0),)), fd.TrigDensity(((0.5, 3),))
+    assert as_float == as_int and type(as_float.terms[0][1]) is int
+    xs = np.array([0.25, 3.0, 2.999, 7.5])
+    assert np.array_equal(fd.ft_grid(as_float, xs), fd.ft_grid(as_int, xs))
+    assert [fd.ft(as_float, x) for x in (3, 0.25)] == [fd.ft(as_int, x) for x in (3, 0.25)]
+
+
+def test_spans_are_checked_by_one_rule():
+    # UniformOnIntervals, DigitProduct and DigitScheduleSpec share the
+    # empty-span and overlap messages
+    for build in (lambda: fd.UniformOnIntervals(((0.0, 0.6), (0.5, 1.0))),
+                  lambda: fd.DigitProduct(6, ((0, 3, "000"), (2, 2, "11"))),
+                  lambda: fd.DigitScheduleSpec(1, 2, (1, 3), (4, 1))):
+        with pytest.raises(fd.MeasureError, match="s overlap: "):
+            build()
+    for build in (lambda: fd.UniformOnIntervals(((0.3, 0.3),)),
+                  lambda: fd.DigitScheduleSpec(1, 1, (1,), (0,))):
+        with pytest.raises(fd.MeasureError, match="is empty or reversed"):
+            build()
+
+
+def test_digit_product_refuses_a_block_past_its_depth_after_a_first_that_fits():
+    with pytest.raises(fd.MeasureError, match="block exceeds depth"):
+        fd.DigitProduct(4, ((2, 3, "000"), (0, 1, "0")))
+
+
 def test_uniform_refuses_a_length_whose_reciprocal_overflows():
     # the density 1 / 5e-324 is inf; energy_spatial warned on it
     with pytest.raises(fd.MeasureError, match="too small"):
@@ -483,3 +510,15 @@ def test_schedule_round_trip():
         d = fd.schedule_to_dict(s)
         back = fd.schedule_from_dict(d)
         assert back.frequencies() == s.frequencies()
+
+
+def test_schedule_base_and_unregistered_subclasses_are_refused():
+    with pytest.raises(NotImplementedError):
+        fd.FrequencySchedule().frequencies()
+
+    class Unregistered(fd.FrequencySchedule):
+        def frequencies(self):
+            return (1.5,)
+
+    with pytest.raises(fd.ScheduleError, match="unknown schedule Unregistered"):
+        fd.schedule_to_dict(Unregistered())

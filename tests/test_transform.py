@@ -490,6 +490,19 @@ def test_wiener_refuses_a_squared_mass_past_the_float_range():
     assert math.isfinite(big) and big > 0.0
 
 
+def test_wiener_grid_route_refuses_sums_past_the_float_range():
+    # |ft|^2 of a mass of 1e160 overflows, and at 1e153 the squares stay
+    # finite but their trapezoid sum at T = 1e4 does not: each used to
+    # warn and read "inf"
+    heavy = fd.Mixture((LEB,), (1e160,))
+    with pytest.raises(fd.MeasureError, match="the Wiener average leaves the float range"):
+        fd.wiener_average(heavy, 10.0)
+    atom_heavy = fd.Mixture((fd.Atomic(((0.5, 1.0),)), LEB), (1e153, 1.0))
+    with pytest.raises(fd.MeasureError, match="the Wiener average leaves the float range"):
+        fd.wiener_average(atom_heavy, 1e4)
+    assert fd.wiener_average(atom_heavy, 10.0) == pytest.approx(1e306, rel=1e-9)
+
+
 def test_wiener_single_atom_is_exactly_one():
     m = fd.Atomic(((0.3, 1.0),))
     assert fd.wiener_average(m, 1.0e4) == 1.0
