@@ -12,6 +12,10 @@ and <out>.csv (when the experiment produces rows).  Config shape:
       "output":   "run1"      # output prefix, overridden by --out
     }
 
+Every field is read through _param, and checked, before the experiment's
+first estimator or construction runs.  A config or params key that no reader
+looked up is refused once the run returns, before any output is written.
+
 Exit codes: 0 success, 2 config or usage error, 3 quadrature or convergence
 failure, 4 a claimed inequality failed (the JSON report is still written).
 Outputs are deterministic for a fixed config and seed: JSON keys are sorted
@@ -108,53 +112,63 @@ def _clean(obj):
 
 _REQUIRED = object()
 
+# (test, description) bounds on a checked field: a count of zero checks would
+# pass any claim, and a tolerance or slack must be a number the claim can use
+_AT_LEAST_1 = (lambda x: x >= 1, "at least 1")
+_AT_LEAST_0 = (lambda x: x >= 0, "at least 0")
+_POSITIVE = (lambda x: x > 0.0, "positive and finite")
+_NONNEGATIVE = (lambda x: x >= 0.0, "finite and at least 0")
 
-def _param(section: dict, key: str, check=None, default=_REQUIRED):
-    """section[key] checked by check (_integer, _finite, or None for as-is),
-    or default when absent; a missing required or malformed value is a
-    MeasureError."""
+
+class _Fields(dict):
+    """A config section that records each key looked up in it, so that a
+    key no reader asked for can be refused."""
+
+    def __init__(self, section):
+        super().__init__(section)
+        self.read = set()
+
+    def __contains__(self, key):
+        self.read.add(key)
+        return super().__contains__(key)
+
+
+def _param(section: dict, key: str, check=None, default=_REQUIRED, bound=None):
+    """section[key] checked by check (_integer, _finite, or None for as-is)
+    and by bound, a (test, description) pair, or default when absent; a
+    missing required or malformed value is a MeasureError."""
     if key not in section:
         if default is _REQUIRED:
             raise MeasureError(f"config is missing the '{key}' field")
         return default
-    if check is None:
-        return section[key]
-    return check(section[key], f"config field '{key}'")
-
-
-def _threshold(section: dict, key: str, default, ok=math.isfinite, need="finite"):
-    """A float claim threshold, default when absent; a given value that
-    fails ok (NaN always does) is a MeasureError, not a failed claim."""
-    if key not in section:
-        return default
-    x = _param(section, key, _finite)
-    if not ok(x):
-        raise MeasureError(f"config field '{key}' must be {need}, got {x!r}")
+    x = section[key] if check is None else check(section[key], f"config field '{key}'")
+    if bound is not None and not bound[0](x):
+        raise MeasureError(f"config field '{key}' must be {bound[1]}, got {x!r}")
     return x
-
-
-def _slack(params: dict) -> float:
-    return _threshold(params, "slack", 0.05, lambda x: 0.0 <= x < math.inf,
-                      "finite and at least 0")
-
-
-def _tol(params: dict, default: float) -> float:
-    return _threshold(params, "tol", default, lambda x: 0.0 < x < math.inf,
-                      "positive and finite")
-
-
-def _count(section: dict, key: str, default: int, least: int = 1) -> int:
-    """An int param no less than least, which is 1 unless given: a count
-    of zero checks would pass any claim."""
-    n = _param(section, key, _integer, default)
-    if n < least:
-        raise MeasureError(f"config field '{key}' must be at least {least}, got {n}")
-    return n
 
 
 def _seed(value: int) -> int:
     if value < 0:
         raise MeasureError(f"seeds must be nonnegative, got {value}")
+    return value
+
+
+def _experiment(name) -> str:
+    if not isinstance(name, str) or name not in _EXPERIMENTS:
+        known = ", ".join(sorted(_EXPERIMENTS))
+        raise MeasureError(f"unknown experiment {name!r} (known: {known})")
+    return name
+
+
+def _object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise MeasureError(f"{what} must be a JSON object")
+    return value
+
+
+def _prefix(value, what: str) -> str:
+    if not isinstance(value, str) or "\0" in value:
+        raise MeasureError(f"{what} must be a file name prefix, got {value!r}")
     return value
 
 
@@ -173,6 +187,9 @@ def _schedule(cfg):
 def _run_transform(cfg, params, rng):
     m = _measure(cfg)
     sched = _schedule(cfg)
+    quad_count = _param(params, "quadrature_count", _integer, 0, _AT_LEAST_0)
+    tol = _param(params, "quadrature_tol", _finite, 1e-9)
+    panels = _param(params, "quadrature_max_panels", _integer, 1 << 17)
     total = mass(m)  # refuses a mass past the float range before the grid overflows
     samples = ft_batch(m, sched)
     max_abs = max((abs(s.value) for s in samples), default=0.0)
@@ -182,11 +199,8 @@ def _run_transform(cfg, params, rng):
              "log2_abs_value": math.log2(abs(s.value)) if s.value else "-inf",
              "method": s.method}
             for s in samples]
-    quad_count = _count(params, "quadrature_count", 0, least=0)
     quad_dev = 0.0
     if quad_count > 0:
-        tol = _param(params, "quadrature_tol", _finite, 1e-9)
-        panels = _param(params, "quadrature_max_panels", _integer, 1 << 17)
         for s in samples[:quad_count]:
             q = ft_quadrature(m, s.xi, tol, panels)
             quad_dev = max(quad_dev, abs(q.value - s.value))
@@ -207,14 +221,11 @@ def _run_transform(cfg, params, rng):
 
 def _run_decay(cfg, params, rng):
     m = _measure(cfg)
-    report = decay_exponent(m, _schedule(cfg))
-    passed = True
-    top = _threshold(params, "max_capped_dim", None)
-    if top is not None:
-        passed = passed and report.capped_dim <= top
-    bottom = _threshold(params, "min_capped_dim", None)
-    if bottom is not None:
-        passed = passed and report.capped_dim >= bottom
+    sched = _schedule(cfg)
+    top = _param(params, "max_capped_dim", _finite, math.inf)
+    bottom = _param(params, "min_capped_dim", _finite, -math.inf)
+    report = decay_exponent(m, sched)
+    passed = bottom <= report.capped_dim <= top
     rows = [_record(w) for w in report.windows]
     summary = {
         "windows": len(report.windows),
@@ -230,6 +241,7 @@ def _run_energy(cfg, params, rng):
     s = _param(params, "s", _finite)
     resolution = _param(params, "resolution", _integer, 4096)
     cutoff = _param(params, "cutoff", _finite, 4096.0)
+    budget = _param(params, "tol", _finite, None, _POSITIVE)  # None: from the error bars
     spa = energy_spatial(m, s, resolution)
     fou = energy_fourier(m, s, cutoff)
     if math.isinf(spa.value) or math.isinf(fou.value):
@@ -237,7 +249,8 @@ def _run_energy(cfg, params, rng):
         dev = 0.0 if agree else math.inf
     else:
         dev = abs(spa.value - fou.value)
-        budget = _tol(params, 3.0 * (spa.err_estimate + fou.err_estimate)
+        if budget is None:
+            budget = (3.0 * (spa.err_estimate + fou.err_estimate)
                       + 0.02 * max(1.0, abs(spa.value)))
         agree = dev <= budget
     summary = {
@@ -253,9 +266,9 @@ def _run_energy(cfg, params, rng):
 def _run_wiener(cfg, params, rng):
     m = _measure(cfg)
     horizon = _param(params, "T", _finite, 1.0e4)
+    tol = _param(params, "tol", _finite, 0.02, _POSITIVE)
     value = wiener_average(m, horizon)
     limit = math.fsum(w * w for w in atom_weights(m).values())
-    tol = _tol(params, 0.02)
     passed = abs(value - limit) <= tol
     summary = {
         "T": horizon,
@@ -285,8 +298,8 @@ def _run_stability(cfg, params, rng):
     m1 = _measure(cfg)
     m2 = measure_from_dict(_param(params, "measure2"))
     sched = _schedule(cfg)
+    slack = _param(params, "slack", _finite, 0.05, _NONNEGATIVE)
     r1, r2, rsum = stability_experiment(m1, m2, sched)
-    slack = _slack(params)
     floor = min(r1.capped_dim, r2.capped_dim) - slack
     passed = rsum.capped_dim >= floor
     rows = [{"measure": tag, **_record(w)}
@@ -306,8 +319,8 @@ def _run_matrix_image(cfg, params, rng):
     m = _measure(cfg)
     scale = _param(params, "scale")
     sched = _schedule(cfg)
+    slack = _param(params, "slack", _finite, 0.05, _NONNEGATIVE)
     base, summed = matrix_image_experiment(m, scale, sched)
-    slack = _slack(params)
     passed = abs(base.capped_dim - summed.capped_dim) <= slack
     summary = {
         "scale": scale,
@@ -380,6 +393,7 @@ def _run_setexc(cfg, params, rng):
 def _run_measex(cfg, params, rng):
     id_depth = _param(params, "identity_depth", _integer, 6)
     decay_depth = _param(params, "decay_depth", _integer, 48)
+    seed = _seed(_param(params, "seed", _integer, 7))
     g = lacunary_trig_measure(1, id_depth)
     h = lacunary_trig_measure(-1, id_depth)
 
@@ -392,7 +406,7 @@ def _run_measex(cfg, params, rng):
     spikes_ok = spike_dev <= 1e-12  # the spikes are exact at integer frequencies
 
     both = Mixture((g, h), (1.0, 1.0))
-    rng_local = np.random.default_rng(_seed(_param(params, "seed", _integer, 7)))
+    rng_local = np.random.default_rng(seed)
     freqs = np.sort(rng_local.uniform(0.5, 4096.0, size=100))
     leb = UniformOnIntervals(((0.0, 1.0),))
     sum_dev = 0.0
@@ -426,11 +440,11 @@ def _run_measex(cfg, params, rng):
 
 
 def _run_cantor(cfg, params, rng):
-    mu = cantor_measure()
-    k_max = _count(params, "k_max", 12)
+    k_max = _param(params, "k_max", _integer, 12, _AT_LEAST_1)
     if k_max >= MAX_ABS_FREQUENCY.bit_length() or 3 ** k_max > MAX_ABS_FREQUENCY:
         raise MeasureError(f"config field 'k_max' = {k_max} puts 3^k_max past the "
                            "frequency cap 2^4096")
+    mu = cantor_measure()
     base = abs(ft(mu, 1))
     rows = []
     id_dev = 0.0
@@ -455,11 +469,11 @@ def _run_cantor(cfg, params, rng):
 
 
 def _run_galois(cfg, params, rng):
-    n_models = _count(params, "models", 200)
-    trials = _count(params, "trials", 20)
+    n_models = _param(params, "models", _integer, 200, _AT_LEAST_1)
+    trials = _param(params, "trials", _integer, 20, _AT_LEAST_1)
     nx = _param(params, "nx", _integer, 8)
     ny = _param(params, "ny", _integer, 8)
-    n_decomp = _count(params, "decompositions", 200)
+    n_decomp = _param(params, "decompositions", _integer, 200, _AT_LEAST_1)
 
     total_viol = 0
     first = None
@@ -598,30 +612,24 @@ def main(argv=None) -> int:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 2
 
-    if not isinstance(cfg, dict):
-        print("error: config must be a JSON object", file=sys.stderr)
-        return 2
-    name = cfg.get("experiment")
-    if not isinstance(name, str) or name not in _EXPERIMENTS:
-        known = ", ".join(sorted(_EXPERIMENTS))
-        print(f"error: unknown experiment {name!r} (known: {known})",
-              file=sys.stderr)
-        return 2
-
-    params = cfg.get("params", {})
-    if not isinstance(params, dict):
-        print("error: params must be a JSON object", file=sys.stderr)
-        return 2
-    output = cfg.get("output", "")
-    if not isinstance(output, str) or "\0" in output:
-        print(f"error: output must be a file name prefix, got {output!r}", file=sys.stderr)
-        return 2
-    prefix = args.out or output or name
-    runner, _, claim = _EXPERIMENTS[name]
-
     try:
-        seed = _seed(args.seed if args.seed is not None else _param(cfg, "seed", _integer, 0))
+        cfg = _Fields(_object(cfg, "config"))
+        name = _experiment(_param(cfg, "experiment", default=None))
+        params = _Fields(_object(_param(cfg, "params", default={}), "params"))
+        output = _prefix(_param(cfg, "output", default=""), "output")
+        prefix = _prefix(args.out, "--out") if args.out else output or name
+        seed = _seed(_param(cfg, "seed", _integer, 0))
+        if args.seed is not None:
+            seed = _seed(args.seed)
+        runner, _, claim = _EXPERIMENTS[name]
         summary, rows = runner(cfg, params, np.random.default_rng(seed))
+        # a key no reader looked up is a typo whose claim went unchecked
+        for where, section in (("config", cfg), ("params", params)):
+            unread = sorted(set(section) - section.read)
+            if unread:
+                raise MeasureError(
+                    f"unknown {where} field {', '.join(map(repr, unread))}; {name} "
+                    f"reads {', '.join(sorted(section.read))}")
     except QuadratureError as exc:
         print(f"error: quadrature failed to converge: {exc}", file=sys.stderr)
         return 3

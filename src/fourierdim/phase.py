@@ -8,19 +8,23 @@ float range, and it makes transform values at integer frequencies exact (for
 instance, the transform of Lebesgue measure on [0, 1] is exactly 0 at every
 nonzero integer).
 
-The float route (grid rules, density pieces, Filon panels) forms every phase
-exp(-2 pi i xi x) of a frequency and a position through ``_phase_vec``, and
-every unit-interval integral through ``_eplus_vec``.  Both reduce their
-argument from exact parts: ``_phase_vec`` takes xi * x mod 1 from the
-error-free product of the two floats, and ``_eplus_vec`` takes g mod 2 from
-the parts its caller formed without rounding (TwoSum, TwoProduct).  Their
+The float route (grid rules, density pieces, Filon panels) forms the phase
+exp(-2 pi i xi x) of a frequency and a float position through
+``_phase_vec``, and every unit-interval integral through ``_eplus_vec``.
+Both reduce their argument from exact parts: ``_phase_vec`` takes xi * x
+mod 1 from the error-free product of the two floats, and ``_eplus_vec``
+takes g mod 2 from the parts its caller formed without rounding (TwoSum,
+TwoProduct).  Their
 phase error is therefore a few units of the last place whatever the size of
 xi * x, where reducing the rounded product would lose |xi x| units.  Both
 end in one kernel, ``_unit_turns``, which gives exp(2 pi i (hi + lo)) as a
 complex array for a turn in two parts: hi of any finite size, reduced
 exactly, and lo, added after that reduction.  lo need not be small against a
 turn (a self-similar position, a double-double, passes a few turns at large
-xi).
+xi).  ``SelfSimilarDigit._grid`` takes its level phases from double-double
+positions through ``_product_turns`` and ``_unit_turns`` itself, since
+``_phase_vec`` takes no low part; its tail phase and ``TrigDensity._grid``'s
+half turn go straight to ``_unit_turns``.
 
 ``_ratio`` is the package's one reader of a scalar frequency: ints of any
 size and Fractions stay exact, and anything else must be a finite real

@@ -551,6 +551,20 @@ BAD_CONFIGS = {
     # a lacunary depth past 64, refused before its 2^(k^2) terms are built
     "measex-identity-depth-past-cap": {"experiment": "measex",
                                        "params": {"identity_depth": 65}},
+    # a field read on some paths only, and keys no runner reads: each used
+    # to exit 0 with the malformed value or the misspelt claim unchecked
+    "energy-atom-tol-string": {"experiment": "energy", "params": {"s": 0.5, "tol": "x"},
+                               "measure": {"variant": "Atomic",
+                                           "atoms": [{"position": 0.5, "weight": 1.0}]}},
+    "quadrature-fields-without-count": {"experiment": "transform", "measure": LEB,
+                                        "schedule": DYADIC,
+                                        "params": {"quadrature_tol": "x",
+                                                   "quadrature_max_panels": -5}},
+    "decay-threshold-misspelt": {"experiment": "decay", "measure": CANTOR,
+                                 "schedule": {"variant": "DyadicWindows", "min_exp": 4,
+                                              "max_exp": 20},
+                                 "params": {"max_caped_dim": 0.05}},
+    "params-misspelt": {"experiment": "wiener", "measure": TWO_ATOMS, "param": {"T": 100.0}},
 }
 
 
@@ -560,6 +574,7 @@ def test_bad_config_exits_2_without_traceback(name, tmp_path, monkeypatch, capsy
     assert _run(tmp_path, monkeypatch, BAD_CONFIGS[name]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+    assert os.listdir(tmp_path) == ["cfg.json"]  # no output written
 
 
 # Refusals that each exit 2 with their own message: the message must be in
@@ -654,6 +669,14 @@ REFUSALS = {
                                         "the spatial energy leaves the float range"),
     "wiener-past-float-range": (BAD_CONFIGS["wiener-trapezoid-sum-overflows"],
                                 "the Wiener average leaves the float range"),
+    "energy-atom-tol-string": (BAD_CONFIGS["energy-atom-tol-string"],
+                               "config field 'tol' must be a finite real number"),
+    "unknown-params-key": (BAD_CONFIGS["decay-threshold-misspelt"],
+                           "unknown params field 'max_caped_dim'; decay reads "
+                           "max_capped_dim, min_capped_dim"),
+    "unknown-config-key": (BAD_CONFIGS["params-misspelt"],
+                           "unknown config field 'param'; wiener reads experiment, "
+                           "measure, output, params, seed"),
 }
 
 
@@ -736,6 +759,20 @@ def test_negative_seed_override_exits_2(tmp_path, monkeypatch, capsys):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+def test_negative_config_seed_under_a_seed_override_exits_2(tmp_path, monkeypatch, capsys):
+    cfg = {"experiment": "cantor", "seed": -1}
+    assert _run(tmp_path, monkeypatch, cfg, ["--seed", "3"]) == 2
+    assert "seeds must be nonnegative, got -1" in capsys.readouterr().err
+
+
+def test_out_with_a_nul_byte_exits_2(tmp_path, monkeypatch, capsys):
+    # the config's "output" took this check, and --out ended in a ValueError
+    # from open() after the run
+    assert _run(tmp_path, monkeypatch, {"experiment": "cantor"}, ["--out", "a\0b"]) == 2
+    assert "--out must be a file name prefix" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["cfg.json"]
+
+
 def test_transform_of_an_atom_past_2_to_the_1000_exits_0(tmp_path, monkeypatch, capsys):
     # xi times the position overflows on the float grid; those points take ft
     cfg = {"experiment": "transform",
@@ -780,6 +817,67 @@ def test_every_experiment_runs_clean(name, tmp_path, monkeypatch):
     assert summary["experiment"] == name
     assert summary["passed"] is True
     assert isinstance(summary["claim"], str) and summary["claim"]
+
+
+# cli's reads of a description: every other name it imports from the package,
+# other than the number readers and the error types, does work
+_READS = {"measure_from_dict", "schedule_from_dict", "_finite", "_integer"}
+_WORK = sorted(name for name, value in vars(cli).items()
+               if callable(value) and name not in _READS
+               and getattr(value, "__module__", "").startswith("fourierdim.")
+               and value.__module__ != cli.__name__
+               and not (isinstance(value, type) and issubclass(value, Exception)))
+
+# fields that a runner used to read only after its estimators, or on some paths
+LATE_FIELDS = {"transform": {"quadrature_count", "quadrature_tol", "quadrature_max_panels"},
+               "decay": {"max_capped_dim", "min_capped_dim"}, "energy": {"tol"},
+               "wiener": {"tol"}, "stability": {"slack"}, "matrix-image": {"slack"},
+               "measex": {"seed"}}
+
+
+class _Work:
+    """An estimator or construction that fails the test when it is used."""
+
+    def __init__(self, name):
+        self.name = name
+
+    def __call__(self, *args, **kwargs):
+        raise AssertionError(f"{self.name} ran before every config field was read")
+
+    def __getattr__(self, attr):  # DigitScheduleSpec.index_blocks, IncidenceModel.random
+        return self
+
+
+@pytest.mark.parametrize("name", sorted(EXPERIMENT_CONFIGS))
+def test_every_number_field_is_read_before_any_work(name, tmp_path, monkeypatch, capsys):
+    cfg = EXPERIMENT_CONFIGS[name]
+    fields = set()  # (top level?, key) of each field read with a number check
+    param = cli._param
+
+    def spy(section, key, check=None, *args, **kwargs):
+        if check in (cli._integer, cli._finite):
+            fields.add((section == cfg, key))
+        return param(section, key, check, *args, **kwargs)
+
+    good, refused = tmp_path / "good", tmp_path / "refused"
+    good.mkdir()
+    refused.mkdir()
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_param", spy)
+        assert _run(good, m, cfg) == 0
+    assert LATE_FIELDS.get(name, set()) <= {key for top, key in fields if not top}
+    assert (True, "seed") in fields
+
+    assert {"mass", "ft_batch", "decay_exponent", "cantor_measure", "DigitScheduleSpec",
+            "IncidenceModel"} <= set(_WORK)
+    for work in _WORK:
+        monkeypatch.setattr(cli, work, _Work(work))
+    for top, key in sorted(fields):
+        bad = json.loads(json.dumps(cfg))
+        (bad if top else bad.setdefault("params", {}))[key] = "x"
+        assert _run(refused, monkeypatch, bad) == 2, key
+        assert f"config field '{key}'" in capsys.readouterr().err
+        assert os.listdir(refused) == ["cfg.json"], key
 
 
 def test_console_entry_point(tmp_path):
