@@ -74,6 +74,7 @@ from .measures import (
     schedule_from_dict,
 )
 from .transform import (
+    QUADRATURE_MAX_PANELS,
     QuadratureError,
     atom_weights,
     ft,
@@ -118,6 +119,7 @@ _AT_LEAST_1 = (lambda x: x >= 1, "at least 1")
 _AT_LEAST_0 = (lambda x: x >= 0, "at least 0")
 _POSITIVE = (lambda x: x > 0.0, "positive and finite")
 _NONNEGATIVE = (lambda x: x >= 0.0, "finite and at least 0")
+_PANELS = (lambda x: 8 <= x <= QUADRATURE_MAX_PANELS, f"in [8, {QUADRATURE_MAX_PANELS}]")
 
 
 class _Fields(dict):
@@ -188,8 +190,8 @@ def _run_transform(cfg, params, rng):
     m = _measure(cfg)
     sched = _schedule(cfg)
     quad_count = _param(params, "quadrature_count", _integer, 0, _AT_LEAST_0)
-    tol = _param(params, "quadrature_tol", _finite, 1e-9)
-    panels = _param(params, "quadrature_max_panels", _integer, 1 << 17)
+    tol = _param(params, "quadrature_tol", _finite, 1e-9, _POSITIVE)
+    panels = _param(params, "quadrature_max_panels", _integer, 1 << 17, _PANELS)
     total = mass(m)  # refuses a mass past the float range before the grid overflows
     samples = ft_batch(m, sched)
     max_abs = max((abs(s.value) for s in samples), default=0.0)

@@ -35,8 +35,8 @@ from functools import cache, cached_property, lru_cache
 
 import numpy as np
 
-from .density import (DensityPiece, decompose_density, piece_transform, window_poly,
-                      window_value)
+from .density import (DensityPiece, decompose_density, piece_ft, piece_transform,
+                      window_piece, window_value)
 from .errors import MeasureError, ScheduleError
 from .phase import (GRID_CHUNK, _eplus_frac, _eplus_vec, _finite, _half_turn, _phase_at,
                     _phase_frac, _phase_vec, _product_turns, _ratio, _split, _two_product,
@@ -167,12 +167,14 @@ def _merge_atoms(pairs) -> dict:
 
 
 # The highest window order.  The window's monomial coefficients cancel in
-# the piece integrals.  Relative to its mass, a cut of a uniform, a
-# trigonometric or a digit-product density is within 9.5e4 u of a 40-digit
-# integral at order 20 (pinned at 2^19 u in tests/test_oracle.py) and up to
-# 1.0e6 u off at order 24; at order 100 the cut (0.5, 0.1) of the uniform
-# density reads mass 5.7e10 for 0.018.  The factored window of ROADMAP
-# item 3 would lift the cap.
+# the Gauss-Legendre piece integrals (low frequencies, mass too).  Relative to
+# its mass, a cut of a uniform, a trigonometric or a digit-product density is
+# within 9.5e4 u of a 40-digit integral at order 20 (pinned at 2^19 u in
+# tests/test_oracle.py) and up to 1.0e6 u off at order 24; at order 100 the
+# cut (0.5, 0.1) of the uniform density reads mass 5.7e10 for 0.018.  The
+# integration-by-parts branch takes the window's jets from its factored
+# form; the cap stays until the Gauss-Legendre branch does too (ROADMAP
+# item 3).
 WINDOW_MAX_ORDER = 20
 
 
@@ -279,10 +281,10 @@ class Measure:
         the inner floor over |scale|, and the least of the inner ceiling
         over max(|scale|, 1) and its offset's ceiling as a position.
 
-        A window cut's scalar rule is its grid rule on a 0-d array, one piece
-        sum for both.  Its values can still differ from a 1-d grid's, by at
-        most 4e-14 relative at about a third of sampled points with |xi| up
-        to 2^20, because numpy's scalar and array kernels round differently."""
+        A window cut's scalar and grid rules take the same piece sums, the
+        scalar one with exact phases and the grid one with float phases: at
+        sampled points with |xi| up to 2^60 they differ by at most 4e-14
+        relative."""
         lo, hi = self._support()
         return _position_guard(max(-lo, hi))
 
@@ -565,12 +567,15 @@ class SelfSimilarDigit(Measure):
         # Level n sums exp(-2 pi i p d / den) over the digits, den = q base^n.
         # The residues of p are taken top-down: p is reduced once mod the
         # deepest modulus, and each shallower residue from the one below it,
-        # which its modulus divides.  Digit 0 contributes exactly 1.
+        # which its modulus divides.  Digit 0 contributes exactly 1.  Every
+        # residue shallower than a 0 is 0 too, and where |D| (1/|D|) rounds
+        # to 1 each such level is exactly 1 + 0j: the loop stops at the 0.
         digits = self.allowed_digits
         start = 0.0 + 0.0j
         if digits[0] == 0:
             start, digits = 1.0 + 0.0j, digits[1:]
         inv = 1.0 / len(self.allowed_digits)
+        whole = len(self.allowed_digits) * inv == 1.0
         den = q * self.base
         dens = [den]
         stop = p << _SELF_SIMILAR_CUTOFF_BITS
@@ -581,10 +586,12 @@ class SelfSimilarDigit(Measure):
         r = p
         for modulus in reversed(dens):
             r %= modulus
+            if not r and whole:
+                break
             residues.append(r)
         residues.reverse()
         out = 1.0 + 0.0j
-        for den, r in zip(dens, residues):
+        for den, r in zip(dens[len(dens) - len(residues):], residues):
             s = start
             for d in digits:
                 s += _phase_frac(r * d, den)
@@ -1046,9 +1053,10 @@ class SmoothCutDensity(Measure):
         return lo, hi
 
     def _ft(self, p, q) -> complex:
-        if p.bit_length() - q.bit_length() > 1020:
-            return 0.0j  # piece transforms decay like 1/xi; below underflow
-        return complex(self._grid(np.array(p / q)))
+        out = 0.0j
+        for piece in self._density():
+            out += piece_ft(piece, p, q)
+        return out
 
     def _grid(self, xs: np.ndarray) -> np.ndarray:
         out = np.zeros(xs.shape, dtype=complex)
@@ -1066,9 +1074,7 @@ class SmoothCutDensity(Measure):
         """The product pieces, empty where the window misses the inner
         density, built on first use and kept; a build that raises stores
         nothing, so every later call raises the same way."""
-        wpiece = DensityPiece(self.center - self.radius, self.center + self.radius,
-                              self.center, window_poly(self.radius, self.order),
-                              1.0 + 0.0j, 0.0)
+        wpiece = window_piece(self.center, self.radius, self.order)
         products = (wpiece.multiply(p) for p in decompose_density(self.inner))
         return tuple(q for q in products if q is not None)
 

@@ -191,12 +191,11 @@ def _two_product(xs, y, parts=None) -> tuple:
     """(t, e) with t = fl(xs * y) and t + e = xs * y exactly, for an array xs
     (split once by the caller into parts, or here) and a float y, or a
     column of floats, one row of products each.  Where a
-    split overflows (|xs| or |y| past 2^995) e is 0.  Three callers still
+    split overflows (|xs| or |y| past 2^995) e is 0.  Two callers still
     reach that: a grid rule at xi = 0 with a position past 2^995, where t
-    and the true error are both 0; ft_quadrature's panel phases at |xi|
-    past 2^995; and SmoothCutDensity's scalar rule there, through
-    piece_transform.  The grid band keeps every other grid point clear of
-    it (Measure._grid_guard).  A scalar y of at most 26
+    and the true error are both 0; and ft_quadrature's panel phases at |xi|
+    past 2^995.  The grid band keeps every other grid point clear of it
+    (Measure._grid_guard).  A scalar y of at most 26
     significant bits (grid positions such as k/32 or k/1024) splits with a
     zero low half, whose two products are left out: adding a zero to e
     changes no bit of it but its sign, which _frac clears."""
@@ -292,15 +291,17 @@ def _unit_turns(hi, lo=0.0):
     return out[()]
 
 
-def _phase_vec(xs, x, parts=None):
-    """Float counterpart of phase_unit: exp(-2 pi i xs x) over an array of xs
-    (or a scalar), with xs * x reduced mod 1 from the exact product.
+def _phase_vec(xs, x, parts=None, x_lo=0.0):
+    """Float counterpart of phase_unit: exp(-2 pi i xs (x + x_lo)) over an
+    array of xs (or a scalar), with xs * x reduced mod 1 from the exact
+    product.
 
     No correction is made when x is a power of two, whose products are
     exact.  parts is the split of xs, for callers that form several phases
-    of one frequency array.
+    of one frequency array.  x_lo is the low half of a double-double
+    position (a window edge), whose product with xs is formed in floats.
     """
-    return _unit_turns(*_product_turns(xs, -x, parts))
+    return _unit_turns(*_product_turns(xs, -x, parts, -x_lo))
 
 
 def _eplus_vec(hi, lo=0.0):

@@ -560,6 +560,18 @@ BAD_CONFIGS = {
                                         "schedule": DYADIC,
                                         "params": {"quadrature_tol": "x",
                                                    "quadrature_max_panels": -5}},
+    # quadrature fields out of range without a count: their ranges used to
+    # be checked only by ft_quadrature, which a count of 0 never runs
+    "quadrature-panels-negative-without-count": {"experiment": "transform", "measure": LEB,
+                                                 "schedule": DYADIC,
+                                                 "params": {"quadrature_max_panels": -5}},
+    "quadrature-tol-zero-without-count": {"experiment": "transform", "measure": LEB,
+                                          "schedule": DYADIC,
+                                          "params": {"quadrature_tol": 0}},
+    "quadrature-tol-negative-without-count": {"experiment": "transform", "measure": LEB,
+                                              "schedule": DYADIC,
+                                              "params": {"quadrature_tol": -1.0,
+                                                         "quadrature_max_panels": 3}},
     "decay-threshold-misspelt": {"experiment": "decay", "measure": CANTOR,
                                  "schedule": {"variant": "DyadicWindows", "min_exp": 4,
                                               "max_exp": 20},

@@ -121,6 +121,19 @@ def test_decay_known_answer_lebesgue():
     assert rep.liminf_proxy == min(w.local_exponent for w in rep.windows[18:])
 
 
+def test_decay_known_answer_smooth_cut():
+    # The window's first 3 jets vanish at its edges, inside [0, 1], so |ft|
+    # decays like xi^-4 and the local exponents tend to 2 (order + 1) = 8:
+    # window maxima of about C 2^(-4e) put (8 - exponent)(e + 0.5) at
+    # 4 + 2 log2 C, measured between 4.65 and 5.87 on the top half
+    rep = fd.decay_exponent(fd.smooth_cut(LEB, (0.5, 0.3, 3)), fd.DyadicWindows(4, 50))
+    assert len(rep.windows) == 47
+    top = rep.windows[len(rep.windows) // 2:]
+    for w in top:
+        assert 4.0 <= (8.0 - w.local_exponent) * (w.exp_lo + 0.5) <= 7.0, w
+    assert rep.liminf_proxy == min(w.local_exponent for w in top)
+
+
 # ---------------------------------------------------------------------------
 # energies
 

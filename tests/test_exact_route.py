@@ -3,8 +3,8 @@
 TrigDensity shares one half turn per parity of the term frequency,
 SelfSimilarDigit reduces the numerator once per level, DigitProduct keeps its
 block plan and reads its supports from it, SmoothCutDensity keeps its product
-pieces on the measure and sums them in its grid rule alone, and
-stability_experiment evaluates each part once.  The references below are
+pieces on the measure and sums their scalar transforms in ft and their grid
+transforms in mass, and stability_experiment evaluates each part once.  The references below are
 straightforward per-term, per-digit and per-call versions of the same closed
 forms; every comparison is on the bits of the result, signed zeros included.
 """
@@ -22,8 +22,7 @@ from hypothesis import strategies as st
 
 import fourierdim as fd
 from fourierdim import measures, transform
-from fourierdim.density import (DensityPiece, cut_mass, decompose_density, piece_transform,
-                                 window_poly)
+from fourierdim.density import cut_mass, decompose_density, piece_ft, window_piece
 from fourierdim.phase import GRID_CHUNK, _product_turns, _ratio, _split, _unit_turns
 
 
@@ -141,16 +140,14 @@ def _ref_digit_product(m, xi):
 
 
 def _ref_cut_ft(cut, xi):
-    # the scalar rule before the grid rule took it over: one piece
-    # transform per point, summed from the int 0, and cut_mass at xi = 0
+    # the per-piece scalar rule: each piece's transform at the exact p / q,
+    # summed from 0j, conjugated below 0; cut_mass at xi = 0
     p, q = _ratio(xi)
     if p == 0:
         return complex(cut_mass(cut))
-    if abs(p).bit_length() - q.bit_length() > 1020:
-        out = 0.0j
-    else:
-        x = abs(p) / q
-        out = complex(sum(piece_transform(piece, x) for piece in decompose_density(cut)))
+    out = 0.0j
+    for piece in decompose_density(cut):
+        out += piece_ft(piece, abs(p), q)
     return out.conjugate() if p < 0 else out
 
 
@@ -239,6 +236,23 @@ def test_self_similar_level_residues_match_per_digit_rule(m, xi):
 def test_self_similar_level_residues_at_4096_bits(digits):
     m = fd.SelfSimilarDigit(5, digits)
     for xi in (2 ** 4096, -(3 ** 2500), 2 ** 4095 + 12345, 5 ** 1700):
+        assert _bits(m._ft_signed(*_ratio(xi))) == _bits(_ref_self_similar(m, xi)), xi
+
+
+# Frequencies whose shallow levels have residue 0, which the rule skips
+# where |D| (1/|D|) rounds to 1.  For 49 digits it does not (49 (1/49) < 1),
+# so those levels must stay.
+@pytest.mark.parametrize("m,freqs", [
+    (fd.cantor_measure(), [3 ** k for k in range(0, 700, 23)]
+     + [Fraction(3 ** k, 4) for k in range(1, 60, 7)] + [-(3 ** 40) * 7, 3.0 ** 30]),
+    (fd.SelfSimilarDigit(4, (0, 1, 3)), [(2 ** e) * j for e in range(0, 400, 13)
+                                        for j in (1, 3, 5, 6)]),
+    (fd.SelfSimilarDigit(50, tuple(range(49))), [50 ** e * j for e in range(0, 200, 9)
+                                                 for j in (1, 7)] + [Fraction(50 ** 9, 3)]),
+    (fd.SelfSimilarDigit(60, tuple(range(1, 50))), [60 ** e for e in range(0, 120, 11)]),
+], ids=("cantor-3k", "base4-2e", "49-digits", "49-digits-no-0"))
+def test_self_similar_levels_past_a_zero_residue_match_per_digit_rule(m, freqs):
+    for xi in freqs:
         assert _bits(m._ft_signed(*_ratio(xi))) == _bits(_ref_self_similar(m, xi)), xi
 
 
@@ -384,7 +398,8 @@ def window_cuts(draw):
     return cut
 
 
-# floats, ints past 2^53 (some past the 2^1020 shortcut) and Fractions
+# floats, ints past 2^53 (some past 2^1020, where every term underflows)
+# and Fractions
 CUT_FREQS = st.one_of(
     FLOATS,
     st.builds(lambda e, j, s: s * ((1 << e) + j), st.integers(53, 1100),
@@ -396,15 +411,15 @@ CUT_FREQS = st.one_of(
 @given(window_cuts(), st.lists(CUT_FREQS, min_size=1, max_size=4))
 @settings(max_examples=200, deadline=None)
 def test_cut_transform_and_mass_match_per_piece_rule(cut, freqs):
-    # ft and mass come from the grid rule on a 0-d array: bit for bit the
-    # per-piece scalar sum and cut_mass
+    # ft is bit for bit the per-piece scalar sum, and mass the grid rule on
+    # a 0-d array, which is cut_mass
     for xi in freqs:
         assert _bits(fd.ft(cut, xi)) == _bits(_ref_cut_ft(cut, xi)), xi
     assert struct.pack("<d", fd.mass(cut)) == struct.pack("<d", cut_mass(cut))
     assert type(fd.mass(cut)) is float
 
 
-def test_cut_transform_and_mass_sum_through_the_grid_rule(monkeypatch):
+def test_cut_transform_takes_the_scalar_rule_and_mass_the_grid_rule(monkeypatch):
     cut = fd.smooth_cut(fd.TrigDensity(((0.5, 7),)), (0.37, 0.3, 2))
     shapes = []
     original = fd.SmoothCutDensity._grid
@@ -414,17 +429,15 @@ def test_cut_transform_and_mass_sum_through_the_grid_rule(monkeypatch):
         return original(self, xs)
 
     monkeypatch.setattr(fd.SmoothCutDensity, "_grid", recording)
-    fd.ft(cut, 7.25)
-    fd.ft(cut, -(2 ** 70) - 1)
+    for xi in (7.25, -(2 ** 70) - 1, 2 ** 1030, Fraction(1, 3)):
+        assert fd.ft(cut, xi) == _ref_cut_ft(cut, xi)
+    assert shapes == []
     fd.mass(cut)
-    assert shapes == [(), (), ()]
-    fd.ft(cut, 2 ** 1030)  # past the shortcut: no piece sum
-    assert len(shapes) == 3
+    assert shapes == [()]
 
 
 def _fresh_pieces(cut):
-    wpiece = DensityPiece(cut.center - cut.radius, cut.center + cut.radius,
-                          cut.center, window_poly(cut.radius, cut.order), 1.0 + 0.0j, 0.0)
+    wpiece = window_piece(cut.center, cut.radius, cut.order)
     out = [wpiece.multiply(p) for p in decompose_density(cut.inner)]
     return tuple(p for p in out if p is not None)
 

@@ -1,5 +1,5 @@
 """The exact scalar route against a 60-digit mpmath oracle, and window cuts
-against a 120-digit one (at the end of this module).
+against 120- and 200-digit ones (at the end of this module).
 
 The oracle evaluates each closed form in its textbook shape, not in the
 shape the package uses: e(t) = exp(2 pi i t) after an exact reduction of t
@@ -620,6 +620,103 @@ def test_digit_cut_at_the_order_cap_against_oracle(center, radius):
         worst = max(abs(fd.ft(m, xi) - oracle(xi)) / want_mass
                     for xi in (0.0, 0.75, 3.3, 20.5, 100.25))
     assert worst <= CUT_BOUND, worst / U
+
+
+# window cuts past the Gauss-Legendre branch
+#
+# There each piece takes the integration-by-parts sum over its endpoint
+# jets, with the window edges at the exact reals center +- radius.  The
+# oracle integrates the exact window (binomial coefficients) times each part
+# of the inner density, amp * e(f x) on [a, b], by parts between the exact
+# ends.  Bounds are the largest relative errors measured on these cases, on
+# both routes, rounded up to a power of two with at least 4x headroom:
+#
+# * 8.8 u for the trig and Lebesgue cuts (the trig cut's ft at 2^10 + 0.3),
+#   bounded at 2^6 u.  The trig cut's first five points are where the moment
+#   recurrence this rule replaced read 3.0e-10, 1.3e-4, 4.4e2, 1.1e26 and
+#   1.6e26 relative, and gave one value at 2^70 + 1 and 2^70 + 3.
+# * 4.2e5 u for the digit cut (ft at 2^70 + 1), bounded at 2^21 u.  Its 19
+#   pieces' end terms cancel: at 2^70 + 1 each is about 1e4 times their sum.
+#   The recurrence read 2.1e21 u there.
+
+FAR_CUT_BOUND = 2 ** 6 * U
+FAR_DIGIT_CUT_BOUND = 2 ** 21 * U
+FAR_FLOATS = [2.0 ** 10 + 0.3, 2.0 ** 20 + 0.5, 2.0 ** 30 + 0.25]
+FAR_INTS = [2 ** 70 + 1, 2 ** 70 + 3, 3 ** 100, 2 ** 400 + 5]
+
+
+def oracle_window_cut(m, parts, xi):
+    """ft of m = smooth_cut(inner, (center, radius, order)), with the inner
+    density given as parts (a, b, amp, f): amp * e(f x) on [a, b]."""
+    c, r = mpmath.mpf(m.center), mpmath.mpf(m.radius)
+    window = [mpmath.mpf(0)] * (2 * m.order + 1)  # (1 - (t/r)^2)^order in t = x - c
+    for j in range(m.order + 1):
+        window[2 * j] = mpmath.binomial(m.order, j) * (-1) ** j / r ** (2 * j)
+    x = _mpf(Fraction(xi))
+    out = mpmath.mpc(0)
+    for a, b, amp, f in parts:
+        lo, hi = max(mpmath.mpf(a), c - r), min(mpmath.mpf(b), c + r)
+        if lo < hi:
+            theta = 2 * mpmath.pi * (f - x)
+            out += (amp * mpmath.exp(1j * theta * c)
+                    * oracle_piece_integral(window, theta, lo - c, hi - c))
+    return out
+
+
+def _trig_cut():
+    # 1 + 0.5 sin(2 pi 7 x) on [0, 1], as exponential parts
+    parts = [(0, 1, mpmath.mpc(1), 0), (0, 1, mpmath.mpf(0.5) / 2j, 7),
+             (0, 1, -mpmath.mpf(0.5) / 2j, -7)]
+    return fd.TrigDensity(((0.5, 7),)), (0.37, 0.3, 2), parts
+
+
+def _lebesgue_cut():
+    # the window overhangs 0, so the lower end is the inner's, not the window's
+    return fd.UniformOnIntervals(((0.0, 1.0),)), (0.2, 0.3, 3), [(0, 1, mpmath.mpc(1), 0)]
+
+
+def _digit_cut():
+    # blocks 000 at digits 1-3 and 11 at digits 6-7: the admissible cylinders
+    # are the runs [8j/256, (8j+6)/256] for j = 4 .. 31
+    inner = fd.DigitProduct(8, (fd.DigitBlock(0, 3, "000"), fd.DigitBlock(5, 2, "11")))
+    density = mpmath.mpf(256) / inner.cylinder_count()
+    parts = [(mpmath.mpf(8 * j) / 256, mpmath.mpf(8 * j + 6) / 256, density, 0)
+             for j in range(4, 32)]
+    return inner, (0.45, 0.3, 4), parts
+
+
+FAR_CUTS = {"trig": _trig_cut, "lebesgue": _lebesgue_cut, "digit": _digit_cut}
+
+
+def far_cut_errors(name):
+    """(xi, route, relative error) of one far cut, on both routes at floats.
+    The phases lose the digits of |xi| (121 at 2^400), so 200 are kept."""
+    with mpmath.workdps(200):
+        inner, window, parts = FAR_CUTS[name]()
+        m = fd.smooth_cut(inner, window)
+        out = []
+        for xi in FAR_FLOATS + FAR_INTS:
+            want = oracle_window_cut(m, parts, xi)
+            out.append((xi, "ft", relative_error(fd.ft(m, xi), want)))
+            if isinstance(xi, float):
+                got = complex(fd.ft_grid(m, [xi])[0])
+                out.append((xi, "grid", relative_error(got, want)))
+    return out
+
+
+@pytest.mark.parametrize("name,bound", [("trig", FAR_CUT_BOUND), ("lebesgue", FAR_CUT_BOUND),
+                                        ("digit", FAR_DIGIT_CUT_BOUND)])
+def test_window_cut_past_the_gauss_branch_against_oracle(name, bound):
+    worst = max(far_cut_errors(name), key=lambda row: row[2])
+    assert worst[2] <= bound, (worst[0], worst[1], worst[2] / U)
+
+
+def test_window_cut_far_values_stay_apart_and_finite():
+    m = fd.smooth_cut(fd.TrigDensity(((0.5, 7),)), (0.37, 0.3, 2))
+    assert fd.ft(m, 2 ** 70 + 1) != fd.ft(m, 2 ** 70 + 3)
+    for xi in (2 ** 1030 + 1, 2 ** 4096, -(2 ** 4096) + 1, 3 ** 2584):
+        z = fd.ft(m, xi)
+        assert math.isfinite(z.real) and math.isfinite(z.imag), xi
 
 
 # The Filon moments m_r(theta) = integral_{-1}^{1} u^r e^{i theta u} du take a
