@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import fourierdim as fd
+from fourierdim import dimension
 
 
 LEB = fd.UniformOnIntervals(((0.0, 1.0),))
@@ -294,6 +295,35 @@ def test_energy_error_bars_bound_the_error(k):
         for res in (fd.energy_fourier(ENERGY_MEASURES[k], s),
                     fd.energy_spatial(ENERGY_MEASURES[k], s)):
             assert abs(res.value - want) <= res.err_estimate, (res.method, s)
+
+
+def _band(m, s, n, width):
+    """energy_fourier's band sum over [1, 4096] with the n-node rule on
+    panels of `width` times its 4096 panels (diameters up to 1 take 4096),
+    and the weighted samples |m_hat|^2 xi^(s-1), one row per panel."""
+    u, w = np.polynomial.legendre.leggauss(n)
+    h = width * 4095.0 / 4096
+    xi = (1.0 + h * (np.arange(4096 // width) + 0.5))[:, None] + 0.5 * h * u
+    f = np.abs(fd.ft_grid(m, xi.ravel())).reshape(xi.shape) ** 2 * xi ** (s - 1.0)
+    return 0.5 * h * float(np.sum(f @ w)), f
+
+
+@pytest.mark.parametrize("k", range(len(ENERGY_MEASURES)),
+                         ids=[type(m).__name__ for m in ENERGY_MEASURES])
+def test_energy_fourier_band_term_bounds_the_band_error(k):
+    # the null-rule term covers the band's error against a 16-node rule per
+    # panel (at most 0.02 of the term here), and reads no more than
+    # |fine - coarse| with the 8-node rule on each pair of panels (7 to 40
+    # times the term here)
+    m = ENERGY_MEASURES[k]
+    for s in (0.25, 0.5, 0.75):
+        band, f = _band(m, s, 8, 1)
+        term = 0.5 * 4095.0 / 4096 * abs(float(np.sum(
+            f.reshape(-1, 16) @ dimension._pair_null_rule())))
+        assert abs(band - _band(m, s, 16, 1)[0]) <= term, s
+        assert term <= abs(band - _band(m, s, 8, 2)[0]), s
+        res = fd.energy_fourier(m, s)
+        assert res.err_estimate >= 2.0 * res.constant * term, s
 
 
 def test_energy_spatial_error_bar_covers_rounding():

@@ -227,15 +227,51 @@ def test_energy_fourier_points_per_call(monkeypatch):
 
     monkeypatch.setattr(dimension, "ft_grid", spy)
     # [1, 4096] in 4096 panels (4095 unit panels, rounded up to an even
-    # count): 8 nodes on each panel and 8 on each pair of panels, in one
-    # call after the 64- and 32-node rules on [0, 1]
+    # count): 8 nodes on each panel in one call, after the 64- and 32-node
+    # rules on [0, 1]; the error term reads the same samples, so no node
+    # serves it alone
     dimension.energy_fourier(LEB, 0.5)
-    assert points == [64, 32, 8 * 4096 + 4 * 4096]
-    assert sum(points) == 49248
+    assert points == [64, 32, 8 * 4096]
+    assert sum(points) == 32864
     # a support of diameter 2 halves the panel width
     points.clear()
     dimension.energy_fourier(fd.AffineImage(LEB, 2.0, 0.0), 0.5)
-    assert points == [64, 32, 8 * 8190 + 4 * 8190]
+    assert points == [64, 32, 8 * 8190]
+
+
+def test_pair_null_rule_is_read_only_and_exact_to_degree_13():
+    null = dimension._pair_null_rule()
+    assert null is dimension._pair_null_rule()
+    assert not null.flags.writeable
+    with pytest.raises(ValueError):
+        null[0] = 0.0
+    # the 16 nodes of a pair of panels, on [-1, 1]
+    u = np.polynomial.legendre.leggauss(8)[0]
+    nodes = np.concatenate((0.5 * (u - 1.0), 0.5 * (u + 1.0)))
+    legendre = np.polynomial.legendre.legvander(nodes, 15).T
+    assert np.max(np.abs(legendre[:14] @ null)) <= 2e-14
+    # degree 14 is where it starts to read: not a rule that bounds nothing
+    assert abs(legendre[14] @ null) > 1e-3
+
+
+# float.hex of energy_fourier's value, pinned before its error term moved to
+# a null rule on the band's own samples: that move leaves the value's bits
+FOURIER_VALUE_BITS = [
+    # the grid-scan deck's depth-8 digit product with two 2-digit blocks
+    (fd.DigitProduct(8, (fd.DigitBlock(0, 2, "01"), fd.DigitBlock(3, 2, "10"))),
+     {0.3: "0x1.be0c6da3d35b6p+0", 0.7: "0x1.9c6774a0fa705p+2"}),
+    (fd.smooth_cut(fd.UniformOnIntervals(((0.1, 0.65),)), (0.4, 0.3, 3)),
+     {0.3: "0x1.256a9f06d7657p-1", 0.7: "0x1.508b8aef9af5ep+1"}),
+    (fd.UniformOnIntervals(((0.0, 0.3), (0.5, 1.0))),
+     {0.3: "0x1.b40f98203b572p+0", 0.7: "0x1.68c4211b62416p+2"}),
+]
+
+
+@pytest.mark.parametrize("m, bits", FOURIER_VALUE_BITS,
+                         ids=["digit-product", "window-cut", "two-intervals"])
+def test_energy_fourier_values_keep_their_bits(m, bits):
+    for s, want in bits.items():
+        assert fd.energy_fourier(m, s).value.hex() == want, s
 
 
 def test_energy_atoms_flag_infinity():

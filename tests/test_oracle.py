@@ -357,8 +357,8 @@ def test_grid_keeps_exact_zeros_at_integer_products():
 # by its whole size at 3 * 2^70 + 1.  The largest errors measured were
 # 4.6 u (uniform), 3.2 u (trig), 1.7 u per level (self-similar), 6.9 u
 # (atoms) and 4.5 u (the affine image).  Digit products have no pinned
-# exact-route bound yet (ROADMAP item 4): they measured 239 u at 1000.007,
-# next to an integer, and 382 u at the ratio near -4.2e29, where
+# exact-route bound yet (ROADMAP item 1's gate): they measured 239 u at
+# 1000.007, next to an integer, and 382 u at the ratio near -4.2e29, where
 # |ft| = 1e-32; both are pinned at the power of two above.
 
 FRACTIONS = [Fraction(2 ** 60 + 1, 3), Fraction(-7, 5), Fraction(1, 3),
